@@ -342,18 +342,24 @@ class JobQueue:
 
     def fail(self, campaign_id: str, key: str, worker: str,
              error: str) -> bool:
-        """Mark a job ``failed`` (kept for forensics; resubmission or a
-        later successful completion clears it)."""
+        """Mark *worker*'s leased job ``failed`` (kept for forensics;
+        resubmission or a later successful completion clears it).
+
+        Fenced on the lease holder, like :meth:`heartbeat`: ``False``
+        means *worker* no longer holds the lease (it expired and was
+        re-claimed, or the job already finished), so a stale worker
+        cannot fail a unit its successor is still running."""
         now = time.time()
         with self.backend.transaction(immediate=True) as db:
             row = db.execute(
                 "SELECT label FROM jobs WHERE campaign_id = ? AND key = ?",
                 (campaign_id, key)).fetchone()
             cursor = db.execute(
-                "UPDATE jobs SET state = 'failed', worker = ?, "
+                "UPDATE jobs SET state = 'failed', "
                 "lease_expires = NULL, error = ?, updated_at = ? "
-                "WHERE campaign_id = ? AND key = ? AND state != 'done'",
-                (worker, error, now, campaign_id, key))
+                "WHERE campaign_id = ? AND key = ? AND state = 'leased' "
+                "AND worker = ?",
+                (error, now, campaign_id, key, worker))
         if cursor.rowcount:
             obs.event("campaign.unit", status="error",
                       label=row[0] if row else key[:12],

@@ -77,12 +77,27 @@ class BatchedDynamics:
         identical in distribution to serial runs but are different
         realisations; determinism in ``(seed, trials, chunk_size)`` is
         inherited from the engine's chunk-seed derivation.
+    count law (optional, ``count_law = True``)
+        :meth:`count_stay_log` must give the family's *exact* flooding
+        law in count form: given the informed history, every uninformed
+        node stays uninformed next round independently, with a
+        probability that depends on the history only through
+        ``|I_{t-1}|`` and ``|I_t \\ I_{t-1}|``, and the law is invariant
+        under node permutations fixing the sources.  Native flooding
+        then runs as a Markov chain on those two counts (one binomial
+        draw per trial per round) and never touches the population
+        kernels.
     """
 
     #: Whether the native chunk-stream kernels below are implemented and
     #: exact for this provider's template.  ``False`` routes native runs
     #: to the engine's per-trial generic fallback.
     native_capable: bool = False
+
+    #: Whether :meth:`count_stay_log` is implemented and exact for this
+    #: provider's template.  ``True`` routes native *flooding* runs to
+    #: the engine's count chain.
+    count_law: bool = False
 
     def __init__(self, template: EvolvingGraph) -> None:
         self.template = template
@@ -140,6 +155,21 @@ class BatchedDynamics:
         """Hook called when trials complete; *active* is the surviving
         mask.  Kernels with flat cross-trial state compact it here.
         Default: no-op."""
+
+    # -- count law ----------------------------------------------------------
+
+    def count_stay_log(self, older: np.ndarray,
+                       fresh: np.ndarray) -> np.ndarray:
+        """Log-probability that an uninformed node stays uninformed.
+
+        *older* is ``|I_{t-1}|`` and *fresh* is ``|I_t \\ I_{t-1}|``
+        (integer arrays, one entry per trial; at time 0, ``older = 0``
+        and ``fresh = |S|``).  Must be elementwise, draw no randomness,
+        and return exact limits (``-inf`` for a certain hit, never
+        ``nan``).
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} provides no count law")
 
 
 class GenericBatchedDynamics(BatchedDynamics):

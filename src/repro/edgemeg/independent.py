@@ -18,17 +18,21 @@ Two implementations:
   step, each uninformed node becomes informed independently with
   probability ``1 - (1 - p)^{m_t}``, so the informed-count trajectory
   is a simple Markov chain on ``{1..n}`` that we sample with one
-  binomial draw per step.  This scales flooding experiments to millions
-  of nodes.
+  binomial draw per step — the engine's edge-MEG count chain at
+  ``q = 1 - p``.  This scales flooding experiments to millions of
+  nodes.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from repro.dynamics.base import EvolvingGraph
 from repro.dynamics.snapshots import AdjacencySnapshot
 from repro.edgemeg.er import erdos_renyi_adjacency
+from repro.edgemeg.kernels import edge_count_stay_log
 from repro.edgemeg.meg import EdgeMEG
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import require, require_positive_int, require_probability
@@ -114,25 +118,24 @@ def flood_time_independent(
     Returns ``(T, history)`` where ``history[t] = m_t``; raises
     :class:`RuntimeError` on step-budget exhaustion.
 
-    This is an exact distributional shortcut, validated in tests against
-    full simulation on :class:`IndependentDynamicGraph`.
+    This is the edge-MEG count chain of the native engine
+    (:func:`repro.engine.batch.count_chain` over
+    :func:`~repro.edgemeg.kernels.edge_count_stay_log`) at ``q = 1 - p``,
+    where ``p_hat = p`` makes the older/fresh split irrelevant; it is
+    validated in tests against full simulation on
+    :class:`IndependentDynamicGraph`.
     """
+    from repro.engine.batch import count_chain
+
     n = require_positive_int(n, "n")
     p = require_probability(p, "p", open_left=True)
     m0 = require_positive_int(initial_informed, "initial_informed")
     require(m0 <= n, "initial_informed must be <= n")
     budget = 4 * n + 64 if max_steps is None else require_positive_int(max_steps, "max_steps")
-    rng = as_generator(seed)
 
-    history = [m0]
-    m = m0
-    t = 0
-    log1mp = np.log1p(-p) if p < 1 else -np.inf
-    while m < n and t < budget:
-        hit = -np.expm1(m * log1mp) if p < 1 else 1.0  # 1 - (1-p)^m, stably
-        m += int(rng.binomial(n - m, hit))
-        t += 1
-        history.append(m)
-    if m < n:
+    times, completed, count_log = count_chain(
+        partial(edge_count_stay_log, p=p, p_hat=p), n, np.array([m0]),
+        as_generator(seed), budget)
+    if not completed[0]:
         raise RuntimeError(f"flooding did not complete within {budget} steps")
-    return t, np.asarray(history, dtype=np.int64)
+    return int(times[0]), np.concatenate(count_log)

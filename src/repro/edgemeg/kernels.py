@@ -18,6 +18,12 @@ MRO dispatch, their plain subclasses such as
   work per step), dense regimes batch one ``(B, P)`` uniform draw per
   step.  Exact process law either way — stationary initial states,
   per-edge chains — drawn from the engine's chunk generator.
+* **count law** — for flooding, the churn kernel is not needed at all:
+  an uninformed node stays uninformed with probability
+  ``(1-p)^|I_{t-1}| (1-p_hat)^|I_t \\ I_{t-1}|`` (pairs to older
+  informed nodes were just seen absent, pairs to newly informed ones
+  are still stationary), independently across nodes, so the engine
+  runs native flooding as a two-count chain (:func:`edge_count_stay_log`).
 
 Subclass gating: the factories accept any subclass that inherits
 ``snapshot`` (the edge state stays authoritative, so the replay query is
@@ -40,6 +46,7 @@ from repro.util.validation import require
 
 __all__ = [
     "batched_triu_neighborhood",
+    "edge_count_stay_log",
     "EdgeBatchedDynamics",
     "SparseEdgeBatchedDynamics",
 ]
@@ -135,6 +142,33 @@ def batched_triu_neighborhood(states: np.ndarray, informed: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# count law of flooding
+# ---------------------------------------------------------------------------
+
+def _times_log1m(k: np.ndarray, x: float) -> np.ndarray:
+    """``k * log(1 - x)`` with the exact ``x = 1`` limit: ``0`` where
+    ``k = 0`` (an empty product), ``-inf`` elsewhere."""
+    k = np.asarray(k, dtype=np.float64)
+    if x >= 1.0:
+        return np.where(k > 0, -np.inf, 0.0)
+    return k * np.log1p(-x)
+
+
+def edge_count_stay_log(older: np.ndarray, fresh: np.ndarray,
+                        p: float, p_hat: float) -> np.ndarray:
+    """``log((1-p)^older (1-p_hat)^fresh)``: the log-probability that an
+    uninformed node of ``M(n, p, q)`` stays uninformed this round, given
+    ``older = |I_{t-1}|`` and ``fresh = |I_t \\ I_{t-1}|``.
+
+    Its pairs to ``I_{t-1}`` were absent last round (else it would be
+    informed), so each is present now with probability ``p``; its pairs
+    to the newly informed nodes were never observed, so each is present
+    with the stationary ``p_hat``.  Exact at ``p = 1`` or ``p_hat = 1``.
+    """
+    return _times_log1m(older, p) + _times_log1m(fresh, p_hat)
+
+
+# ---------------------------------------------------------------------------
 # native churn kernel shared by the dense and sparse edge-MEGs
 # ---------------------------------------------------------------------------
 
@@ -199,12 +233,16 @@ class _EdgeFamilyKernel(BatchedDynamics):
 
     def __init__(self, template, *, native: bool) -> None:
         super().__init__(template)
-        self.native_capable = native
+        self.native_capable = self.count_law = native
         self._n = template.num_nodes
         self._p = template.p
         self._q = template.q
         self._p_hat = template.p_hat
         self._num_pairs = self._n * (self._n - 1) // 2
+
+    def count_stay_log(self, older: np.ndarray,
+                       fresh: np.ndarray) -> np.ndarray:
+        return edge_count_stay_log(older, fresh, self._p, self._p_hat)
 
     # -- native kernels -----------------------------------------------------
 

@@ -25,7 +25,10 @@ reference, making every result bit-identical to
 chunk-level generator in batch order, enabling the vectorised
 population kernels that the providers implement (sparse edge churn,
 shared lattice steps, stacked mobility kinematics) composed with the
-mask-based protocol kernels.
+mask-based protocol kernels.  Native *flooding* on a family whose
+provider declares a count law (the edge-MEGs) skips the populations
+altogether and runs the exact chain on two informed counts
+(:func:`count_chain`).
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from repro.protocols.batched import BatchedProtocol, batched_protocol_for
 from repro.util.validation import require, require_node
 
 __all__ = [
+    "count_chain",
     "run_chunk",
     "run_multisource_replay",
 ]
@@ -278,6 +282,80 @@ def _run_chunk_native(plan, kernel: BatchedDynamics, pk: BatchedProtocol,
                           plan.record_history, plan.record_informed)
 
 
+def count_chain(stay_log, n: int, start: np.ndarray,
+                rng: np.random.Generator, budget: int,
+                ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Flood ``len(start)`` trials as the chain on ``(|I_{t-1}|, |I_t|)``.
+
+    ``stay_log(older, fresh)`` is a provider's
+    :meth:`~repro.dynamics.batched.BatchedDynamics.count_stay_log`; every
+    round draws one binomial vector over the active trials.  Returns
+    ``(times, completed, count_log)`` in the layout of
+    :func:`_finish_native` (``count_log[t]`` holds every trial's count
+    at time ``t``).
+    """
+    counts = np.array(start, dtype=np.int64)
+    older = np.zeros_like(counts)
+    times = np.zeros(counts.shape[0], dtype=np.int64)
+    completed = counts == n
+    active = ~completed
+    count_log = [counts.copy()]
+    t = 0
+    while active.any() and t < budget:
+        act = np.flatnonzero(active)
+        m = counts[act]
+        hit = -np.expm1(stay_log(older[act], m - older[act]))
+        older[act] = m
+        counts[act] = m + rng.binomial(n - m, hit)
+        t += 1
+        count_log.append(counts.copy())
+        done = act[counts[act] == n]
+        times[done] = t
+        completed[done] = True
+        active[done] = False
+    times[active] = t
+    return times, completed, count_log
+
+
+def _count_masks(rng: np.random.Generator, n: int,
+                 sources: list[tuple[int, ...]], final: np.ndarray,
+                 completed: np.ndarray) -> np.ndarray:
+    """Final informed masks of count-chain trials.
+
+    Complete trials are all-True.  A truncated trial's set is its
+    sources plus a uniform subset of the other nodes of the right size:
+    the law is invariant under node permutations fixing the sources,
+    so given the counts that subset is uniform.
+    """
+    informed = np.ones((len(sources), n), dtype=bool)
+    cut = np.flatnonzero(~completed)
+    if cut.size:
+        keys = rng.random((cut.size, n))
+        for row, b in enumerate(cut):
+            keys[row, list(sources[b])] = -1.0  # sources rank first
+        ranks = np.argsort(np.argsort(keys, axis=1), axis=1)
+        informed[cut] = ranks < final[cut, None]
+    return informed
+
+
+def _run_chunk_counts(plan, kernel: BatchedDynamics,
+                      rng: np.random.Generator, count: int,
+                      budget: int) -> TrialEnsemble:
+    """Native flooding through the provider's count law (see
+    :func:`count_chain`): the same sources as :func:`_chunk_sources`
+    draws for the kernel loop, then no population state at all."""
+    n = kernel.num_nodes
+    sources = _chunk_sources(plan, rng, count, n)
+    start = np.array([len(src) for src in sources], dtype=np.int64)
+    times, completed, count_log = count_chain(kernel.count_stay_log, n,
+                                              start, rng, budget)
+    informed = None
+    if plan.record_informed:
+        informed = _count_masks(rng, n, sources, count_log[-1], completed)
+    return _finish_native(n, sources, times, completed, count_log, informed,
+                          plan.record_history, plan.record_informed)
+
+
 def _run_chunk_native_generic(plan, rng: np.random.Generator,
                               count: int, budget: int) -> TrialEnsemble:
     """Native fallback for protocol/model pairs without composed batched
@@ -307,7 +385,9 @@ def run_chunk(payload: dict) -> TrialEnsemble:
     *payload* carries the plan, the trial range, and the pre-derived
     randomness (replay generator pairs or the native chunk seed), so a
     worker process needs nothing beyond this dict.  Kernel selection
-    goes through the :class:`BatchedDynamics` registry.
+    goes through the :class:`BatchedDynamics` registry; native flooding
+    on a provider with a count law runs the count chain, and the span's
+    ``tier`` attribute names the path that ran.
     """
     plan = payload["plan"]
     start, stop = payload["range"]
@@ -316,6 +396,7 @@ def run_chunk(payload: dict) -> TrialEnsemble:
     with obs.span("engine.chunk", start=start, stop=stop, trials=count,
                   mode=plan.rng_mode, protocol=plan.protocol.name) as sp:
         if plan.rng_mode == "replay":
+            sp.set(tier="replay")
             if plan.is_flooding:
                 ensemble = _run_chunk_replay(plan, payload["streams"],
                                              count, budget)
@@ -327,10 +408,17 @@ def run_chunk(payload: dict) -> TrialEnsemble:
             template = plan.make_model()
             kernel = batched_dynamics_for(template)
             pk = batched_protocol_for(plan.protocol, template.num_nodes)
+            native = kernel.native_capable and pk.native_capable
+            if plan.is_flooding and kernel.count_law:
+                tier = "counts"
+            else:
+                tier = "kernel" if native else "generic"
             sp.set(kernel=type(kernel).__name__,
                    protocol_kernel=type(pk).__name__,
-                   native=kernel.native_capable and pk.native_capable)
-            if kernel.native_capable and pk.native_capable:
+                   native=native, tier=tier)
+            if tier == "counts":
+                ensemble = _run_chunk_counts(plan, kernel, rng, count, budget)
+            elif tier == "kernel":
                 ensemble = _run_chunk_native(plan, kernel, pk, rng, count,
                                              budget)
             else:

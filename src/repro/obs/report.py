@@ -44,7 +44,7 @@ _UNCLOSED_KEYS = ("name", "span_id", "pid", "ts", "attrs")
 
 def _span_label(span: Mapping[str, Any]) -> str:
     attrs = span.get("attrs", {})
-    for key in ("label", "experiment", "sweep", "key"):
+    for key in ("label", "experiment", "sweep", "key", "tier"):
         if attrs.get(key):
             return f"{span['name']}({attrs[key]})"
     return span["name"]

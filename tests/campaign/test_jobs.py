@@ -176,6 +176,27 @@ class TestLifecycle:
         assert failed.error == "boom"
         assert queue.drained(cid)
 
+    def test_stale_worker_cannot_fail_a_re_leased_job(self, queue, store):
+        unit = make_unit(0)
+        cid = queue.submit([unit], store).campaign_id
+        stale = queue.lease("A", campaign_id=cid, ttl=1.0, now=1000.0)
+        queue.lease("B", campaign_id=cid)  # A's lease expired long ago
+        assert queue.fail(cid, stale.key, "A", "boom") is False
+        job = queue.job(cid, stale.key)
+        assert (job.state, job.worker, job.error) == ("leased", "B", None)
+        assert not queue.drained(cid)
+        store.put(unit.spec, {"answer": 1}, label=unit.label)
+        assert queue.complete(cid, stale.key, "B") is True
+        assert queue.drained(cid)
+        assert queue.job(cid, stale.key).state == "done"
+
+    def test_fail_after_completion_is_a_noop(self, queue, store):
+        cid = queue.submit([make_unit(0)], store).campaign_id
+        job = queue.lease("w1", campaign_id=cid)
+        queue.complete(cid, job.key, "w1")
+        assert queue.fail(cid, job.key, "w1", "late") is False
+        assert queue.job(cid, job.key).state == "done"
+
     def test_reap_returns_expired_leases_to_pending(self, queue, store):
         cid = queue.submit([make_unit(0)], store).campaign_id
         job = queue.lease("w1", campaign_id=cid, ttl=5.0)

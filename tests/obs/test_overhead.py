@@ -14,8 +14,8 @@ from __future__ import annotations
 import time
 
 from repro import obs
-from repro.edgemeg.meg import EdgeMEG
 from repro.engine import SimulationPlan, run_plan
+from repro.geometric.meg import GeometricMEG
 from repro.obs.sinks import MemorySink
 from repro.obs.trace import _NOOP_SPAN, configure
 
@@ -27,7 +27,10 @@ DISABLED_METRIC_CEILING_S = 10e-6
 
 
 def _native_plan(trials=64):
-    return SimulationPlan(model_factory=lambda: EdgeMEG(64, 0.2, 0.2),
+    # Kernel-bound on purpose: native edge-MEG flooding runs as a ~1 ms
+    # count chain, too short to measure a 5% bound against.
+    return SimulationPlan(model_factory=lambda: GeometricMEG(
+                              64, move_radius=1.0, radius=3.0),
                           trials=trials, seed=5, chunk_size=16,
                           rng_mode="native")
 

@@ -99,6 +99,14 @@ class TestSummarize:
         slowest = summarize(events, top=2)["slowest"]
         assert [s["label"] for s in slowest] == ["unit(E2)", "other"]
 
+    def test_slowest_engine_chunks_name_their_tier(self):
+        events = [_span("engine.chunk", 0.2, attrs={"tier": "kernel"}),
+                  _span("engine.chunk", 0.1, ts=1.0,
+                        attrs={"tier": "counts"})]
+        slowest = summarize(events)["slowest"]
+        assert [s["label"] for s in slowest] == ["engine.chunk(kernel)",
+                                                  "engine.chunk(counts)"]
+
     def test_error_spans_counted(self):
         s = summarize([_span("a", 1.0, status="error")])
         assert s["phases"]["a"]["errors"] == 1
