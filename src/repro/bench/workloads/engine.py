@@ -1,12 +1,13 @@
 """``engine`` suite — trial-ensemble throughput per backend.
 
 Ports of ``benchmarks/test_bench_engine_batch.py`` and
-``test_bench_mobility_batch.py``.  Two tiers per model family:
+``test_bench_mobility_batch.py``, plus the geometric-MEG family.  Two
+tiers per model family:
 
 * **ensemble** cases at the acceptance scale (the sizes the asserted
-  speedup floors were calibrated at — EdgeMEG n=512 and waypoint n=256,
-  64 trials each), where ``batched-native`` must beat the serial
-  reference by the subsystem's floor, and
+  speedup floors were calibrated at — EdgeMEG n=512, geometric-MEG
+  n=1024 and waypoint n=256, 64 trials each), where ``batched-native``
+  must beat the serial reference by the family's floor, and
 * small **tracking** cases (16 trials) whose absolute latency the
   baseline comparison follows over time.
 """
@@ -26,6 +27,9 @@ EDGE_NATIVE_FLOOR = 5.0
 #: Mobility acceptance floor (k-d trees are strong at sparse radii, so
 #: the dense-regime margin is structurally smaller).
 MOBILITY_NATIVE_FLOOR = 3.0
+#: Geometric-MEG acceptance floor: about half the lowest native/serial
+#: speedup measured at the E4 law (4-7x with the lattice radius query).
+GEOMETRIC_NATIVE_FLOOR = 2.0
 
 ENSEMBLE_TRIALS = 64
 SEED = 20090525
@@ -57,6 +61,15 @@ def make_waypoint_meg(n: int):
     radius = 3.0 * math.sqrt(math.log(n))
     return MobilityMEG(RandomWaypointTorus(n, side, speed=1.0), radius,
                        torus=True)
+
+
+@functools.lru_cache(maxsize=None)
+def make_geometric_meg(n: int):
+    """The E4 geometric-MEG at Thm 3.4: move radius 1,
+    ``R = 2 sqrt(log n)`` (cached for the same reason as
+    :func:`make_edge_meg`)."""
+    from repro.geometric.meg import GeometricMEG
+    return GeometricMEG(n, 1.0, 2.0 * math.sqrt(math.log(n)))
 
 
 def _check_trials(expected: int):
@@ -105,6 +118,9 @@ def _register_family(prefix: str, make_meg, n: int, scale: str, *,
 _register_family("edge", make_edge_meg, 512,
                  "EdgeMEG n=512, p_hat=2 log n/n, 64 trials",
                  floor=EDGE_NATIVE_FLOOR)
+_register_family("geometric", make_geometric_meg, 1024,
+                 "GeometricMEG n=1024, r=1, R=2 sqrt(log n), 64 trials",
+                 floor=GEOMETRIC_NATIVE_FLOOR)
 _register_family("mobility", make_waypoint_meg, 256,
                  "RandomWaypointTorus n=256, R=3 sqrt(log n), 64 trials",
                  floor=MOBILITY_NATIVE_FLOOR)

@@ -12,6 +12,7 @@ from repro.geometric.meg import GeometricMEG, GeometricSnapshot
 from repro.geometric.neighbors import (
     batched_within_radius,
     brute_force_within_radius,
+    lattice_within_radius,
     radius_degrees,
     radius_edges,
     within_radius_of_members,
@@ -32,6 +33,7 @@ __all__ = [
     "cell_count",
     "within_radius_of_members",
     "batched_within_radius",
+    "lattice_within_radius",
     "radius_edges",
     "radius_degrees",
     "brute_force_within_radius",

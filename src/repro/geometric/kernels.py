@@ -10,8 +10,12 @@ protocol for :class:`~repro.geometric.meg.GeometricMEG`:
 * **native** — the walker populations of all ``B`` trials share one
   ``(B, n)`` lattice-index array: the stationary initialisation and
   every move step are single vectorised lattice calls, and the ``N(I)``
-  query is the shared cell-grid query over all active trials
-  (:func:`~repro.geometric.neighbors.batched_within_radius`).
+  query runs on the lattice indices themselves — a disc dilation of
+  the trials' occupancy grids
+  (:func:`~repro.geometric.neighbors.lattice_within_radius`), with no
+  Euclidean coordinates built.  Its output equals the cell-grid query
+  on the coordinates, so realisations do not depend on which of the
+  two answers.
 
 Subclass gating mirrors the edge family: the factory accepts any
 subclass that inherits ``snapshot`` (positions stay authoritative for
@@ -29,7 +33,7 @@ from repro.dynamics.batched import (
     uses_inherited,
 )
 from repro.geometric.meg import GeometricMEG
-from repro.geometric.neighbors import batched_within_radius, within_radius_of_members
+from repro.geometric.neighbors import lattice_within_radius, within_radius_of_members
 
 __all__ = ["GeometricBatchedDynamics"]
 
@@ -69,10 +73,9 @@ class GeometricBatchedDynamics(BatchedDynamics):
 
     def batch_neighborhood(self, state: _WalkerState, informed: np.ndarray,
                            act: np.ndarray) -> np.ndarray:
-        positions = self._lattice.to_coordinates(
-            state.ix[act].ravel(), state.iy[act].ravel())
-        positions = positions.reshape(act.shape[0], self._n, 2)
-        return batched_within_radius(positions, informed[act], self._radius)
+        return lattice_within_radius(
+            state.ix[act], state.iy[act], informed[act], self._radius,
+            eps=self._lattice.eps, grid_size=self._lattice.grid_size)
 
     def batch_step(self, state: _WalkerState, rng: np.random.Generator,
                    active: np.ndarray) -> None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,11 @@ class Lattice:
         g = int(math.floor(self.side / self.eps + 1e-9)) + 1
         object.__setattr__(self, "grid_size", g)
 
+    def __deepcopy__(self, memo: dict) -> Lattice:
+        # Immutable, so copies of a model (one per replayed trial) share
+        # the lattice and its cached stationary CDF.
+        return self
+
     @property
     def num_points(self) -> int:
         """``|L_{n,eps}| = g^2``."""
@@ -138,6 +144,17 @@ class Lattice:
         deg = self.degree_table().astype(float).ravel()
         return deg / deg.sum()
 
+    @cached_property
+    def _stationary_cdf(self) -> np.ndarray:
+        """Cumulative ``pi``, normalised exactly as ``Generator.choice``
+        normalises its ``p``, so inverse-CDF draws match
+        ``rng.choice(num_points, p=pi)`` draw for draw.  Built once per
+        lattice (read-only)."""
+        cdf = self.stationary_position_distribution().cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        return cdf
+
     def uniformity_ratio(self) -> float:
         """``max pi / min pi`` — the paper's "almost uniform" constant
         ``gamma^2`` (1.0 for ``r = 0``)."""
@@ -153,8 +170,8 @@ class Lattice:
         """
         require(count >= 1, "count must be >= 1")
         rng = as_generator(seed)
-        flat = rng.choice(self.num_points, size=count,
-                          p=self.stationary_position_distribution())
+        flat = self._stationary_cdf.searchsorted(rng.random(count),
+                                                 side="right")
         ix, iy = np.divmod(flat, self.grid_size)
         return ix.astype(np.int64), iy.astype(np.int64)
 

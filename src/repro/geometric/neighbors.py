@@ -10,6 +10,13 @@ is built over the (usually small early / irrelevant late) informed set.
 ``scipy.spatial.cKDTree`` is the engine; this module wraps the exact
 query patterns the library needs so the snapshot code stays free of
 scipy details and the patterns are unit-testable against brute force.
+
+The batched kernels answer ``B`` trials at once: the mobility models
+(arbitrary float positions) through the shared cell grid of
+:func:`batched_within_radius`, and the native geometric-MEG (walkers on
+the lattice ``L_{n,eps}``) through :func:`lattice_within_radius`, which
+dilates occupancy grids by the disc of admissible lattice offsets and
+never computes a distance.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from repro.util.validation import require, require_positive
 __all__ = [
     "within_radius_of_members",
     "batched_within_radius",
+    "lattice_within_radius",
     "radius_edges",
     "radius_degrees",
     "brute_force_within_radius",
@@ -85,7 +93,9 @@ def within_radius_of_members(
 
 
 #: Fall back to per-trial k-d queries when the cell grid would need more
-#: than this many cells per point (pathologically small radii).
+#: than this many cells per point (pathologically small radii), and to
+#: the cell grid when a lattice has more than this many points per
+#: walker (fine resolutions).
 _MAX_CELLS_PER_POINT = 8
 
 
@@ -347,6 +357,97 @@ def batched_within_radius(
     hits = np.einsum("ij,ij->i", delta, delta) <= bound2
     out_flat[(pair_drive if pending_driven else pair_target)[hits]] = True
     return out
+
+
+def lattice_within_radius(
+    ix: np.ndarray,
+    iy: np.ndarray,
+    members: np.ndarray,
+    radius: float,
+    *,
+    eps: float,
+    grid_size: int,
+) -> np.ndarray:
+    """:func:`batched_within_radius` for ``B`` stacked trials whose points
+    all sit on the lattice ``{(i eps, j eps) : 0 <= i, j < grid_size}``.
+
+    On the lattice, adjacency depends only on the integer offset:
+    ``(di eps)^2 + (dj eps)^2 <= (R (1 + 1e-12))^2``.  So the query needs
+    no coordinates and no pair checks:
+
+    1. mark each trial's members in a ``(B, g, g)`` occupancy grid;
+    2. OR the grid over the disc of admissible offsets — the disc is
+       ``2 floor(R/eps) + 1`` horizontal runs, each a windowed "any"
+       along one axis (a cumulative-sum difference, one per distinct run
+       width) shifted along the other axis;
+    3. read the dilated grid at every point and drop the members.
+
+    Work per call is ``O(B g^2 (2R/eps + 1))``.  When the lattice has
+    more than :data:`_MAX_CELLS_PER_POINT` points per trial point
+    (``g^2 > 8 n``, fine resolutions) that grid work would outgrow the
+    point count, so the points go to :func:`batched_within_radius` as
+    Euclidean coordinates instead.
+
+    Parameters
+    ----------
+    ix, iy:
+        ``(B, n)`` integer lattice indices — trial ``b``'s point ``k``
+        sits at ``(ix[b, k] eps, iy[b, k] eps)``.
+    members:
+        ``(B, n)`` boolean mask of each trial's member set.
+    radius:
+        Query radius ``R`` (inclusive, as in
+        :func:`within_radius_of_members`).
+    eps, grid_size:
+        Lattice resolution and number of indices per axis.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(B, n)`` boolean mask, equal to :func:`batched_within_radius`
+        on the points' coordinates.
+    """
+    ix = np.asarray(ix, dtype=np.int64)
+    iy = np.asarray(iy, dtype=np.int64)
+    members = np.asarray(members, dtype=bool)
+    require(ix.ndim == 2 and ix.shape == iy.shape,
+            "lattice indices must be two aligned (B, n) arrays")
+    require(members.shape == ix.shape, "members mask must be (B, n)")
+    radius = require_positive(radius, "radius")
+    eps = require_positive(eps, "eps")
+
+    num_trials, n = ix.shape
+    g = int(grid_size)
+    if g * g > _MAX_CELLS_PER_POINT * n:
+        positions = np.stack((ix * eps, iy * eps), axis=-1)
+        return batched_within_radius(positions, members, radius)
+
+    # Half-width of the disc's run at each row offset |di| (-1: empty).
+    # Offsets beyond g - 1 reach no lattice point; the +1 covers a
+    # quotient that rounds just below an integer (0.3 / 0.1 < 3).
+    limit = radius * (1 + 1e-12)
+    reach = min(int(limit // eps) + 1, g - 1)
+    offsets = np.arange(reach + 1) * eps
+    half = ((offsets[:, None] ** 2 + offsets[None, :] ** 2 <= limit ** 2)
+            .sum(axis=1) - 1)
+
+    cell = (np.arange(num_trials, dtype=np.int64)[:, None] * g + ix) * g + iy
+    occupied = np.zeros(num_trials * g * g, dtype=bool)
+    occupied[cell[members]] = True
+    occupied = occupied.reshape(num_trials, g, g)
+    # counts[b, x, k] = members of trial b at ix = x with iy < k.
+    counts = np.zeros((num_trials, g, g + 1), dtype=np.int32)
+    np.cumsum(occupied, axis=2, out=counts[:, :, 1:])
+    cols = np.arange(g)
+    dilated = np.zeros_like(occupied)
+    for width in np.unique(half[half >= 0]):
+        runs = (counts[:, :, np.minimum(cols + width + 1, g)]
+                > counts[:, :, np.maximum(cols - width, 0)])
+        for di in np.flatnonzero(half == width):
+            dilated[:, di:] |= runs[:, :g - di]
+            if di:
+                dilated[:, :g - di] |= runs[:, di:]
+    return dilated.ravel()[cell] & ~members
 
 
 def radius_edges(positions: np.ndarray, radius: float, *,

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometric.lattice import Lattice, disc_offsets
+from repro.geometric.meg import GeometricMEG
 
 
 class TestDiscOffsets:
@@ -119,6 +122,36 @@ class TestStationaryDistribution:
         flat = ix * lat.grid_size + iy
         freq = np.bincount(flat, minlength=lat.num_points) / len(flat)
         np.testing.assert_allclose(freq, pi, atol=0.01)
+
+    @pytest.mark.parametrize("side,eps,r", [
+        (8.0, 1.0, 2.5),   # border-clipped: pi is not uniform
+        (8.0, 1.0, 0.0),   # static walkers: pi uniform
+        (6.0, 0.5, 1.2),   # fractional resolution
+    ])
+    def test_sampling_matches_generator_choice(self, side, eps, r):
+        """The cached inverse-CDF sampler is draw-for-draw
+        ``rng.choice(num_points, p=pi)`` — the draw sequence behind
+        replay bit-identity."""
+        lat = Lattice(side=side, eps=eps, move_radius=r)
+        pi = lat.stationary_position_distribution()
+        for seed in range(5):
+            ix, iy = lat.sample_stationary_indices(3000, seed=seed)
+            flat = np.random.default_rng(seed).choice(lat.num_points,
+                                                      size=3000, p=pi)
+            np.testing.assert_array_equal(ix * lat.grid_size + iy, flat)
+        assert lat._stationary_cdf is lat._stationary_cdf  # built once
+
+    def test_model_copies_share_the_lattice(self):
+        """Replay deep-copies the model once per trial; the copies share
+        the immutable lattice, so the stationary CDF is built once."""
+        meg = GeometricMEG(64, move_radius=1.0, radius=2.0, eps=0.5)
+        twin = copy.deepcopy(meg)
+        assert twin.lattice is meg.lattice
+        meg.reset(3)
+        twin.reset(3)
+        assert "_stationary_cdf" in twin.lattice.__dict__
+        np.testing.assert_array_equal(twin.walkers.positions(),
+                                      meg.walkers.positions())
 
 
 class TestStepping:

@@ -9,9 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometric import neighbors
+from repro.geometric.lattice import Lattice
 from repro.geometric.neighbors import (
+    _MAX_CELLS_PER_POINT,
     batched_within_radius,
     brute_force_within_radius,
+    lattice_within_radius,
     radius_degrees,
     radius_edges,
     within_radius_of_members,
@@ -233,3 +237,94 @@ class TestBatchedWithinRadius:
         members = np.array([[True, False, False]])
         out = batched_within_radius(positions, members, 2.5)
         np.testing.assert_array_equal(out, [[False, True, True]])
+
+
+#: (density, eps, move radius, R) for 64 walkers; every regime keeps
+#: g^2 <= 8n, so the lattice dilation (not the fallback) answers.
+_LATTICE_REGIMES = {
+    "paper-law": (1.0, 1.0, 1.0, 2 * math.sqrt(math.log(64))),
+    "eps-0.5": (1.0, 0.5, 1.0, 3.0),
+    "eps-0.3": (2.0, 0.3, 1.0, 2.5),
+    "density-0.25": (0.25, 1.0, 1.0, 4.0),
+    "R-on-lattice-2": (1.0, 1.0, 1.0, 2.0),
+    "R-on-lattice-sqrt5": (1.0, 1.0, 1.0, math.sqrt(5.0)),
+    "R-on-lattice-sqrt5-eps-0.5": (1.0, 0.5, 1.0, math.sqrt(5.0)),
+    # 0.3 / 0.1 rounds below 3 in floating point.
+    "R-on-lattice-eps-0.1": (16.0, 0.1, 0.2, 0.3),
+    "R-region-side": (1.0, 1.0, 1.0, 8.0),
+    "R-near-region-side": (1.0, 0.5, 1.0, 7.9),
+    "static-walkers": (1.0, 1.0, 0.0, 3.0),
+}
+
+
+class TestLatticeWithinRadius:
+    """The lattice dilation vs the cell-grid query and brute force, on
+    stationary walker stacks."""
+
+    N = 64
+
+    def _lattice(self, density, eps, r):
+        return Lattice(side=math.sqrt(self.N / density), eps=eps,
+                       move_radius=r)
+
+    @pytest.mark.parametrize("trials", [1, 8])
+    @pytest.mark.parametrize("regime", sorted(_LATTICE_REGIMES))
+    def test_matches_cell_grid_and_brute_force(self, regime, trials):
+        density, eps, r, radius = _LATTICE_REGIMES[regime]
+        lat = self._lattice(density, eps, r)
+        assert lat.num_points <= _MAX_CELLS_PER_POINT * self.N, (
+            "regime exercises the fallback, not the lattice dilation")
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            ix, iy = lat.sample_stationary_indices(trials * self.N, seed=rng)
+            ix = ix.reshape(trials, self.N)
+            iy = iy.reshape(trials, self.N)
+            positions = lat.to_coordinates(ix.ravel(), iy.ravel()).reshape(
+                trials, self.N, 2)
+            for rate in (0.0, 0.05, 0.3, 0.8, 1.0):
+                members = rng.random((trials, self.N)) < rate
+                out = lattice_within_radius(ix, iy, members, radius,
+                                            eps=eps, grid_size=lat.grid_size)
+                np.testing.assert_array_equal(
+                    out, batched_within_radius(positions, members, radius))
+                for b in range(trials):
+                    np.testing.assert_array_equal(
+                        out[b], brute_force_within_radius(
+                            positions[b], members[b], radius),
+                        err_msg=f"seed {seed}, rate {rate}, trial {b}")
+
+    def test_no_cross_trial_contamination(self):
+        """Co-located walkers in different trials must not connect."""
+        ix = np.array([[0, 5], [0, 5]])
+        iy = np.array([[0, 5], [0, 5]])
+        members = np.array([[True, False], [False, False]])
+        out = lattice_within_radius(ix, iy, members, 1.0, eps=1.0,
+                                    grid_size=6)
+        assert not out.any()
+
+    @pytest.mark.parametrize("eps,uses_cell_grid", [(0.1, True), (1.0, False)])
+    def test_fine_lattice_falls_back_to_cell_grid(self, monkeypatch, eps,
+                                                  uses_cell_grid):
+        """g^2 > 8n (eps = 0.1 here) goes through batched_within_radius on
+        the Euclidean coordinates; a coarse lattice never does."""
+        lat = self._lattice(1.0, eps, 1.0)
+        assert (lat.num_points > _MAX_CELLS_PER_POINT * self.N) == uses_cell_grid
+        calls = []
+        real = neighbors.batched_within_radius
+
+        def spy(positions, members, radius, **kwargs):
+            calls.append(positions)
+            return real(positions, members, radius, **kwargs)
+
+        monkeypatch.setattr(neighbors, "batched_within_radius", spy)
+        ix, iy = lat.sample_stationary_indices(2 * self.N, seed=3)
+        ix, iy = ix.reshape(2, self.N), iy.reshape(2, self.N)
+        members = np.random.default_rng(4).random((2, self.N)) < 0.3
+        out = lattice_within_radius(ix, iy, members, 3.0, eps=eps,
+                                    grid_size=lat.grid_size)
+        assert bool(calls) == uses_cell_grid
+        positions = lat.to_coordinates(ix.ravel(), iy.ravel()).reshape(
+            2, self.N, 2)
+        if calls:
+            np.testing.assert_array_equal(calls[0], positions)
+        np.testing.assert_array_equal(out, real(positions, members, 3.0))
