@@ -17,31 +17,32 @@ import math
 
 import numpy as np
 
-from repro import EdgeMEG, GeometricMEG, flood
-from repro.analysis import render_table
-from repro.core import (
-    parsimonious_flood,
-    probabilistic_flood,
-    push_gossip,
-    push_pull_gossip,
+from repro import (
+    EdgeMEG,
+    ExpiringFlooding,
+    GeometricMEG,
+    ProbabilisticFlooding,
+    PushGossip,
+    PushPullGossip,
+    spread,
 )
-from repro.util.rng import derive_seed, spawn
+from repro.analysis import render_table
+from repro.util.rng import derive_seed
 
 N = 512
 TRIALS = 6
 SEED = 77
 
-
-def protocols():
-    yield "flooding", lambda g, seed: flood(g, 0, seed=spawn(seed, 2)[0])
-    yield "probabilistic f=0.5", lambda g, seed: probabilistic_flood(
-        g, 0, transmit_probability=0.5, seed=seed)
-    yield "probabilistic f=0.2", lambda g, seed: probabilistic_flood(
-        g, 0, transmit_probability=0.2, seed=seed)
-    yield "parsimonious k=1", lambda g, seed: parsimonious_flood(
-        g, 0, active_steps=1, seed=seed)
-    yield "push", lambda g, seed: push_gossip(g, 0, seed=seed)
-    yield "push-pull", lambda g, seed: push_pull_gossip(g, 0, seed=seed)
+#: (label, protocol).  Flooding is p-flooding with p = 1 so that it
+#: splits its trial seed like the others and sees the same graph.
+PROTOCOLS = (
+    ("flooding", ProbabilisticFlooding(1.0)),
+    ("probabilistic f=0.5", ProbabilisticFlooding(0.5)),
+    ("probabilistic f=0.2", ProbabilisticFlooding(0.2)),
+    ("parsimonious k=1", ExpiringFlooding(1)),
+    ("push", PushGossip()),
+    ("push-pull", PushPullGossip()),
+)
 
 
 def models():
@@ -55,11 +56,11 @@ def models():
 def main() -> None:
     for model_name, meg in models():
         rows = []
-        for proto_name, runner in protocols():
+        for proto_name, protocol in PROTOCOLS:
             times, completed = [], 0
             for trial in range(TRIALS):
                 seed = derive_seed(SEED, hash(model_name) % 997, trial)
-                res = runner(meg, seed)
+                res = spread(protocol, meg, 0, seed=seed)
                 if res.completed:
                     completed += 1
                     times.append(res.time)

@@ -14,18 +14,17 @@ Processes
     in :mod:`repro.protocols` — flooding, probabilistic p-flooding,
     expiring (SIR-style) flooding, push / pull / push–pull gossip —
     behind one registry the engine dispatches through
-    (:func:`~repro.protocols.spread`,
-    :func:`~repro.protocols.spreading_trials`); the legacy serial
-    baselines remain in :mod:`repro.core.spreading`.
+    (:func:`~repro.protocols.spread`, the single serial reference loop
+    ``flood`` wraps, and :func:`~repro.protocols.spreading_trials`).
 Engine
     The batched Monte Carlo engine in :mod:`repro.engine`: declare a
     :class:`~repro.engine.SimulationPlan`, execute it with
     :func:`~repro.engine.run_plan` on the ``serial`` / ``batched`` /
     ``parallel`` backend, and aggregate the outcome as a
-    :class:`~repro.engine.TrialEnsemble`.  Trial batches such as
+    :class:`~repro.engine.TrialEnsemble`.  The trial batches
     :func:`~repro.core.flooding_trials` and
-    :func:`~repro.core.protocol_trials` accept the same
-    ``backend=`` switch directly.
+    :func:`~repro.protocols.spreading_trials` build such a plan and
+    accept the same ``backend=`` switch directly.
 Theory
     Expansion measurement (:mod:`repro.core.expansion`) and the
     paper's bound calculators (:mod:`repro.core.bounds`).
@@ -86,7 +85,6 @@ from repro.core import (
     geometric_upper_bound,
     ladder_bound,
     max_flooding_time_over_sources,
-    protocol_trials,
     resolve_max_steps,
     unit_ladder_bound,
 )
@@ -141,7 +139,6 @@ __all__ = [
     "flooding_time",
     "flooding_trials",
     "max_flooding_time_over_sources",
-    "protocol_trials",
     "resolve_max_steps",
     "SimulationPlan",
     "TrialEnsemble",

@@ -14,14 +14,12 @@ The schema is frozen by :func:`schema_fingerprint` (pinned in
 from __future__ import annotations
 
 import json
-import platform
-import subprocess
-import sys
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.obs.events import git_sha, machine_fingerprint
 from repro.util.validation import require
 
 __all__ = ["SCHEMA_NAME", "SCHEMA_VERSION", "CaseResult", "SuiteResult",
@@ -115,36 +113,6 @@ class SuiteResult:
             config=dict(config or {}),
             cases=cases,
         )
-
-
-def machine_fingerprint() -> dict[str, Any]:
-    """Where a result was measured — enough to judge comparability."""
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except Exception:  # pragma: no cover - numpy is a hard dep in practice
-        numpy_version = None
-    import os
-    return {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "cpu_count": os.cpu_count(),
-        "numpy": numpy_version,
-    }
-
-
-def git_sha() -> str | None:
-    """The current checkout's commit SHA, or ``None`` outside a repo."""
-    try:
-        proc = subprocess.run(["git", "rev-parse", "HEAD"],
-                              capture_output=True, text=True, timeout=10)
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    if proc.returncode != 0:
-        return None
-    sha = proc.stdout.strip()
-    return sha if len(sha) == 40 else None
 
 
 def schema_fingerprint() -> str:

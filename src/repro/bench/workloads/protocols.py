@@ -1,9 +1,10 @@
-"""``protocols`` suite — vectorised transmission vs the per-trial path.
+"""``protocols`` suite — vectorised transmission vs the per-node rule.
 
 Port of ``benchmarks/test_bench_protocols.py``: push–pull gossip on the
 classical static rumor-spreading substrate (where the round cost *is*
-the transmission rule) with the legacy per-trial path as the serial
-reference, the evolving sparse edge-MEG context pair (model churn
+the transmission rule) with a per-node transmission rule run trial by
+trial through the serial :func:`~repro.protocols.runner.spread` loop as
+the reference, the evolving sparse edge-MEG context pair (model churn
 dominates, so the floor is only "never materially slower"), and the
 mask-composed native p-flood tracking case.
 """
@@ -12,10 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from repro.bench.case import BenchCase, register
+from repro.protocols.base import SpreadingProtocol
 from repro.util.validation import require
 
 SUITE = "protocols"
@@ -60,12 +64,34 @@ def _check_completed(results) -> None:
     require(all(r.completed for r in results), "every trial must complete")
 
 
+@dataclass(frozen=True)
+class PerNodePushPull(SpreadingProtocol):
+    """Push–pull with its transmission rule written node by node: ~2n
+    ``neighbors_of`` calls and scalar draws per round, the cost the
+    vectorised :class:`~repro.protocols.zoo.PushPullGossip` rule
+    removes.  A timing reference only; it draws differently."""
+
+    name: ClassVar[str] = "push-pull"
+
+    def transmit(self, snapshot, state, informed, active, t, rng):
+        fresh = np.zeros(informed.shape[0], dtype=bool)
+        for u in range(informed.shape[0]):
+            nbrs = snapshot.neighbors_of(u)
+            if nbrs.size:
+                v = int(nbrs[rng.integers(nbrs.size)])
+                if informed[u]:
+                    fresh[v] = True
+                elif informed[v]:
+                    fresh[u] = True
+        return fresh & ~informed
+
+
 def _per_trial_setup(make_graph, trials: int):
     def setup():
-        from repro.core.spreading import protocol_trials, push_pull_gossip
+        from repro.protocols import spreading_trials
         graph = make_graph()
-        return lambda: protocol_trials(push_pull_gossip, graph,
-                                       trials=trials, seed=SEED)
+        return lambda: spreading_trials(PerNodePushPull(), graph,
+                                        trials=trials, seed=SEED)
     return setup
 
 

@@ -9,7 +9,7 @@ Spec contract (what invalidates a cache key)
 --------------------------------------------
 ``kind="experiment"`` units are keyed on::
 
-    {v, kind, experiment, scale, seed, trials, stream[, protocol]}
+    {v, kind, experiment, scale, seed, trials, stream[, protocol][, revision]}
 
 * ``experiment``/``scale``/``seed``/``trials`` pin the work the paper's
   tables call for; changing any of them is different work.
@@ -29,6 +29,14 @@ Spec contract (what invalidates a cache key)
   by the engine's seed-tree contract, so they *share* cache entries)
   and ``"native/cs<chunk>"`` for the fast native kernels (identical in
   distribution but different realisations, so they never alias).
+* ``revision`` is the experiment module's optional ``SPEC_REVISION``
+  constant, read the way ``PROTOCOL_AWARE`` is read.  An experiment
+  whose results change on purpose (its own code, not the simulator)
+  sets or raises it, which moves that experiment's keys and no other
+  key; without the constant the field is omitted, so every key
+  computed before it existed stays byte-identical.  E14 sets it to 2:
+  its push/pull/push-pull rows moved from per-node Python gossip loops
+  to the vectorised registry protocols, which draw differently.
 * Deliberately **excluded**: the executing backend, worker counts,
   output directories — anything that cannot change the table bytes.
 
@@ -38,7 +46,8 @@ index), matching :func:`repro.analysis.sweep.run_sweep`'s discipline:
 grid points keep their randomness when the grid around them changes.
 
 Bumping ``_SPEC_VERSION`` invalidates every stored key at once; do that
-whenever simulation semantics change incompatibly.
+whenever simulation semantics change incompatibly.  To invalidate one
+experiment only, raise its ``SPEC_REVISION``.
 """
 
 from __future__ import annotations
@@ -128,11 +137,17 @@ def _experiment_unit(experiment_id: str, config: ExperimentConfig) -> WorkUnit:
     # bit-identical; enforced in tests/engine and tests/protocols) and
     # a protocol-oblivious experiment run under ``--protocol X`` is
     # correctly recognised as the same cached work, not relabelled.
+    module = load_experiment(canonical)
     token = config.protocol_token()
     aware = (token != "flooding"
-             and getattr(load_experiment(canonical), "PROTOCOL_AWARE", False))
+             and getattr(module, "PROTOCOL_AWARE", False))
     if aware:
         spec["protocol"] = token
+    # Omitted, never written as None, when the module declares no
+    # revision: keys of unrevised experiments stay byte-identical.
+    revision = getattr(module, "SPEC_REVISION", None)
+    if revision is not None:
+        spec["revision"] = int(revision)
     # The payload keeps the *executing* knobs (backend, jobs) that the
     # spec deliberately ignores; output_dir stays with the caller — the
     # store is the campaign's persistence layer.  The payload protocol

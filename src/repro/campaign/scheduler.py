@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
 import tempfile
 import time
@@ -157,18 +156,6 @@ def execute_unit(payload: dict[str, Any]) -> dict[str, Any]:
             "resources": resources.delta(res0)}
 
 
-def _git_rev() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent, capture_output=True,
-            text=True, timeout=10, check=False)
-        rev = out.stdout.strip()
-        return rev if out.returncode == 0 and rev else "unknown"
-    except OSError:
-        return "unknown"
-
-
 def write_manifest(store: ResultStore, report: CampaignReport) -> Path:
     """Record the provenance of the latest campaign run in the store.
 
@@ -181,14 +168,14 @@ def write_manifest(store: ResultStore, report: CampaignReport) -> Path:
     :mod:`repro.campaign.schema` (``MANIFEST_FIELDS``), pinned by the
     frozen schema fingerprint test.
     """
-    from repro.obs.events import machine_fingerprint
+    from repro.obs.events import git_sha, machine_fingerprint
 
     trace = obs.trace_path()
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "written_at": time.time(),
-        "git_rev": _git_rev(),
+        "git_rev": git_sha() or "unknown",
         "python": sys.version.split()[0],
         "argv": sys.argv,
         "elapsed": report.elapsed,

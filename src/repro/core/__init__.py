@@ -37,14 +37,6 @@ from repro.core.flooding import (
     max_flooding_time_over_sources,
     resolve_max_steps,
 )
-from repro.core.spreading import (
-    parsimonious_flood,
-    probabilistic_flood,
-    protocol_trials,
-    pull_gossip,
-    push_gossip,
-    push_pull_gossip,
-)
 from repro.core.theory import (
     GapRegime,
     edge_density_threshold,
@@ -100,11 +92,4 @@ __all__ = [
     "in_geometric_tight_regime",
     "in_edge_regime",
     "in_edge_tight_regime",
-    # protocols
-    "probabilistic_flood",
-    "parsimonious_flood",
-    "push_gossip",
-    "pull_gossip",
-    "push_pull_gossip",
-    "protocol_trials",
 ]

@@ -11,10 +11,13 @@ time step t* (the paper's convention, Section 2).  The *flooding time*
 ``T(s)`` is the first time step at which ``I_t = [n]``; the flooding
 time of the evolving graph is ``max_s T(s)``.
 
-The engine below works on any :class:`~repro.dynamics.base.EvolvingGraph`
+:func:`flood` works on any :class:`~repro.dynamics.base.EvolvingGraph`
 and records the full informed-count trajectory ``m_t = |I_t|``, which the
 expansion experiments consume (the sets ``I_t`` are exactly the sets
-whose expansion drives Lemma 2.4).
+whose expansion drives Lemma 2.4).  It runs flooding through the one
+serial loop of the library, :func:`repro.protocols.runner.spread`, and
+:func:`flooding_trials` runs it through the engine
+(:mod:`repro.engine`) on every backend.
 
 Notes on semantics
 ------------------
@@ -30,17 +33,16 @@ Notes on semantics
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.dynamics.base import EvolvingGraph
-from repro.util.rng import SeedLike, as_generator, spawn
+from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import require, require_node, require_positive_int
 
 __all__ = [
     "FloodingResult",
-    "FloodingObserver",
     "flood",
     "flooding_time",
     "flooding_trials",
@@ -65,16 +67,13 @@ def resolve_max_steps(n: int, max_steps: int | None = DEFAULT_MAX_STEPS) -> int:
     experiments plus a constant floor so tiny graphs are not truncated
     prematurely.  An explicit *max_steps* is validated and returned
     unchanged.  This is the single budget rule shared by
-    :func:`flood`, the protocols in :mod:`repro.core.spreading`, and
-    the batched engine in :mod:`repro.engine`.
+    :func:`flood`, the protocols in :mod:`repro.protocols`, and the
+    batched engine in :mod:`repro.engine`.
     """
     n = require_positive_int(n, "n")
     if max_steps is None:
         return 4 * n + 64
     return require_positive_int(max_steps, "max_steps")
-
-#: Signature of per-step observers: ``observer(t, snapshot, informed_mask)``.
-FloodingObserver = Callable[[int, object, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -141,9 +140,10 @@ def flood(
     seed: SeedLike = None,
     max_steps: int | None = DEFAULT_MAX_STEPS,
     reset: bool = True,
-    observer: FloodingObserver | None = None,
 ) -> FloodingResult:
     """Run the flooding process on *graph* and return the full trace.
+
+    ``spread(FLOODING, ...)`` under the name the paper uses.
 
     Parameters
     ----------
@@ -158,47 +158,16 @@ def flood(
         Randomness for the evolving graph (ignored when ``reset=False``).
     max_steps:
         Step budget; ``None`` resolves to ``4n + 64``.
-    observer:
-        Optional callback ``observer(t, snapshot, informed)`` invoked
-        once per step *before* the update, e.g. to measure the expansion
-        of the visited sets.
 
     Returns
     -------
     FloodingResult
     """
-    n = graph.num_nodes
-    sources = _resolve_sources(source, n)
-    budget = resolve_max_steps(n, max_steps)
+    from repro.protocols.base import FLOODING
+    from repro.protocols.runner import spread
 
-    if reset:
-        graph.reset(seed)
-
-    informed = np.zeros(n, dtype=bool)
-    informed[list(sources)] = True
-    history = [len(sources)]
-
-    t = 0
-    while history[-1] < n and t < budget:
-        snap = graph.snapshot()
-        if observer is not None:
-            observer(t, snap, informed)
-        fresh = snap.neighborhood_mask(informed)
-        count = history[-1]
-        if fresh.any():
-            informed |= fresh
-            count = int(informed.sum())
-        graph.step()
-        t += 1
-        history.append(count)
-
-    return FloodingResult(
-        source=sources,
-        time=t,
-        completed=history[-1] == n,
-        informed_history=np.asarray(history, dtype=np.int64),
-        informed=informed,
-    )
+    return spread(FLOODING, graph, source, seed=seed, max_steps=max_steps,
+                  reset=reset)
 
 
 def flooding_time(
@@ -250,11 +219,12 @@ def flooding_trials(
     Parameters
     ----------
     backend:
-        ``"serial"`` (this loop, the reference path), ``"batched"``
-        (the vectorised engine of :mod:`repro.engine`), or
-        ``"parallel"`` (chunked multiprocessing fan-out).  With the
-        default ``rng_mode="replay"`` every backend is bit-identical
-        to the serial path for the same *seed*.
+        ``"serial"`` (one :func:`flood` per trial, the reference
+        path), ``"batched"`` (the vectorised engine of
+        :mod:`repro.engine`), or ``"parallel"`` (chunked
+        multiprocessing fan-out).  With the default
+        ``rng_mode="replay"`` every backend is bit-identical to the
+        serial path for the same *seed*.
     jobs:
         Worker count for the parallel backend (``None`` = one per CPU).
     rng_mode:
@@ -268,26 +238,13 @@ def flooding_trials(
         ``(seed, trials, chunk_size)`` contract).  Unused by the
         serial backend.
     """
-    trials = require_positive_int(trials, "trials")
-    if chunk_size is not None:
-        require_positive_int(chunk_size, "chunk_size")
-    if backend != "serial":
-        from repro.engine import SimulationPlan, run_plan
-        from repro.engine.plan import DEFAULT_CHUNK_SIZE
+    from repro.protocols.base import FLOODING
+    from repro.protocols.runner import spreading_trials
 
-        plan = SimulationPlan(model=graph, trials=trials, source=source,
-                              max_steps=max_steps, seed=seed, rng_mode=rng_mode,
-                              chunk_size=(DEFAULT_CHUNK_SIZE if chunk_size is None
-                                          else chunk_size))
-        return run_plan(plan, backend=backend, jobs=jobs).to_results()
-    streams = spawn(seed, 2 * trials)
-    results: list[FloodingResult] = []
-    n = graph.num_nodes
-    for i in range(trials):
-        rng_graph, rng_src = streams[2 * i], streams[2 * i + 1]
-        src = int(rng_src.integers(n)) if source is None else source
-        results.append(flood(graph, src, seed=rng_graph, max_steps=max_steps))
-    return results
+    return spreading_trials(FLOODING, graph, trials=trials, seed=seed,
+                            source=source, max_steps=max_steps,
+                            backend=backend, jobs=jobs, rng_mode=rng_mode,
+                            chunk_size=chunk_size)
 
 
 def max_flooding_time_over_sources(

@@ -4,9 +4,10 @@ chunked multiprocessing fan-out.
 ``run_plan`` is the single entry point.  Backends:
 
 ``serial``
-    The reference path — one :func:`repro.core.flooding.flood` call per
-    trial on a single model instance, with the legacy stream layout.
-    Exists so every other backend has a bit-comparable baseline.
+    The reference path — one :func:`repro.protocols.runner.spread` call
+    per trial on a single model instance, with the plan's replay stream
+    layout.  Exists so every other backend has a bit-comparable
+    baseline.
 ``batched``
     Chunks of trials advance together through the batched bookkeeping of
     :mod:`repro.engine.batch` and the model family's registered
@@ -33,7 +34,7 @@ from typing import Callable, Sequence
 import multiprocessing
 
 from repro import obs
-from repro.core.flooding import _resolve_sources, flood, resolve_max_steps
+from repro.core.flooding import _resolve_sources, resolve_max_steps
 from repro.engine.batch import run_chunk
 from repro.engine.plan import SimulationPlan
 from repro.engine.results import TrialEnsemble
@@ -108,30 +109,26 @@ def fan_out_chunks(worker, payloads: Sequence[dict],
 
 
 def _run_serial(plan: SimulationPlan, root, budget: int) -> TrialEnsemble:
-    """Legacy per-trial loop (the bit-compatibility reference).
+    """Per-trial :func:`~repro.protocols.runner.spread` loop (the
+    bit-compatibility reference).
 
-    Flooding keeps its frozen ``spawn(seed, 2·trials)`` stream layout;
-    non-flooding protocols run :func:`repro.protocols.runner.spread`
-    over the per-trial ``derive_seed`` layout (see
-    :meth:`SimulationPlan.protocol_streams`).
+    Flooding keeps its frozen ``spawn(seed, 2·trials)`` generator
+    pairs; other protocols use the per-trial ``derive_seed`` integers
+    of :meth:`SimulationPlan.protocol_streams`.
     """
+    from repro.protocols.runner import draw_trial_source, spread
+
     model = plan.make_model()
     n = model.num_nodes
-    results = []
     if plan.is_flooding:
         streams = plan.replay_streams(root)
-        for i in range(plan.trials):
-            rng_graph, rng_src = streams[2 * i], streams[2 * i + 1]
-            src = (int(rng_src.integers(n)) if plan.source is None
-                   else plan.source)
-            results.append(flood(model, src, seed=rng_graph, max_steps=budget))
+        trial_streams = zip(streams[0::2], streams[1::2])
     else:
-        from repro.protocols.runner import draw_trial_source, spread
-
-        for run_seed, source_seed in plan.protocol_streams(root, 0, plan.trials):
-            src = draw_trial_source(plan.source, n, source_seed)
-            results.append(spread(plan.protocol, model, src, seed=run_seed,
-                                  max_steps=budget))
+        trial_streams = plan.protocol_streams(root, 0, plan.trials)
+    results = [spread(plan.protocol, model,
+                      draw_trial_source(plan.source, n, source_seed),
+                      seed=run_seed, max_steps=budget)
+               for run_seed, source_seed in trial_streams]
     ensemble = TrialEnsemble.from_results(results, num_nodes=n)
     if plan.record_history and plan.record_informed:
         return ensemble

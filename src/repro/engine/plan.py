@@ -7,13 +7,14 @@ executed (``serial`` / ``batched`` / ``parallel``, see
 plan's single seed through one of two documented stream layouts:
 
 ``replay`` (default)
-    The exact layout of the serial reference path
-    :func:`repro.core.flooding.flooding_trials`: ``spawn(seed,
-    2 * trials)`` yields per-trial ``(graph, source)`` generator pairs
-    in trial order.  Every backend consuming this layout is
-    **bit-identical** to the serial loop — same flooding times, same
-    informed histories, same masks — regardless of chunking or worker
-    count.
+    The per-trial layout of the ``serial`` backend, which runs
+    :func:`repro.protocols.runner.spread` once per trial.  For flooding,
+    ``spawn(seed, 2 * trials)`` yields per-trial ``(graph, source)``
+    generator pairs in trial order; other protocols get per-trial
+    ``derive_seed`` integers (:meth:`SimulationPlan.protocol_streams`).
+    Every backend consuming this layout is **bit-identical** to the
+    serial loop — same flooding times, same informed histories, same
+    masks — regardless of chunking or worker count.
 
 ``native``
     One generator per fixed-size *chunk* of trials, derived via
@@ -128,7 +129,7 @@ class SimulationPlan:
 
     @property
     def is_flooding(self) -> bool:
-        """Whether the plan runs plain flooding (the frozen legacy
+        """Whether the plan runs plain flooding (the frozen flooding
         stream layouts; subclassed protocols never qualify)."""
         return type(self.protocol) is Flooding
 
@@ -144,9 +145,8 @@ class SimulationPlan:
     # -- seed tree ----------------------------------------------------------
 
     def replay_streams(self, root: np.random.SeedSequence) -> list[np.random.Generator]:
-        """The serial layout: ``2 * trials`` generators, ``(graph, source)``
-        pairs per trial, spawned from *root* exactly like
-        :func:`repro.core.flooding.flooding_trials` does from its seed."""
+        """The flooding replay layout: ``2 * trials`` generators,
+        ``(graph, source)`` pairs per trial, spawned from *root*."""
         return [np.random.default_rng(child) for child in root.spawn(2 * self.trials)]
 
     def protocol_streams(self, root: np.random.SeedSequence, start: int,

@@ -98,8 +98,7 @@ class ExperimentConfig:
 
     def flood_kwargs(self) -> dict[str, Any]:
         """Keyword arguments routing a ``flooding_trials`` /
-        ``protocol_trials`` / ``spreading_trials`` call through the
-        configured backend."""
+        ``spreading_trials`` call through the configured backend."""
         if self.backend == "native":
             return {"backend": "batched", "rng_mode": "native"}
         kwargs: dict[str, Any] = {"backend": self.backend}

@@ -3,12 +3,19 @@
 The paper motivates flooding time as "the natural lower bound for
 broadcast protocols in dynamic networks": at every step, flooding's
 informed set contains the informed set of *any* protocol run on the
-same evolving-graph realisation.  We run the protocol zoo — flooding,
-probabilistic flooding, parsimonious flooding, push and push–pull
-gossip — with the graph realisation **coupled per trial** (all
-protocols share the trial's graph seed; see the seeding convention in
-:mod:`repro.core.spreading`), so dominance is checked per trial, not
-just in expectation.
+same evolving-graph realisation.  We run the registered protocol zoo
+(:mod:`repro.protocols`) — flooding, probabilistic flooding,
+parsimonious (expiring) flooding, push, pull and push–pull gossip —
+with the graph realisation **coupled per trial**: every protocol gets
+the same per-trial seed from :func:`~repro.protocols.spreading_trials`
+and splits it as ``rng_graph, rng_protocol = spawn(seed, 2)``, so
+dominance is checked per trial, not just in expectation.  The flooding
+row is ``ProbabilisticFlooding(1.0)`` — every informed node transmits,
+under the same seed split — so it sees the same graph as the others.
+
+The coupling needs the per-trial replay layout, so every backend runs
+E14 with ``rng_mode="replay"``: ``--backend native`` prints the same
+table as ``serial`` and ``batched``.
 """
 
 from __future__ import annotations
@@ -18,44 +25,36 @@ import math
 import numpy as np
 
 from repro.analysis.records import ExperimentResult
-from repro.core.flooding import DEFAULT_MAX_STEPS, flood
-from repro.core.spreading import (
-    parsimonious_flood,
-    probabilistic_flood,
-    protocol_trials,
-    pull_gossip,
-    push_gossip,
-    push_pull_gossip,
-)
 from repro.edgemeg.meg import EdgeMEG
 from repro.experiments.common import ExperimentConfig
 from repro.geometric.meg import GeometricMEG
-from repro.util.rng import derive_seed, spawn
+from repro.protocols import (
+    ExpiringFlooding,
+    ProbabilisticFlooding,
+    PullGossip,
+    PushGossip,
+    PushPullGossip,
+    spreading_trials,
+)
+from repro.util.rng import derive_seed
 
 EXPERIMENT_ID = "E14"
 TITLE = "Flooding as the fastest broadcast baseline (protocol zoo)"
 
+#: Revision of E14's results under an unchanged campaign spec version:
+#: revision 2 moved the push/pull/push-pull rows from per-node Python
+#: gossip loops onto the vectorised registry protocols, which draw
+#: their neighbour choices differently (see ``repro.campaign.plan``).
+SPEC_REVISION = 2
 
-def _flood_protocol(graph, source, *, seed=None,
-                    max_steps=DEFAULT_MAX_STEPS):
-    """Flooding under the protocol seeding convention.
-
-    Flooding consumes only graph randomness; ``spawn(seed, 2)[0]``
-    matches the rng_graph stream the other protocols derive from the
-    same seed, which couples the realisation across protocols.
-    Module-level (not a lambda) so ``--backend parallel`` can pickle it.
-    """
-    return flood(graph, source, seed=spawn(seed, 2)[0], max_steps=max_steps)
-
-
-#: (label, protocol callable, protocol kwargs) — all engine-executable.
+#: (label, protocol) — all engine-executable.
 PROTOCOLS = (
-    ("flooding", _flood_protocol, {}),
-    ("probabilistic f=0.5", probabilistic_flood, {"transmit_probability": 0.5}),
-    ("parsimonious k=2", parsimonious_flood, {"active_steps": 2}),
-    ("push", push_gossip, {}),
-    ("pull", pull_gossip, {}),
-    ("push-pull", push_pull_gossip, {}),
+    ("flooding", ProbabilisticFlooding(1.0)),
+    ("probabilistic f=0.5", ProbabilisticFlooding(0.5)),
+    ("parsimonious k=2", ExpiringFlooding(2)),
+    ("push", PushGossip()),
+    ("pull", PullGossip()),
+    ("push-pull", PushPullGossip()),
 )
 
 
@@ -77,15 +76,16 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     dominance_violations = 0
     comparisons = 0
     for model_index, (model_name, meg) in enumerate(_model_battery(config)):
-        # One battery seed per model; protocol_trials derives identical
+        # One battery seed per model; spreading_trials derives identical
         # per-trial integer seeds from it for every protocol, so graph
         # realisations stay coupled trial-by-trial across the zoo.
         battery_seed = derive_seed(config.seed, 14, model_index)
+        run_kwargs = {**config.flood_kwargs(), "rng_mode": "replay"}
         runs_by_protocol = {
-            proto_name: protocol_trials(
-                fn, meg, trials=trials, seed=battery_seed, source=0,
-                **config.flood_kwargs(), **kwargs)
-            for proto_name, fn, kwargs in PROTOCOLS
+            proto_name: spreading_trials(
+                protocol, meg, trials=trials, seed=battery_seed, source=0,
+                **run_kwargs)
+            for proto_name, protocol in PROTOCOLS
         }
         flood_runs = runs_by_protocol["flooding"]
         for proto_name, runs in runs_by_protocol.items():

@@ -38,11 +38,12 @@ class GeometricSnapshot(GraphSnapshot):
     """Snapshot of a geometric graph: point set + transmission radius.
 
     The ``N(I)`` query runs a nearest-member k-d tree query instead of
-    materialising edges; :meth:`degrees` and :meth:`edge_count` build a
-    full tree on demand (diagnostics, not the flooding hot path).
+    materialising edges; :meth:`degrees`, :meth:`edge_count` and
+    :attr:`csr` build a full tree on demand (gossip and diagnostics,
+    not the flooding hot path).
     """
 
-    __slots__ = ("_positions", "_radius", "_boxsize")
+    __slots__ = ("_positions", "_radius", "_boxsize", "_csr")
 
     def __init__(self, positions: np.ndarray, radius: float, *,
                  boxsize: float | None = None) -> None:
@@ -54,10 +55,27 @@ class GeometricSnapshot(GraphSnapshot):
             require(radius <= boxsize / 2 * (1 + 1e-12),
                     "toroidal queries need radius <= boxsize/2")
         self._boxsize = boxsize
+        self._csr = None
 
     @property
     def num_nodes(self) -> int:
         return self._positions.shape[0]
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the radius graph, each node's
+        neighbours sorted ascending — the gather layout the gossip
+        protocols sample from (:func:`repro.protocols.zoo.sample_neighbors`).
+        Built from :meth:`edges` on first use and kept for the snapshot."""
+        if self._csr is None:
+            edges = self.edges()
+            both = np.concatenate([edges, edges[:, ::-1]])
+            both = both[np.lexsort((both[:, 1], both[:, 0]))]
+            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(both[:, 0], minlength=self.num_nodes),
+                      out=indptr[1:])
+            self._csr = (indptr, both[:, 1])
+        return self._csr
 
     @property
     def positions(self) -> np.ndarray:

@@ -26,6 +26,7 @@ missing *required* fields are not.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -75,11 +76,13 @@ RESOURCE_FIELDS = ("cpu_s", "peak_rss_kb", "py_alloc_kb", "py_peak_kb")
 
 
 def machine_fingerprint() -> dict[str, Any]:
-    """Where a trace was recorded — enough to judge comparability.
+    """Where a trace, bench result or campaign manifest was recorded —
+    enough to judge comparability.
 
-    Deliberately the same shape as the ``repro.bench`` fingerprint, but
-    defined locally: :mod:`repro.obs` sits below the engine's hot paths
-    and must not drag the benchmark harness into their import graph.
+    The one definition: :mod:`repro.bench.results` re-exports it, and
+    the campaign manifest records it.  It lives here because
+    :mod:`repro.obs` sits below the engine's hot paths and must not
+    drag the benchmark harness into their import graph.
     """
     try:
         import numpy
@@ -95,10 +98,19 @@ def machine_fingerprint() -> dict[str, Any]:
     }
 
 
+@functools.lru_cache(maxsize=1)
 def git_sha() -> str | None:
-    """The current checkout's commit SHA, or ``None`` outside a repo."""
+    """Commit SHA of the checkout this package runs from, or ``None``
+    when it is not in a git work tree or git fails or times out.
+
+    Git runs in the package's own directory, not the caller's working
+    directory, and the answer is memoised for the life of the process
+    (``git_sha.cache_clear()`` forgets it).  Traces, bench results and
+    campaign manifests all stamp this value.
+    """
     try:
         proc = subprocess.run(["git", "rev-parse", "HEAD"],
+                              cwd=Path(__file__).resolve().parent,
                               capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.TimeoutExpired):
         return None

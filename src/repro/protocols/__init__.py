@@ -5,8 +5,7 @@ model-kernel inversion: the *spreading process* itself is a plug-in.
 
 * :class:`~repro.protocols.base.SpreadingProtocol` — the four-rule
   serial interface (state init / activation / transmission / retire),
-  with :class:`~repro.protocols.base.Flooding` as the default protocol
-  (bit-identical to the legacy serial flood).
+  with :class:`~repro.protocols.base.Flooding` as the default protocol.
 * :mod:`~repro.protocols.zoo` — push gossip, pull gossip, push–pull,
   probabilistic p-flooding, and expiring (SIR-style) flooding.
 * :mod:`~repro.protocols.batched` — ``(B, n)`` protocol kernels and
@@ -15,8 +14,9 @@ model-kernel inversion: the *spreading process* itself is a plug-in.
 * :mod:`~repro.protocols.registry` — canonical protocol tokens for the
   CLI (``--protocol``), sweep grids, and campaign cache keys
   (:func:`~repro.protocols.registry.resolve_protocol`).
-* :mod:`~repro.protocols.runner` — the serial reference
-  (:func:`~repro.protocols.runner.spread`) and engine-backed trial
+* :mod:`~repro.protocols.runner` — the library's one serial reference
+  loop (:func:`~repro.protocols.runner.spread`, which
+  :func:`~repro.core.flooding.flood` wraps) and engine-backed trial
   batches (:func:`~repro.protocols.runner.spreading_trials`).
 
 See DESIGN.md ("The protocol subsystem") for the kernel table, the

@@ -23,13 +23,10 @@ batched ``(B, n)`` kernels and their dispatch registry mirror
 
 Seeding convention
 ------------------
-:class:`Flooding` consumes only graph randomness and keeps the exact
-legacy seed layout of :func:`repro.core.flooding.flood` — the seed *is*
-the graph seed (``splits_seed = False``), which is what keeps flooding
-through the protocol registry bit-identical to the pre-registry serial
-flood and its campaign cache keys frozen.  Every other protocol splits
-its per-trial seed as ``rng_graph, rng_protocol = spawn(seed, 2)``
-(the convention of :mod:`repro.core.spreading`): passing the same
+:class:`Flooding` consumes only graph randomness: the seed *is* the
+graph seed (``splits_seed = False``), which keeps flooding results and
+their campaign cache keys frozen.  Every other protocol splits its per-trial
+seed as ``rng_graph, rng_protocol = spawn(seed, 2)``: passing the same
 trial seed to different protocols couples the evolving-graph
 realisation while keeping protocol randomness independent.
 """
@@ -54,8 +51,8 @@ class SpreadingProtocol:
     parameters; :meth:`params` and :meth:`token` derive the canonical
     parameterisation from those fields automatically.
 
-    The serial reference loop (:func:`repro.protocols.runner.spread`)
-    drives the rules in a fixed order each round ``t``::
+    The library's one serial reference loop
+    (:func:`repro.protocols.runner.spread`) drives the rules in a fixed order each round ``t``::
 
         active = protocol.active_mask(state, informed, t, rng)
         fresh  = protocol.transmit(snapshot, state, informed, active, t, rng)
@@ -73,7 +70,7 @@ class SpreadingProtocol:
 
     #: Whether a trial seed splits into ``(graph, protocol)`` streams
     #: (``spawn(seed, 2)``).  Flooding keeps ``False`` — its seed goes
-    #: straight to ``graph.reset`` like the legacy serial flood.
+    #: straight to ``graph.reset``.
     splits_seed: ClassVar[bool] = True
 
     # -- per-round rules -----------------------------------------------------
@@ -130,20 +127,19 @@ class Flooding(SpreadingProtocol):
     """The paper's flooding mechanism as the default protocol.
 
     Deterministic given the graph: every informed node transmits every
-    round, and every neighbor of the informed set is reached.  Routed
-    through the protocol registry it is **bit-identical** to the legacy
-    serial :func:`repro.core.flooding.flood` — same seed layout
-    (``splits_seed = False``), same per-round query, same bookkeeping —
-    which keeps all pre-existing flooding results and campaign cache
-    keys valid.
+    round, and every neighbor of the informed set is reached.
+    :func:`repro.core.flooding.flood` is ``spread(FLOODING, ...)``.  Its
+    seed goes to ``graph.reset`` unsplit (``splits_seed = False``), which
+    keeps all pre-existing flooding results and campaign cache keys
+    valid.
     """
 
     name: ClassVar[str] = "flooding"
     splits_seed: ClassVar[bool] = False
 
     def transmit(self, snapshot, state, informed, active, t, rng):
-        # Exactly the serial flood's query: N(I) of the full informed
-        # set (disjoint from it by the snapshot contract).
+        # N(I) of the full informed set (disjoint from it by the
+        # snapshot contract).
         return snapshot.neighborhood_mask(informed)
 
 

@@ -1,29 +1,25 @@
-"""Serial reference runner and engine-backed trial batches for protocols.
+"""The serial reference loop and engine-backed trial batches for protocols.
 
-:func:`spread` is the protocol generalisation of
-:func:`repro.core.flooding.flood` — one run of one protocol on one
-evolving-graph realisation, returning the same
-:class:`~repro.core.flooding.FloodingResult` record.  For
-:class:`~repro.protocols.base.Flooding` it is **bit-identical** to
-``flood`` (same seed handling, same per-round query, same bookkeeping);
-for randomized protocols it splits the seed as
-``rng_graph, rng_protocol = spawn(seed, 2)`` (the coupling convention
-of :mod:`repro.core.spreading`, kept so the new
-:class:`~repro.protocols.zoo.ProbabilisticFlooding` /
-:class:`~repro.protocols.zoo.ExpiringFlooding` reproduce the legacy
-``probabilistic_flood`` / ``parsimonious_flood`` draw for draw).
+:func:`spread` is the single serial per-round loop of the library: one
+run of one protocol on one evolving-graph realisation, returning a
+:class:`~repro.core.flooding.FloodingResult`.  :func:`repro.core.flooding.flood`
+is a thin wrapper over ``spread(FLOODING, ...)``, and the engine's
+``serial`` backend calls it once per trial.  Randomized protocols split
+the seed as ``rng_graph, rng_protocol = spawn(seed, 2)``
+(:func:`split_protocol_seed`), so the same trial seed couples the
+evolving-graph realisation across protocols.
 
-:func:`spreading_trials` is the protocol counterpart of
-:func:`repro.core.flooding.flooding_trials`: independent trials over
-the serial / batched / parallel backends via the engine.  Per-trial
-randomness uses the ``derive_seed`` discipline of
-:func:`repro.core.spreading.protocol_trials` — trial ``i`` of any
-protocol gets the integer seed ``derive_seed(seed, 2 i)`` (and its
-random source from ``derive_seed(seed, 2 i + 1)``), so running
-different protocols with the same master seed couples the
-evolving-graph realisation trial by trial.  Flooding keeps the legacy
-``spawn(seed, 2 trials)`` stream layout of ``flooding_trials`` — the
-frozen layout existing campaign cache entries were computed under.
+:func:`spreading_trials` runs independent trials of any protocol by
+building a :class:`~repro.engine.plan.SimulationPlan` and executing it
+with :func:`~repro.engine.executor.run_plan` on the requested backend.
+Per-trial replay randomness uses the ``derive_seed`` discipline: trial
+``i`` of any non-flooding protocol gets the integer seed
+``derive_seed(seed, 2 i)`` (and its random source from
+``derive_seed(seed, 2 i + 1)``), so different protocols run with the
+same master seed see the same graph realisation trial by trial.
+Flooding keeps the ``spawn(seed, 2 trials)`` stream layout of
+:func:`~repro.core.flooding.flooding_trials` — the frozen layout
+existing campaign cache entries were computed under.
 """
 
 from __future__ import annotations
@@ -41,9 +37,8 @@ from repro.core.flooding import (
     resolve_max_steps,
 )
 from repro.dynamics.base import EvolvingGraph
-from repro.protocols.base import FLOODING, Flooding, SpreadingProtocol
+from repro.protocols.base import SpreadingProtocol
 from repro.util.rng import SeedLike, as_generator, as_seed_sequence, derive_seed, spawn
-from repro.util.validation import require_positive_int
 
 __all__ = [
     "spread",
@@ -71,10 +66,11 @@ def split_protocol_seed(protocol: SpreadingProtocol,
     return seed, None
 
 
-def draw_trial_source(source, n: int, source_seed: int):
+def draw_trial_source(source, n: int, source_seed):
     """One trial's source: *source* as given, or — when ``None`` — a
-    uniform node from the trial's dedicated source stream (the other
-    half of the replay-layout discipline shared by all backends)."""
+    uniform node from the trial's dedicated source stream (an integer
+    seed or a generator; the other half of the replay-layout
+    discipline shared by all backends)."""
     if source is None:
         return int(as_generator(source_seed).integers(n))
     return source
@@ -91,11 +87,14 @@ def spread(
 ) -> FloodingResult:
     """Run *protocol* on *graph* from *source*; the serial reference path.
 
-    Mirrors :func:`repro.core.flooding.flood` exactly (update order,
-    truncation, history bookkeeping) with the protocol's four rules
-    plugged into the round.  A stalled protocol (retire predicate
-    fires) returns early with ``completed = False`` and ``time`` equal
-    to the rounds actually run.
+    Each round queries ``G_t`` through the protocol's four rules, then
+    steps the graph (the flooding semantics of Section 2: information
+    crosses one edge per step).  The graph is ``reset`` with the
+    protocol's graph seed first unless ``reset=False``.  A run that
+    exhausts *max_steps* (``None``: ``4n + 64``) returns with
+    ``completed = False``; a stalled protocol (retire predicate fires)
+    returns early the same way, with ``time`` equal to the rounds
+    actually run.
     """
     n = graph.num_nodes
     sources = _resolve_sources(source, n)
@@ -164,10 +163,6 @@ def protocol_trial_streams(seed: SeedLike, start: int,
             for i in range(start, stop)]
 
 
-def _is_plain_flooding(protocol: SpreadingProtocol) -> bool:
-    return type(protocol) is Flooding
-
-
 def spreading_trials(
     protocol: "SpreadingProtocol | str",
     graph: EvolvingGraph,
@@ -185,45 +180,19 @@ def spreading_trials(
 
     Parameters mirror :func:`repro.core.flooding.flooding_trials`;
     *protocol* may be an instance or a registry token (``"push-pull"``,
-    ``"p-flood:transmit_probability=0.3"``, ...).  With the default
+    ``"p-flood:transmit_probability=0.3"``, ...).  Every backend runs
+    through :func:`~repro.engine.executor.run_plan`.  With the default
     ``rng_mode="replay"`` the serial, batched, and parallel backends
     are bit-identical for the same seed; ``"native"`` draws protocol
     and model randomness from the engine's chunk streams (deterministic
     in ``(seed, trials, chunk_size)``, independent of *jobs*).
-
-    Plain flooding delegates to :func:`flooding_trials`, keeping its
-    legacy stream layout (and therefore its campaign cache identity)
-    byte for byte.
     """
-    from repro.protocols.registry import resolve_protocol
+    from repro.engine import SimulationPlan, run_plan
+    from repro.engine.plan import DEFAULT_CHUNK_SIZE
 
-    protocol = resolve_protocol(protocol)
-    trials = require_positive_int(trials, "trials")
-    if chunk_size is not None:
-        require_positive_int(chunk_size, "chunk_size")
-    if _is_plain_flooding(protocol):
-        from repro.core.flooding import flooding_trials
-
-        return flooding_trials(graph, trials=trials, seed=seed, source=source,
-                               max_steps=max_steps, backend=backend,
-                               jobs=jobs, rng_mode=rng_mode,
-                               chunk_size=chunk_size)
-    if backend != "serial":
-        from repro.engine import SimulationPlan, run_plan
-        from repro.engine.plan import DEFAULT_CHUNK_SIZE
-
-        plan = SimulationPlan(model=graph, trials=trials, source=source,
-                              max_steps=max_steps, seed=seed,
-                              rng_mode=rng_mode, protocol=protocol,
-                              chunk_size=(DEFAULT_CHUNK_SIZE if chunk_size is None
-                                          else chunk_size))
-        return run_plan(plan, backend=backend, jobs=jobs).to_results()
-    n = graph.num_nodes
-    with obs.span("protocol.trials", protocol=protocol.name,
-                  backend=backend, trials=trials, n=n):
-        results: list[FloodingResult] = []
-        for run_seed, source_seed in protocol_trial_streams(seed, 0, trials):
-            src = draw_trial_source(source, n, source_seed)
-            results.append(spread(protocol, graph, src, seed=run_seed,
-                                  max_steps=max_steps))
-        return results
+    plan = SimulationPlan(model=graph, trials=trials, source=source,
+                          max_steps=max_steps, seed=seed, rng_mode=rng_mode,
+                          protocol=protocol,
+                          chunk_size=(DEFAULT_CHUNK_SIZE if chunk_size is None
+                                      else chunk_size))
+    return run_plan(plan, backend=backend, jobs=jobs).to_results()

@@ -8,14 +8,13 @@ in :mod:`repro.protocols.batched`:
 * :class:`ProbabilisticFlooding` — every informed node transmits
   independently with probability ``transmit_probability`` per round
   (Oikonomou–Stavrakakis probabilistic flooding, reference [29] of the
-  paper).  Round-for-round **bit-identical** to the legacy
-  :func:`repro.core.spreading.probabilistic_flood` for the same seed.
+  paper).  With ``transmit_probability = 1`` it is flooding under the
+  protocol seed split, which is how E14 couples its flooding row.
 * :class:`ExpiringFlooding` — SIR-style finite-memory spreading: a node
   relays only for ``active_steps`` rounds after becoming informed, then
   retires (the parsimonious flooding of Baumann–Crescenzi–Fraigniaud,
   reference [4]; the stationarity discussion of the paper motivates
   exactly this trade of completion guarantees for message complexity).
-  Bit-identical to :func:`repro.core.spreading.parsimonious_flood`.
 * :class:`PushGossip` — every informed node contacts one uniformly
   random neighbor per round (randomized rumor spreading, reference
   [30]).
@@ -79,9 +78,9 @@ def sample_neighbors(snapshot, nodes: np.ndarray,
 
     Three gather strategies, fastest capability first:
 
-    * CSR snapshots (``snapshot.csr`` — the sparse edge-MEG family):
-      the rank-th entry of each node's contiguous neighbor slice,
-      ``O(len(nodes))``.
+    * CSR snapshots (``snapshot.csr`` — the sparse edge-MEG family and
+      the geometric snapshots): the rank-th entry of each node's
+      contiguous, sorted neighbor slice, ``O(len(nodes))``.
     * dense boolean ``snapshot.adjacency`` (edge-MEGs, deterministic
       sequences): one row-gather plus a flat ``nonzero`` — a single
       pass over the gathered rows, no per-row Python.
@@ -126,9 +125,8 @@ class ProbabilisticFlooding(SpreadingProtocol):
     """p-flooding: every informed node transmits w.p. *transmit_probability*
     per round, reaching all its neighbors when it fires.
 
-    This is the per-*node* gossiping of reference [29] (and of the
-    legacy :func:`repro.core.spreading.probabilistic_flood`, which it
-    reproduces draw for draw).  Note it is **not** the same joint law
+    This is the per-*node* gossiping of reference [29].  Note it is
+    **not** the same joint law
     as per-*edge* i.i.d. relaying — single-neighbor marginals coincide
     (each neighbor hears u w.p. ``p``), but here u's neighbors hear it
     together or not at all.  ``transmit_probability = 1`` coincides
@@ -151,7 +149,7 @@ class ProbabilisticFlooding(SpreadingProtocol):
 
     def active_mask(self, state, informed, t, rng):
         # One random(n) vector per round, drawn unconditionally — the
-        # exact draw schedule of the legacy probabilistic_flood.
+        # draw schedule pinned in tests/protocols/test_protocols.py.
         return informed & (rng.random(informed.shape[0])
                            < self.transmit_probability)
 

@@ -175,7 +175,10 @@ class TestProtocolKeyStability:
 
     # unit_key values computed immediately before the protocol field
     # was added to the spec (PR 4).  If any hash moves, previously
-    # stored campaign results silently recompute.
+    # stored campaign results silently recompute.  The two E14 keys
+    # were re-pinned deliberately when E14 moved onto the registry
+    # protocols and declared ``SPEC_REVISION = 2``: its gossip rows
+    # changed, so its old entries must not be fetched.
     FLOODING_KEYS = {
         ("E4", "serial"):
             "fa5880e164ccdc7bd71873273f542f6684c5d81a0e0674e2060c4c2999ef8d9c",
@@ -186,9 +189,9 @@ class TestProtocolKeyStability:
         ("E8", "native"):
             "a90eadadfd6c13a1800fba29b986cb2e407343ca75b968166512d11b96612d33",
         ("E14", "serial"):
-            "2df33a6b425ecd15eb231a391e2a6fe6ab26b7007bdf2a5f19c498ab3a424752",
+            "52ce4281617838d9daf5e45fdf3bceaf7bb56bd46458108a658d0035f4633c50",
         ("E14", "native"):
-            "2799f86fe58f557e800e79546171d61a7754f3bd078b5fd154f42e776f3ae01f",
+            "043a5ed8d2443c4c193a7d87de66e9ca41d95523971413f8d511178b5d0e4e0c",
     }
 
     def test_spec_version_still_one(self):
@@ -201,6 +204,20 @@ class TestProtocolKeyStability:
         for (eid, backend), want in self.FLOODING_KEYS.items():
             plan = plan_experiments([eid], ExperimentConfig(backend=backend))
             assert plan.keys() == [want], (eid, backend)
+
+    def test_spec_revision_is_written_only_where_declared(self):
+        """An experiment module's ``SPEC_REVISION`` enters its key as
+        ``revision``; modules without one write no field at all."""
+        from repro.experiments.registry import all_ids, load_experiment
+        for eid in all_ids():
+            spec = plan_experiments([eid], ExperimentConfig()).units[0].spec
+            revision = getattr(load_experiment(eid), "SPEC_REVISION", None)
+            if revision is None:
+                assert "revision" not in spec, eid
+            else:
+                assert spec["revision"] == revision, eid
+        e14 = plan_experiments(["E14"], ExperimentConfig()).units[0].spec
+        assert e14["revision"] == 2
 
     def test_flooding_never_writes_the_protocol_field(self):
         for backend in ("serial", "batched", "parallel", "native"):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,8 @@ from repro.campaign.scheduler import execute_unit, run_campaign
 from repro.campaign.store import ResultStore
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.runner import run_one
+from repro.obs import events
+from repro.obs.events import git_sha
 
 QUICK = ExperimentConfig(scale="quick")
 
@@ -120,6 +124,44 @@ class TestCampaignCaching:
         assert set(report.unit_resources) == {u.key for u in plan}
         for res in report.unit_resources.values():
             assert res["cpu_s"] >= 0.0
+
+
+class TestManifestProvenance:
+    """The manifest's ``git_rev`` comes from the one memoised
+    :func:`repro.obs.events.git_sha`, which never raises."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_git_sha(self):
+        # Forget the memoised SHA before and after, so each test sees
+        # its own subprocess stub and leaves no stale value behind.
+        git_sha.cache_clear()
+        yield
+        git_sha.cache_clear()
+
+    def test_git_timeout_records_unknown(self, tmp_path, monkeypatch):
+        real_run = subprocess.run
+
+        def git_times_out(cmd, *args, **kwargs):
+            if cmd[0] != "git":  # e.g. platform's uname probe
+                return real_run(cmd, *args, **kwargs)
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+        monkeypatch.setattr(subprocess, "run", git_times_out)
+        store = ResultStore(tmp_path / "s")
+        run_campaign(plan_experiments(["E1"], QUICK), store)
+        assert read_manifest(store)["git_rev"] == "unknown"
+
+    def test_git_runs_once_per_process_from_the_package(self, monkeypatch):
+        calls = []
+
+        def fake_run(cmd, **kwargs):
+            calls.append(kwargs.get("cwd"))
+            return subprocess.CompletedProcess(cmd, 0, stdout="a" * 40 + "\n")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        assert git_sha() == "a" * 40
+        assert git_sha() == "a" * 40
+        assert calls == [Path(events.__file__).resolve().parent]
 
 
 class TestSweepCampaigns:

@@ -89,13 +89,6 @@ class TestFloodResultStructure:
         with pytest.raises(ValueError):
             flood(static(cycle_adjacency(6)), 17)
 
-    def test_observer_sees_every_step(self):
-        seen = []
-        flood(static(cycle_adjacency(8)), 0,
-              observer=lambda t, snap, informed: seen.append((t, int(informed.sum()))))
-        assert seen[0] == (0, 1)
-        assert len(seen) == 4  # flooding time of C_8 from one source
-
 
 class TestFloodOnEvolvingGraphs:
     def test_sequence_uses_graph_at_time_t(self):

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.flooding import flood, flooding_trials
-from repro.core.spreading import protocol_trials, push_gossip
+from repro.core.flooding import flooding_trials
 from repro.edgemeg.meg import EdgeMEG
 from repro.engine import SimulationPlan, TrialEnsemble, run_plan
 
@@ -107,43 +106,3 @@ class TestTrialEnsemble:
             TrialEnsemble(num_nodes=4, sources=((0,),),
                           times=np.zeros(2, dtype=np.int64),
                           completed=np.ones(1, dtype=bool))
-
-
-class TestProtocolTrials:
-    def test_counts_and_reproducibility(self):
-        meg = make_meg()
-        a = protocol_trials(push_gossip, meg, trials=4, seed=5)
-        b = protocol_trials(push_gossip, meg, trials=4, seed=5)
-        assert [r.time for r in a] == [r.time for r in b]
-        assert len(a) == 4
-
-    def test_cross_protocol_coupling(self):
-        """Same seed => same per-trial graph realisation for every protocol,
-        so flooding dominates trial-by-trial (the E14 invariant)."""
-        meg = make_meg()
-        floods = protocol_trials(flood_coupled, meg, trials=6, seed=8, source=0)
-        pushes = protocol_trials(push_gossip, meg, trials=6, seed=8, source=0)
-        for f, g in zip(floods, pushes):
-            if f.completed and g.completed:
-                assert f.time <= g.time
-
-    def test_parallel_matches_serial(self):
-        meg = make_meg()
-        serial = protocol_trials(push_gossip, meg, trials=6, seed=3,
-                                 chunk_size=2)
-        fanned = protocol_trials(push_gossip, meg, trials=6, seed=3,
-                                 backend="parallel", jobs=2, chunk_size=2)
-        assert [r.time for r in serial] == [r.time for r in fanned]
-        assert [r.source for r in serial] == [r.source for r in fanned]
-
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError):
-            protocol_trials(push_gossip, make_meg(), trials=2, backend="gpu")
-
-
-def flood_coupled(graph, source, *, seed=None, max_steps=None):
-    """Flooding under the protocol seeding convention (module-level so the
-    parallel path could pickle it)."""
-    from repro.util.rng import spawn
-
-    return flood(graph, source, seed=spawn(seed, 2)[0], max_steps=max_steps)

@@ -119,6 +119,21 @@ class TestReplayBitIdentical:
         b = spreading_trials(PushPullGossip(), meg, trials=6, seed=21)
         assert [r.source for r in a] == [r.source for r in b]
 
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    def test_seed_couples_graphs_so_flooding_dominates(self, backend):
+        """Same master seed => same per-trial graph realisation, so
+        flooding (p-flood with p=1, under the same seed split) finishes
+        no later than push trial by trial — the E14 invariant."""
+        meg = EdgeMEG(16, 0.3, 0.3)
+        floods = spreading_trials(ProbabilisticFlooding(1.0), meg, trials=6,
+                                  seed=8, source=0, backend=backend)
+        pushes = spreading_trials(PushGossip(), meg, trials=6, seed=8,
+                                  source=0, backend=backend)
+        for f, g in zip(floods, pushes):
+            assert f.completed
+            if g.completed:
+                assert f.time <= g.time
+
 
 class TestNativeMode:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -188,6 +203,11 @@ class TestPlanProtocolField:
     def test_plan_defaults_to_flooding(self):
         plan = SimulationPlan(model=EdgeMEG(10, 0.3, 0.3), trials=2)
         assert plan.is_flooding
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError):
+            spreading_trials(PushGossip(), EdgeMEG(10, 0.3, 0.3), trials=2,
+                             backend="gpu")
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):

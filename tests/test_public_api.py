@@ -21,8 +21,7 @@ EXPECTED = sorted([
     # flooding / temporal reachability
     "FloodingResult", "flood", "flooding_time", "flooding_trials",
     "foremost_arrival_times", "temporal_eccentricity", "temporal_diameter",
-    "max_flooding_time_over_sources", "protocol_trials",
-    "resolve_max_steps",
+    "max_flooding_time_over_sources", "resolve_max_steps",
     # engine
     "SimulationPlan", "TrialEnsemble", "run_plan",
     # protocols
