@@ -17,6 +17,17 @@ protocol for :class:`~repro.geometric.meg.GeometricMEG`:
   on the coordinates, so realisations do not depend on which of the
   two answers.
 
+  The stationary initialisation is the serial walkers' own sampler
+  (:meth:`~repro.geometric.lattice.Lattice.sample_stationary_indices`,
+  a guide-table inversion of ``pi``'s CDF).  The move step is
+  :meth:`~repro.geometric.lattice.Lattice.disc_step_indices`: one draw
+  into the move disc per walker, redrawn only off the lattice, which is
+  exactly uniform over ``Gamma(x)``.  The serial walkers (and so
+  replay) keep the box rejection sampler
+  :meth:`~repro.geometric.lattice.Lattice.step_indices`, whose draw
+  sequence the replay contract pins; native promises only the same
+  process law, so it takes the cheaper draw sequence.
+
 Subclass gating mirrors the edge family: the factory accepts any
 subclass that inherits ``snapshot`` (positions stay authoritative for
 the replay query) and requires un-overridden ``reset``/``step`` for the
@@ -79,9 +90,15 @@ class GeometricBatchedDynamics(BatchedDynamics):
 
     def batch_step(self, state: _WalkerState, rng: np.random.Generator,
                    active: np.ndarray) -> None:
+        step = self._lattice.disc_step_indices
+        if active.all():
+            moved_x, moved_y = step(state.ix.ravel(), state.iy.ravel(), rng=rng)
+            state.ix = moved_x.reshape(state.ix.shape)
+            state.iy = moved_y.reshape(state.iy.shape)
+            return
         act = np.flatnonzero(active)
-        moved_x, moved_y = self._lattice.step_indices(
-            state.ix[act].ravel(), state.iy[act].ravel(), rng=rng)
+        moved_x, moved_y = step(state.ix[act].ravel(), state.iy[act].ravel(),
+                                rng=rng)
         state.ix[act] = moved_x.reshape(act.shape[0], self._n)
         state.iy[act] = moved_y.reshape(act.shape[0], self._n)
 

@@ -21,6 +21,21 @@ form (no neighbor enumeration): for each vertical offset ``dj`` the
 number of admissible horizontal offsets factorises into a clipped
 1-D count, so the full degree table is a sum of outer products —
 ``O(g^2 * r/eps)`` instead of ``O(g^2 * (r/eps)^2)``.
+
+Samplers:
+
+* :meth:`Lattice.sample_stationary_indices` inverts the cached CDF of
+  ``pi`` through a *guide table*: bucket ``k`` of ``m = g^2`` equal
+  buckets of ``[0, 1)`` stores the answer for the bucket's left edge,
+  and a short upward walk finishes the lookup.  Its output is, index
+  for index, ``cdf.searchsorted(u, side="right")`` — the same draws as
+  ``rng.choice(g^2, p=pi)`` — at a fraction of the cost.
+* :meth:`Lattice.step_indices` rejection-samples each move from the
+  ``(2 dmax + 1)^2`` offset box.  The serial walkers (and so the replay
+  contract and its frozen cache keys) are pinned to its draw sequence.
+* :meth:`Lattice.disc_step_indices` draws one index into the disc of
+  admissible offsets per walker and redraws only walkers that left the
+  lattice.  Same law, fewer draws; the native batched kernels use it.
 """
 
 from __future__ import annotations
@@ -155,6 +170,42 @@ class Lattice:
         cdf.flags.writeable = False
         return cdf
 
+    @cached_property
+    def _stationary_guide(self) -> np.ndarray:
+        """Guide table of :attr:`_stationary_cdf` for ``m = g^2`` buckets.
+
+        Entry ``k`` (of ``m + 1``) is the ``searchsorted(side="right")``
+        answer for a point a few ulps below ``k / m``.  Any ``u`` whose
+        computed ``floor(u * m)`` is ``k`` lies above that point (the
+        product rounds by at most one part in ``2^53``), so the entry
+        never overshoots the answer for ``u``.  Built once per lattice
+        (read-only).
+        """
+        cdf = self._stationary_cdf
+        m = cdf.size
+        below = np.arange(m + 1) / m * (1.0 - 2.0**-50)
+        guide = cdf.searchsorted(below, side="right")
+        guide.flags.writeable = False
+        return guide
+
+    def _invert_stationary_cdf(self, u: np.ndarray) -> np.ndarray:
+        """``self._stationary_cdf.searchsorted(u, side="right")`` for
+        ``u`` in ``[0, 1)``, index for index, via the guide table.
+
+        The bucket start is at most the answer, and about one CDF entry
+        below it (``pi`` is almost uniform, so each of the ``g^2``
+        buckets holds about one entry); an upward walk finishes each
+        lookup.  The CDF's last entry is exactly 1, so every walk stops
+        on a valid index.
+        """
+        cdf = self._stationary_cdf
+        flat = self._stationary_guide[(u * cdf.size).astype(np.intp)]
+        high = np.flatnonzero(cdf[flat] <= u)
+        while high.size:
+            flat[high] += 1
+            high = high[cdf[flat[high]] <= u[high]]
+        return flat
+
     def uniformity_ratio(self) -> float:
         """``max pi / min pi`` — the paper's "almost uniform" constant
         ``gamma^2`` (1.0 for ``r = 0``)."""
@@ -166,14 +217,15 @@ class Lattice:
         """Draw *count* i.i.d. stationary positions as index arrays ``(ix, iy)``.
 
         Exact sampling from ``pi`` — the *perfect simulation* required
-        for a stationary geometric-MEG.
+        for a stationary geometric-MEG.  One uniform per draw, inverted
+        through the guide table; the draws equal
+        ``rng.choice(num_points, size=count, p=pi)``.
         """
         require(count >= 1, "count must be >= 1")
         rng = as_generator(seed)
-        flat = self._stationary_cdf.searchsorted(rng.random(count),
-                                                 side="right")
+        flat = self._invert_stationary_cdf(rng.random(count))
         ix, iy = np.divmod(flat, self.grid_size)
-        return ix.astype(np.int64), iy.astype(np.int64)
+        return ix.astype(np.int64, copy=False), iy.astype(np.int64, copy=False)
 
     def to_coordinates(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         """Convert index arrays to Euclidean coordinates, shape ``(count, 2)``."""
@@ -187,6 +239,11 @@ class Lattice:
         box intersected with the disc and the lattice borders — exactly
         uniform over the admissible moves.  Arrays are not modified;
         new arrays are returned.
+
+        This is the serial walkers' sampler: its draw sequence (two
+        ``rng.integers`` vectors per round) is what replay bit-identity
+        and the frozen replay cache keys pin, so it stays even though
+        :meth:`disc_step_indices` draws the same law faster.
         """
         dmax = self.dmax
         if dmax == 0:
@@ -210,6 +267,51 @@ class Lattice:
                 & (cand_i >= 0) & (cand_i < g)
                 & (cand_j >= 0) & (cand_j < g)
             )
+            accepted = pending[ok]
+            new_ix[accepted] = cand_i[ok]
+            new_iy[accepted] = cand_j[ok]
+            pending = pending[~ok]
+        return new_ix, new_iy
+
+    @cached_property
+    def _disc(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`disc_offsets` of the move radius, built once (read-only)."""
+        di, dj = disc_offsets(self.move_radius / self.eps)
+        di.flags.writeable = False
+        dj.flags.writeable = False
+        return di, dj
+
+    def disc_step_indices(self, ix: np.ndarray, iy: np.ndarray, *,
+                          rng: np.random.Generator,
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """Advance walkers one step: uniform over ``Gamma(x)`` per walker.
+
+        Each walker draws one index into the ``K`` offsets of the move
+        disc (``rng.integers(0, K)``, exactly uniform); only walkers
+        whose candidate falls off the lattice redraw.  The accepted move
+        is uniform over the disc conditioned on landing on the lattice,
+        which is uniform over ``Gamma(x)`` — the law of
+        :meth:`step_indices` with a different draw sequence.  A walker
+        accepts each draw with probability ``|Gamma(x)| / K``: 1 in the
+        interior, about 1/4 in a corner for large ``r / eps``.  Memory is
+        ``O(K)``.  Arrays are not modified; new arrays are returned.
+        """
+        di, dj = self._disc
+        if di.size == 1:
+            return ix.copy(), iy.copy()
+        g = self.grid_size
+        pick = rng.integers(0, di.size, size=ix.shape[0])
+        new_ix = ix + di[pick]
+        new_iy = iy + dj[pick]
+        # Negative candidates wrap to huge unsigned values, so one
+        # unsigned comparison per axis checks both lattice borders.
+        pending = np.flatnonzero((new_ix.view(np.uint64) >= g)
+                                 | (new_iy.view(np.uint64) >= g))
+        while pending.size:
+            pick = rng.integers(0, di.size, size=pending.size)
+            cand_i = ix[pending] + di[pick]
+            cand_j = iy[pending] + dj[pick]
+            ok = (cand_i.view(np.uint64) < g) & (cand_j.view(np.uint64) < g)
             accepted = pending[ok]
             new_ix[accepted] = cand_i[ok]
             new_iy[accepted] = cand_j[ok]
