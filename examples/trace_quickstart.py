@@ -139,18 +139,23 @@ def watch_and_history(workdir: Path) -> None:
     from repro.bench.results import CaseResult, SuiteResult
     from repro.obs.history import HistoryStore, check_drift, render_trend
     from repro.obs.live import render_dashboard
-    from repro.obs.stream import LiveAggregator, TraceFollower
+    from repro.obs.stream import TraceFold, TraceFollower
 
     # -- live watching: follow the trace stop 1 wrote and render one
     # dashboard frame from it.  During a real run the same loop
     # repaints continuously:  python -m repro.obs watch r/trace.jsonl
-    # (or simply  python -m repro.campaign run ... --watch).
+    # (or simply  python -m repro.campaign run ... --watch).  The fold
+    # behind the frame is the one behind 'report': its summary() is
+    # what obs.summarize returned in stop 1.
     trace = workdir / "campaign" / "trace.jsonl"
     follower = TraceFollower(trace)
-    agg = LiveAggregator()
-    agg.ingest(follower.poll())
+    fold = TraceFold()
+    fold.ingest(follower.poll())
     print("== one live-dashboard frame of the stop-1 trace ==")
-    print(render_dashboard(agg.snapshot(), title=f"watching {trace.name}"))
+    print(render_dashboard(fold.snapshot(), title=f"watching {trace.name}"))
+    cache = fold.summary()["cache"]
+    print(f"same fold, post-hoc view: cache {cache['hits']} hit / "
+          f"{cache['misses']} miss")
     print()
 
     # -- perf history: record three synthetic bench runs whose case

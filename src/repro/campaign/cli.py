@@ -32,7 +32,7 @@ from pathlib import Path
 from repro.analysis.tables import render_table
 from repro.campaign.plan import CampaignPlan, plan_experiments
 from repro.obs.bootstrap import add_obs_arguments, session_from_args
-from repro.obs.progress import CampaignProgress
+from repro.obs.live import CampaignProgress
 from repro.campaign.query import (
     campaign_status,
     fetch_result,

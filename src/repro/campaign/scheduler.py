@@ -40,7 +40,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from repro import obs
 from repro.obs import resources
@@ -224,6 +224,21 @@ def _pull_worker_main(root: str, campaign_id: str, lease_ttl: float) -> None:
                lease_ttl=lease_ttl)
 
 
+def _land(report: CampaignReport, key: str, result: dict[str, Any],
+          meta: Mapping[str, Any], *, cached: bool) -> None:
+    """Record one landed unit in *report*.
+
+    *meta* carries the unit's ``elapsed`` and ``resources`` — an
+    :func:`execute_unit` outcome, or a stored payload's ``meta``.
+    """
+    report.results[key] = result
+    (report.fetched if cached else report.computed).append(key)
+    if meta.get("elapsed") is not None:
+        report.unit_elapsed[key] = meta["elapsed"]
+    if meta.get("resources"):
+        report.unit_resources[key] = dict(meta["resources"])
+
+
 def _run_transient(plan: CampaignPlan, report: CampaignReport,
                    jobs: int | None, progress: ProgressFn | None) -> None:
     """The store-less path: nothing to lease against, nothing cached —
@@ -237,11 +252,7 @@ def _run_transient(plan: CampaignPlan, report: CampaignReport,
     def checkpoint(index: int, outcome: dict[str, Any]) -> None:
         nonlocal done
         unit = pending[index]
-        report.results[unit.key] = outcome["result"]
-        report.computed.append(unit.key)
-        report.unit_elapsed[unit.key] = outcome["elapsed"]
-        if outcome.get("resources"):
-            report.unit_resources[unit.key] = dict(outcome["resources"])
+        _land(report, unit.key, outcome["result"], outcome, cached=False)
         obs.counter("campaign.cache.miss")
         obs.event("campaign.unit", status="checkpointed",
                   label=unit.label, key=unit.key)
@@ -281,16 +292,11 @@ def _run_queued(plan: CampaignPlan, store: ResultStore,
         payload = store.get(unit.key)
         require(payload is not None,
                 f"store lost {unit.label} ({unit.key[:12]}) mid-campaign")
-        report.results[unit.key] = payload["result"]
-        report.fetched.append(unit.key)
+        _land(report, unit.key, payload["result"], payload.get("meta", {}),
+              cached=True)
         obs.counter("campaign.cache.hit")
         obs.event("campaign.unit", status="cached", label=unit.label,
                   key=unit.key)
-        meta = payload.get("meta", {})
-        if meta.get("elapsed") is not None:
-            report.unit_elapsed[unit.key] = meta["elapsed"]
-        if meta.get("resources"):
-            report.unit_resources[unit.key] = dict(meta["resources"])
         done += 1
         if progress is not None:
             progress(done, len(plan), unit, True)
@@ -307,17 +313,11 @@ def _run_queued(plan: CampaignPlan, store: ResultStore,
         if payload is None:
             return False
         collected.add(key)
-        unit = by_key[key]
-        report.results[key] = payload["result"]
-        report.computed.append(key)
-        meta = payload.get("meta", {})
-        if meta.get("elapsed") is not None:
-            report.unit_elapsed[key] = meta["elapsed"]
-        if meta.get("resources"):
-            report.unit_resources[key] = dict(meta["resources"])
+        _land(report, key, payload["result"], payload.get("meta", {}),
+              cached=False)
         done += 1
         if progress is not None:
-            progress(done, len(plan), unit, False)
+            progress(done, len(plan), by_key[key], False)
         return True
 
     if pending:

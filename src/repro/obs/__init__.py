@@ -27,10 +27,13 @@ see :mod:`repro.obs.resources`); :mod:`repro.obs.profile` reconstructs
 the span tree with self-vs-child attribution and
 :mod:`repro.obs.diff` ranks what moved between two traces.
 
-Live monitoring rides the same trace: :mod:`repro.obs.stream` tails a
-JSONL file while it is written, :mod:`repro.obs.live` repaints the
-``watch`` dashboard from it, :mod:`repro.obs.heartbeat` gives running
-campaign units a liveness pulse, and :mod:`repro.obs.history` is the
+One fold reads every trace: :class:`~repro.obs.stream.TraceFold`
+ingests records one at a time and serves both the post-hoc
+:func:`summarize` aggregate and the live snapshot.  Live monitoring
+rides the same trace: :mod:`repro.obs.stream` tails a JSONL file while
+it is written, :mod:`repro.obs.live` renders the fold as the ``watch``
+dashboard and the campaign progress line, :mod:`repro.obs.heartbeat`
+gives running campaign units a liveness pulse, and :mod:`repro.obs.history` is the
 longitudinal perf store behind ``repro.bench history``.  See the
 DESIGN.md observability section for the event schema and the overhead
 policy.
@@ -51,7 +54,12 @@ from repro.obs.events import (
     validate_event,
 )
 from repro.obs.heartbeat import HEARTBEAT_INTERVAL, Heartbeat, unit_heartbeat
-from repro.obs.live import render_dashboard, watch, watch_in_thread
+from repro.obs.live import (
+    CampaignProgress,
+    render_dashboard,
+    watch,
+    watch_in_thread,
+)
 from repro.obs.profile import (
     aggregate_paths,
     build_span_tree,
@@ -66,7 +74,7 @@ from repro.obs.report import (
     summary_fingerprint,
     summary_payload,
 )
-from repro.obs.stream import LiveAggregator, TraceFollower
+from repro.obs.stream import TraceFold, TraceFollower
 from repro.obs.sinks import JsonlSink, MemorySink, NullSink, Sink, TeeSink
 from repro.obs.trace import (
     configure,
@@ -93,7 +101,7 @@ __all__ = [
     "build_span_tree", "aggregate_paths", "profile_trace", "render_profile",
     "profile_payload", "profile_fingerprint",
     "diff_paths", "diff_traces", "render_diff",
-    "TraceFollower", "LiveAggregator",
-    "render_dashboard", "watch", "watch_in_thread",
+    "TraceFollower", "TraceFold",
+    "render_dashboard", "watch", "watch_in_thread", "CampaignProgress",
     "HEARTBEAT_INTERVAL", "Heartbeat", "unit_heartbeat",
 ]

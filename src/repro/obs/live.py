@@ -1,11 +1,11 @@
-"""The live ASCII dashboard behind ``python -m repro.obs watch``.
+"""The renderers of the live :class:`~repro.obs.stream.TraceFold`.
 
-:func:`render_dashboard` turns one :class:`~repro.obs.stream.LiveAggregator`
-snapshot into a fixed-layout text frame: campaign progress (done/total,
-cache hits, ETA), the active span stack of every traced pid, windowed
-counter rates, and a per-unit heartbeat table where stalled workers —
-leased/running units whose last beat has aged past the staleness
-threshold — are flagged ``STALE``.
+:func:`render_dashboard` turns one fold snapshot into the fixed-layout
+text frame behind ``python -m repro.obs watch``: campaign progress
+(done/total, cache hits, ETA), the active span stack of every traced
+pid, windowed counter rates, and a per-unit heartbeat table where
+stalled workers — leased/running units whose last beat has aged past
+the staleness threshold — are flagged ``STALE``.
 
 :func:`watch` is the refresh loop: poll the follower, ingest, render.
 On a TTY each frame repaints in place (ANSI home+clear); elsewhere
@@ -15,21 +15,26 @@ exactly one final frame and exits, which is what ``--once`` forces) or
 when ``stop`` is set by the embedding caller
 (``repro.campaign run --watch`` runs this loop in a thread beside the
 scheduler).
+
+:class:`CampaignProgress` is the second renderer: the scheduler's
+progress callback, printing one done/total/hits/ETA line per landed
+unit from a fold it feeds itself.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time
 from pathlib import Path
 from typing import Any, Callable, Mapping, TextIO
 
-from repro.obs.stream import LiveAggregator, TraceFollower
+from repro.obs.stream import TraceFold, TraceFollower
 from repro.util.timing import format_seconds
 
 __all__ = ["render_dashboard", "watch", "watch_in_thread",
-           "DEFAULT_INTERVAL"]
+           "CampaignProgress", "DEFAULT_INTERVAL"]
 
 #: Seconds between dashboard refreshes.
 DEFAULT_INTERVAL = 0.5
@@ -54,7 +59,7 @@ def _fmt_attrs(attrs: Mapping[str, Any], limit: int = 40) -> str:
 
 def render_dashboard(snapshot: Mapping[str, Any], *,
                      title: str = "") -> str:
-    """One text frame from an aggregator snapshot."""
+    """One text frame from a fold snapshot."""
     lines: list[str] = []
     if title:
         lines.append(title)
@@ -141,7 +146,7 @@ def watch(path: str | Path, *,
           stop: threading.Event | None = None,
           clock: Callable[[], float] = time.time,
           sleep: Callable[[float], None] = time.sleep,
-          max_frames: int | None = None) -> LiveAggregator:
+          max_frames: int | None = None) -> TraceFold:
     """Follow *path* and repaint the dashboard until the run ends.
 
     Exit conditions, in order of precedence: *stop* set (embedded
@@ -151,12 +156,12 @@ def watch(path: str | Path, *,
     *idle_timeout* seconds (guards against watching a killed run's
     frozen trace forever; ``None`` waits indefinitely).
 
-    Returns the aggregator so callers (and tests) can inspect the
-    final state.
+    Returns the fold so callers (and tests) can inspect the final
+    state.
     """
     out = stream if stream is not None else sys.stdout
     follower = TraceFollower(path)
-    agg = LiveAggregator(stale_after=stale_after, clock=clock)
+    fold = TraceFold(stale_after=stale_after, clock=clock)
     repaint = hasattr(out, "isatty") and out.isatty()
     title = f"watching {path}"
     frames = 0
@@ -164,22 +169,22 @@ def watch(path: str | Path, *,
     while True:
         events = follower.poll()
         if events:
-            agg.ingest(events)
+            fold.ingest(events)
             last_growth = clock()
-        frame = render_dashboard(agg.snapshot(), title=title)
+        frame = render_dashboard(fold.snapshot(), title=title)
         print((_ANSI_REPAINT if repaint else "") + frame, file=out,
               flush=True)
         frames += 1
         if stop is not None and stop.is_set():
-            return agg
+            return fold
         if once or (max_frames is not None and frames >= max_frames):
-            return agg
-        if agg.events_seen and agg.idle:
-            return agg
+            return fold
+        if fold.events_seen and fold.idle:
+            return fold
         if idle_timeout is not None and clock() - last_growth > idle_timeout:
             print(f"(no trace activity for {idle_timeout:.0f}s — "
                   f"stopping watch)", file=out, flush=True)
-            return agg
+            return fold
         if not repaint:
             print("-" * 72, file=out, flush=True)
         sleep(interval)
@@ -205,3 +210,51 @@ def watch_in_thread(path: str | Path, *,
         name="obs-watch", daemon=True)
     thread.start()
     return thread, stop
+
+
+class CampaignProgress:
+    """Rolling-rate progress lines for ``run_campaign``.
+
+    Implements the scheduler's ``progress(done, total, unit, cached)``
+    callback: each call feeds :attr:`fold` the ``campaign.unit`` record
+    the scheduler emits for that unit (stamped ``clock()``) and prints
+    done/total, the cache-hit share and the fold's ETA.  Cached units
+    land effectively for free, so only computed ones feed the rate;
+    until two have landed the line reads ``eta ?``.
+
+    Parameters
+    ----------
+    stream:
+        Where lines go (default ``sys.stderr``, resolved at call time
+        so test harnesses that swap stderr are honoured).
+    clock:
+        Injectable monotonic clock (tests).
+    """
+
+    def __init__(self, stream: TextIO | None = None, *,
+                 clock: Callable[[], float] = time.monotonic) -> None:
+        self._stream = stream
+        self._clock = clock
+        self.fold = TraceFold()
+
+    @property
+    def hits(self) -> int:
+        return self.fold.lifecycle.get("campaign.unit", {}).get("cached", 0)
+
+    def render(self, done: int, total: int, label: str,
+               cached: bool) -> str:
+        eta = self.fold.eta_seconds(total - done)
+        hit_rate = self.hits / done if done else 0.0
+        eta_text = "?" if eta is None else format_seconds(eta)
+        source = "cached" if cached else "computed"
+        return (f"[{done}/{total}] {label}: {source}  "
+                f"hits {hit_rate:.0%}  eta {eta_text}")
+
+    def __call__(self, done: int, total: int, unit, cached: bool) -> None:
+        self.fold.ingest([{
+            "kind": "event", "name": "campaign.unit",
+            "status": "cached" if cached else "checkpointed",
+            "pid": os.getpid(), "ts": self._clock(),
+            "attrs": {"label": unit.label, "key": unit.key}}])
+        print(self.render(done, total, unit.label, cached),
+              file=self._stream if self._stream is not None else sys.stderr)

@@ -1,6 +1,7 @@
 """Turn a trace into numbers a human can act on.
 
-:func:`summarize` reduces an event stream to per-phase span
+:func:`summarize` folds an event stream (one
+:class:`~repro.obs.stream.TraceFold`, run to the end) into per-phase span
 statistics (with attached CPU / peak-RSS resource rollups), aggregated
 counters / gauge rollups (``first``/``last``/``min``/``max``/``count``
 — never last-write-wins) / histograms, campaign cache-hit accounting,
@@ -16,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 from typing import Any, Iterable, Mapping
+
+from repro.obs.stream import TraceFold
 
 __all__ = ["summarize", "render_summary", "format_manifest",
            "summary_payload", "summary_fingerprint",
@@ -42,121 +45,13 @@ _SLOWEST_KEYS = ("label", "dur_s", "pid", "status")
 _UNCLOSED_KEYS = ("name", "span_id", "pid", "ts", "attrs")
 
 
-def _span_label(span: Mapping[str, Any]) -> str:
-    attrs = span.get("attrs", {})
-    for key in ("label", "experiment", "sweep", "key", "tier"):
-        if attrs.get(key):
-            return f"{span['name']}({attrs[key]})"
-    return span["name"]
-
-
 def summarize(events: Iterable[Mapping[str, Any]], *,
               top: int = 10) -> dict[str, Any]:
-    """Aggregate an event stream (see module docstring for the shape)."""
-    spans: list[Mapping[str, Any]] = []
-    phases: dict[str, dict[str, Any]] = {}
-    counters: dict[str, float] = {}
-    gauges: dict[str, dict[str, float]] = {}
-    histograms: dict[str, list[float]] = {}
-    lifecycle: dict[str, dict[str, int]] = {}
-    started: dict[str, Mapping[str, Any]] = {}
-    closed_ids: set[str] = set()
-    pids: set[int] = set()
-    t_min, t_max = None, None
-
-    for ev in events:
-        kind = ev.get("kind")
-        pids.add(ev.get("pid", 0))
-        if kind == "span_start":
-            started[ev["span_id"]] = ev
-        elif kind == "span":
-            spans.append(ev)
-            closed_ids.add(ev["span_id"])
-            phase = phases.setdefault(
-                ev["name"], {"count": 0, "total_s": 0.0, "max_s": 0.0,
-                             "errors": 0, "cpu_s": None,
-                             "peak_rss_kb": None})
-            phase["count"] += 1
-            phase["total_s"] += ev["dur_s"]
-            phase["max_s"] = max(phase["max_s"], ev["dur_s"])
-            if ev.get("status") == "error":
-                phase["errors"] += 1
-            res = ev.get("res") or {}
-            if "cpu_s" in res:
-                phase["cpu_s"] = (phase["cpu_s"] or 0.0) + res["cpu_s"]
-            if "peak_rss_kb" in res:
-                phase["peak_rss_kb"] = max(phase["peak_rss_kb"] or 0.0,
-                                           res["peak_rss_kb"])
-            start, stop = ev["ts"], ev["ts"] + ev["dur_s"]
-            t_min = start if t_min is None else min(t_min, start)
-            t_max = stop if t_max is None else max(t_max, stop)
-        elif kind == "metric":
-            name, value = ev["name"], ev["value"]
-            if ev["metric"] == "counter":
-                counters[name] = counters.get(name, 0.0) + value
-            elif ev["metric"] == "gauge":
-                # Full rollup, not last-write-wins: a gauge that sagged
-                # mid-run and recovered must not summarize as flat.
-                roll = gauges.get(name)
-                if roll is None:
-                    gauges[name] = {"first": value, "last": value,
-                                    "min": value, "max": value, "count": 1}
-                else:
-                    roll["last"] = value
-                    roll["min"] = min(roll["min"], value)
-                    roll["max"] = max(roll["max"], value)
-                    roll["count"] += 1
-            else:
-                histograms.setdefault(name, []).append(value)
-        elif kind == "event":
-            by_status = lifecycle.setdefault(ev["name"], {})
-            status = ev.get("status", "ok")
-            by_status[status] = by_status.get(status, 0) + 1
-
-    for phase in phases.values():
-        phase["mean_s"] = phase["total_s"] / phase["count"]
-
-    # Open records whose close never landed: the signature of a killed
-    # or truncated run.  Surfaced instead of silently dropped.
-    unclosed = [{"name": ev["name"], "span_id": span_id,
-                 "pid": ev.get("pid", 0), "ts": ev["ts"],
-                 "attrs": dict(ev.get("attrs", {}))}
-                for span_id, ev in started.items()
-                if span_id not in closed_ids]
-
-    hist_stats = {}
-    for name, values in histograms.items():
-        ordered = sorted(values)
-        hist_stats[name] = {
-            "count": len(ordered),
-            "mean": sum(ordered) / len(ordered),
-            "min": ordered[0],
-            "p50": ordered[len(ordered) // 2],
-            "max": ordered[-1],
-        }
-
-    hits = counters.get("campaign.cache.hit", 0.0)
-    misses = counters.get("campaign.cache.miss", 0.0)
-    slowest = sorted(spans, key=lambda s: s["dur_s"], reverse=True)[:top]
-    return {
-        "spans": len(spans),
-        "unclosed": unclosed,
-        "pids": sorted(pids),
-        "wall_s": 0.0 if t_min is None else t_max - t_min,
-        "phases": phases,
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": hist_stats,
-        "lifecycle": lifecycle,
-        "cache": {
-            "hits": int(hits),
-            "misses": int(misses),
-            "rate": hits / (hits + misses) if hits + misses else None,
-        },
-        "slowest": [{"label": _span_label(s), "dur_s": s["dur_s"],
-                     "pid": s["pid"], "status": s["status"]}
-                    for s in slowest],
-    }
+    """Aggregate an event stream (see module docstring for the shape):
+    the :class:`~repro.obs.stream.TraceFold` run to the end."""
+    fold = TraceFold(top=top)
+    fold.ingest(events)
+    return fold.summary()
 
 
 def summary_payload(manifest: Mapping[str, Any] | None,

@@ -1,4 +1,4 @@
-"""Live aggregation, heartbeats, and the watch dashboard."""
+"""The live fold, heartbeats, and the watch dashboard."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from repro import obs
 from repro.obs.heartbeat import Heartbeat, unit_heartbeat
 from repro.obs.live import render_dashboard, watch, watch_in_thread
 from repro.obs.sinks import JsonlSink, MemorySink
-from repro.obs.stream import LiveAggregator
+from repro.obs.stream import TraceFold
 
 
 def _span_start(name, span_id, ts, pid=1, parent=None, attrs=None):
@@ -40,9 +40,9 @@ def _heartbeat(label, ts, interval=1.0, pid=1):
             "attrs": {"label": label, "interval": interval}}
 
 
-class TestLiveAggregator:
+class TestLiveFold:
     def test_open_span_stacks_per_pid(self):
-        agg = LiveAggregator(clock=lambda: 10.0)
+        agg = TraceFold(clock=lambda: 10.0)
         agg.ingest([_span_start("outer", "1.1", 1.0),
                     _span_start("inner", "1.2", 2.0, parent="1.1"),
                     _span_start("worker", "2.1", 3.0, pid=2)])
@@ -53,7 +53,7 @@ class TestLiveAggregator:
         assert snap["open_spans"] == 3 and not agg.idle
 
     def test_span_close_pops_the_stack(self):
-        agg = LiveAggregator(clock=lambda: 10.0)
+        agg = TraceFold(clock=lambda: 10.0)
         agg.ingest([_span_start("outer", "1.1", 1.0),
                     _span_start("inner", "1.2", 2.0, parent="1.1"),
                     _span("inner", "1.2", 2.0, 1.5, parent="1.1")])
@@ -65,12 +65,12 @@ class TestLiveAggregator:
         assert agg.snapshot()["pids"] == {}
 
     def test_error_spans_counted(self):
-        agg = LiveAggregator()
+        agg = TraceFold()
         agg.ingest([_span("bad", "1.1", 0.0, 0.1, status="error")])
         assert agg.snapshot()["errors"] == 1
 
     def test_counter_totals_and_windowed_rate(self):
-        agg = LiveAggregator(rate_window=10.0, clock=lambda: 100.0)
+        agg = TraceFold(clock=lambda: 100.0)
         agg.ingest([_counter("items", 5, ts=50.0),   # far outside window
                     _counter("items", 3, ts=95.0),
                     _counter("items", 2, ts=99.0)])
@@ -79,7 +79,7 @@ class TestLiveAggregator:
         assert stats["rate"] == (3 + 2) / 10.0
 
     def test_campaign_progress_and_hit_rate(self):
-        agg = LiveAggregator(clock=lambda: 10.0)
+        agg = TraceFold(clock=lambda: 10.0)
         agg.ingest([_unit_event("planned", "E1", 0.0),
                     _unit_event("planned", "E2", 0.0),
                     _unit_event("cached", "E3", 0.1),
@@ -95,7 +95,7 @@ class TestLiveAggregator:
         assert campaign["hit_rate"] == 0.5
 
     def test_eta_from_checkpoint_rate(self):
-        agg = LiveAggregator(clock=lambda: 30.0)
+        agg = TraceFold(clock=lambda: 30.0)
         events = [_unit_event("planned", f"E{i}", 0.0) for i in range(6)]
         # three checkpoints, 10s apart -> rate 0.1/s, 3 remaining -> 30s
         for i, ts in enumerate([10.0, 20.0, 30.0]):
@@ -107,7 +107,7 @@ class TestLiveAggregator:
 
     def test_heartbeat_staleness(self):
         now = 100.0
-        agg = LiveAggregator(clock=lambda: now)
+        agg = TraceFold(clock=lambda: now)
         agg.ingest([_unit_event("running", "E1", 90.0),
                     _heartbeat("E1", 99.0, interval=1.0),
                     _unit_event("running", "E2", 90.0),
@@ -119,7 +119,7 @@ class TestLiveAggregator:
         assert agg.snapshot()["campaign"]["stale"] == 1
 
     def test_done_units_are_never_stale(self):
-        agg = LiveAggregator(clock=lambda: 100.0)
+        agg = TraceFold(clock=lambda: 100.0)
         agg.ingest([_unit_event("running", "E1", 0.0),
                     _heartbeat("E1", 0.5),
                     _unit_event("checkpointed", "E1", 1.0)])
@@ -127,14 +127,14 @@ class TestLiveAggregator:
         assert unit["stale"] is False
 
     def test_explicit_stale_after_overrides_interval(self):
-        agg = LiveAggregator(stale_after=60.0, clock=lambda: 100.0)
+        agg = TraceFold(stale_after=60.0, clock=lambda: 100.0)
         agg.ingest([_unit_event("running", "E1", 90.0),
                     _heartbeat("E1", 92.0, interval=1.0)])
         [unit] = agg.snapshot()["units"]
         assert unit["stale"] is False  # 8s < 60s
 
     def test_running_event_counts_as_a_beat(self):
-        agg = LiveAggregator(clock=lambda: 10.0)
+        agg = TraceFold(clock=lambda: 10.0)
         agg.ingest([_unit_event("running", "E1", 9.5)])
         [unit] = agg.snapshot()["units"]
         assert unit["heartbeat_age_s"] == 0.5
@@ -142,7 +142,7 @@ class TestLiveAggregator:
 
 class TestRenderDashboard:
     def _snapshot(self):
-        agg = LiveAggregator(clock=lambda: 10.0)
+        agg = TraceFold(clock=lambda: 10.0)
         agg.ingest([_span_start("campaign.run", "1.1", 0.0),
                     _counter("campaign.cache.miss", 1, ts=9.0),
                     _unit_event("planned", "E1", 0.0),
@@ -168,7 +168,7 @@ class TestRenderDashboard:
         assert lines[0].strip().startswith("E2")
 
     def test_empty_snapshot_renders(self):
-        frame = render_dashboard(LiveAggregator().snapshot())
+        frame = render_dashboard(TraceFold().snapshot())
         assert "events 0" in frame
 
 

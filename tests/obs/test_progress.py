@@ -1,11 +1,12 @@
-"""CampaignProgress: ETA math, hit-rate accounting, output format."""
+"""CampaignProgress: ETA from the fold, hit-rate accounting, output format."""
 
 from __future__ import annotations
 
 import io
 from types import SimpleNamespace
 
-from repro.obs.progress import CampaignProgress
+from repro.obs.live import CampaignProgress
+from repro.obs.stream import ETA_WINDOW
 
 
 class FakeClock:
@@ -17,16 +18,16 @@ class FakeClock:
 
 
 def _unit(label="E1/a"):
-    return SimpleNamespace(label=label)
+    return SimpleNamespace(label=label, key="k" + label)
 
 
 class TestEta:
     def test_no_eta_until_two_computed_units(self):
         clock = FakeClock()
         progress = CampaignProgress(io.StringIO(), clock=clock)
-        assert progress.eta_seconds(done=0, total=10) is None
+        assert progress.fold.eta_seconds(10) is None
         progress(1, 10, _unit(), cached=False)
-        assert progress.eta_seconds(1, 10) is None
+        assert progress.fold.eta_seconds(9) is None
 
     def test_eta_from_rolling_rate(self):
         clock = FakeClock()
@@ -36,11 +37,11 @@ class TestEta:
             clock.now = 2.0 * i
             progress(i, 10, _unit(), cached=False)
         # 3 marks over 4s -> rate 0.5 units/s; 7 remaining -> 14s.
-        assert progress.eta_seconds(3, 10) == 14.0
+        assert progress.fold.eta_seconds(7) == 14.0
 
     def test_eta_zero_when_done(self):
         progress = CampaignProgress(io.StringIO(), clock=FakeClock())
-        assert progress.eta_seconds(10, 10) == 0.0
+        assert progress.fold.eta_seconds(0) == 0.0
 
     def test_cached_units_do_not_feed_the_rate(self):
         clock = FakeClock()
@@ -50,19 +51,23 @@ class TestEta:
         clock.now = 2.0
         progress(2, 4, _unit(), cached=True)
         # Two cached completions: still no computed-rate ETA.
-        assert progress.eta_seconds(2, 4) is None
-        assert progress.hits == 2 and progress.computed == 0
+        assert progress.fold.eta_seconds(2) is None
+        assert progress.hits == 2
+        assert progress.fold.lifecycle == {"campaign.unit": {"cached": 2}}
 
     def test_window_bounds_the_rate_history(self):
         clock = FakeClock()
-        progress = CampaignProgress(io.StringIO(), window=3, clock=clock)
-        # Slow early units, fast recent ones: the window forgets the
-        # slow start.
-        for i, t in enumerate((0.0, 100.0, 101.0, 102.0, 103.0), start=1):
+        progress = CampaignProgress(io.StringIO(), clock=clock)
+        # One slow early unit, then a fast recent run one window long:
+        # the window forgets the slow start.
+        times = [0.0] + [100.0 + i for i in range(ETA_WINDOW)]
+        total = len(times) + 4
+        for i, t in enumerate(times, start=1):
             clock.now = t
-            progress(i, 8, _unit(), cached=False)
-        # Last 3 marks: 101, 102, 103 -> rate 1/s; 3 remaining -> 3s.
-        assert progress.eta_seconds(5, 8) == 3.0
+            progress(i, total, _unit(), cached=False)
+        assert ETA_WINDOW == 8
+        # Last 8 marks: 100..107 -> rate 1/s; 4 remaining -> 4s.
+        assert progress.fold.eta_seconds(4) == 4.0
 
 
 class TestRendering:

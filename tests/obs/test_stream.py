@@ -100,14 +100,6 @@ class TestFollowerOffsets:
         assert [e["name"] for e in follower.poll()] == ["ok", "more"]
         assert follower.malformed == 1
 
-    def test_validate_false_accepts_off_schema_json(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        _write(path, ['{"kind": "mystery"}\n'])
-        strict = TraceFollower(path)
-        assert strict.poll() == [] and strict.malformed == 1
-        lax = TraceFollower(path, validate=False)
-        assert lax.poll() == [{"kind": "mystery"}]
-
 
 class TestReadTraceTornTail:
     def _trace_bytes(self, tmp_path):
