@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.analysis.sweep import SweepPoint
-from repro.campaign.store import ResultStore, unit_key
+from repro.campaign.store import unit_key
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.registry import load_experiment, normalize_id
 from repro.util.rng import SeedLike, derive_seed
@@ -106,14 +106,6 @@ class CampaignPlan:
 
     def keys(self) -> list[str]:
         return [unit.key for unit in self.units]
-
-    def pending(self, store: ResultStore | None, *,
-                force: bool = False) -> list[WorkUnit]:
-        """The units not already satisfied by *store* (all of them when
-        *force* is set or there is no store)."""
-        if store is None or force:
-            return list(self.units)
-        return [unit for unit in self.units if unit.key not in store]
 
 
 def _experiment_unit(experiment_id: str, config: ExperimentConfig) -> WorkUnit:

@@ -26,9 +26,9 @@ results already JSON-encoded; cached and freshly computed units
 therefore flow through exactly the same codec, which is what makes
 warm and cold campaign outputs byte-comparable.
 
-Without a store there is nothing to lease against; the plan fans out
-through the engine's :func:`repro.engine.executor.fan_out_chunks` as a
-transient (non-persistent, non-resumable) run.
+Without a store the same steps run against a throwaway store in a
+temporary directory, deleted when the run returns: one execution path,
+nothing persisted, no manifest written.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -52,7 +53,7 @@ from repro.campaign.jobs import (DEFAULT_LEASE_TTL, JobQueue,
 from repro.campaign.plan import CampaignPlan, WorkUnit
 from repro.campaign.schema import MANIFEST_SCHEMA, MANIFEST_SCHEMA_VERSION
 from repro.campaign.store import ResultStore
-from repro.engine.executor import default_jobs, fan_out_chunks
+from repro.engine.executor import default_jobs
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.registry import load_experiment
 from repro.util.logging import get_logger
@@ -82,8 +83,7 @@ class CampaignReport:
     (JSON-decodable dict), in no particular order; use the plan for
     ordering.  ``fetched`` keys were served from the store, ``computed``
     keys ran; their union covers the whole plan.  ``campaign_id`` is
-    the queue's content address for the plan (empty for transient,
-    store-less runs).
+    the queue's content address for the plan.
     """
 
     plan: CampaignPlan
@@ -239,55 +239,25 @@ def _land(report: CampaignReport, key: str, result: dict[str, Any],
         report.unit_resources[key] = dict(meta["resources"])
 
 
-def _run_transient(plan: CampaignPlan, report: CampaignReport,
-                   jobs: int | None, progress: ProgressFn | None) -> None:
-    """The store-less path: nothing to lease against, nothing cached —
-    fan the payloads straight out through the engine."""
-    done = 0
-    pending = list(plan)
-    for unit in pending:
-        obs.event("campaign.unit", status="planned", label=unit.label,
-                  key=unit.key)
-
-    def checkpoint(index: int, outcome: dict[str, Any]) -> None:
-        nonlocal done
-        unit = pending[index]
-        _land(report, unit.key, outcome["result"], outcome, cached=False)
-        obs.counter("campaign.cache.miss")
-        obs.event("campaign.unit", status="checkpointed",
-                  label=unit.label, key=unit.key)
-        obs.histogram("campaign.unit_elapsed_s", outcome["elapsed"],
-                      label=unit.label)
-        done += 1
-        if progress is not None:
-            progress(done, len(plan), unit, False)
-
-    payloads = []
-    for unit in pending:
-        payload = dict(unit.payload)
-        payload["_obs"] = {"label": unit.label, "key": unit.key}
-        payloads.append(payload)
-        obs.event("campaign.unit", status="leased", label=unit.label,
-                  key=unit.key)
-    fan_out_chunks(execute_unit, payloads, jobs, on_result=checkpoint)
-
-
 def _run_queued(plan: CampaignPlan, store: ResultStore,
                 report: CampaignReport, *, jobs: int | None, force: bool,
                 progress: ProgressFn | None, lease_ttl: float) -> None:
-    """The store path: submit to the queue, serve cached, pull the rest."""
+    """Submit to the queue, serve cached units, pull the rest."""
     from repro.service.worker import run_worker
 
     store.reconcile()
     queue = JobQueue(store.backend)
-    pending = plan.pending(store, force=force)
-    pending_keys = {unit.key for unit in pending}
     receipt = queue.submit(plan, store, source="scheduler", force=force)
     report.campaign_id = receipt.campaign_id
+    # The submission is the one diff against the store: a job it marked
+    # cached is served from the store, every other unit is pulled.
+    served = {job.key for job in queue.jobs(receipt.campaign_id)
+              if job.cached}
+    by_key = {unit.key: unit for unit in plan if unit.key not in served}
     done = 0
 
     for unit in plan:
-        if unit.key in pending_keys:
+        if unit.key not in served:
             continue
         payload = store.get(unit.key)
         require(payload is not None,
@@ -301,7 +271,6 @@ def _run_queued(plan: CampaignPlan, store: ResultStore,
         if progress is not None:
             progress(done, len(plan), unit, True)
 
-    by_key = {unit.key: unit for unit in pending}
     collected: set[str] = set()
 
     def collect(key: str) -> bool:
@@ -320,13 +289,13 @@ def _run_queued(plan: CampaignPlan, store: ResultStore,
             progress(done, len(plan), by_key[key], False)
         return True
 
-    if pending:
+    if by_key:
         workers = max(1, min(jobs if jobs is not None else default_jobs(),
-                             len(pending)))
+                             len(by_key)))
         _log.debug("campaign %s: %d/%d units pending across %d worker(s)",
-                   receipt.campaign_id, len(pending), len(plan), workers)
+                   receipt.campaign_id, len(by_key), len(plan), workers)
         with obs.span("campaign.dispatch", campaign=receipt.campaign_id,
-                      pending=len(pending), workers=workers):
+                      pending=len(by_key), workers=workers):
             if workers == 1:
                 run_worker(LocalQueueClient(store, queue),
                            campaign_id=receipt.campaign_id,
@@ -337,19 +306,19 @@ def _run_queued(plan: CampaignPlan, store: ResultStore,
                                       workers, lease_ttl, collect)
 
     # Late sweep: anything completed by racing clients between the
-    # pending diff and the worker drain.
+    # submission and the worker drain.
     for job in queue.jobs(receipt.campaign_id, state="done"):
         collect(job.key)
 
     failed = [job for job in queue.jobs(receipt.campaign_id, state="failed")
-              if job.key in pending_keys]
+              if job.key in by_key]
     if failed:
         lines = "; ".join(f"{job.label} ({job.key[:12]}): {job.error}"
                           for job in failed)
         raise CampaignError(
             f"{len(failed)} unit(s) failed in campaign "
             f"{receipt.campaign_id}: {lines}")
-    missing = pending_keys - collected
+    missing = by_key.keys() - collected
     require(not missing,
             f"campaign {receipt.campaign_id} drained but "
             f"{len(missing)} unit result(s) never reached the store")
@@ -414,9 +383,9 @@ def run_campaign(
         The expanded campaign (see :mod:`repro.campaign.plan`).
     store:
         Result store to fetch from / checkpoint into; its job queue
-        carries the pending units.  ``None`` runs everything without
-        persistence (still parallel, but transient: no queue, no
-        resume).
+        carries the pending units.  ``None`` runs the same queue path
+        against a throwaway store in a temporary directory, removed on
+        return (nothing cached, nothing resumable, no manifest).
     jobs:
         Local pull workers for pending units (``None``: one per CPU;
         ``1`` forces in-process execution).
@@ -435,12 +404,15 @@ def run_campaign(
     start = time.perf_counter()
     report = CampaignReport(plan=plan)
     with obs.span("campaign.run", units=len(plan), force=force,
-                  jobs=jobs or 0, persistent=store is not None) as sp:
+                  jobs=jobs or 0, persistent=store is not None) as sp, \
+            ExitStack() as scope:
+        queue_store = store
         if store is None:
-            _run_transient(plan, report, jobs, progress)
-        else:
-            _run_queued(plan, store, report, jobs=jobs, force=force,
-                        progress=progress, lease_ttl=lease_ttl)
+            # A throwaway store: the same queue path, nothing persisted.
+            queue_store = ResultStore(scope.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-campaign-")))
+        _run_queued(plan, queue_store, report, jobs=jobs, force=force,
+                    progress=progress, lease_ttl=lease_ttl)
         report.elapsed = time.perf_counter() - start
         sp.set(fetched=len(report.fetched), computed=len(report.computed))
         if store is not None:

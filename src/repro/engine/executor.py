@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Callable, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from typing import Sequence
 
 import multiprocessing
 
@@ -64,30 +64,17 @@ def _pool_context():
 
 
 def fan_out_chunks(worker, payloads: Sequence[dict],
-                   jobs: int | None = None, *,
-                   on_result: Callable[[int, object], None] | None = None) -> list:
+                   jobs: int | None = None) -> list:
     """Map *worker* over *payloads* in worker processes, order-preserving.
 
     The shared fan-out primitive behind the parallel backends (plan
-    chunks, protocol trial blocks) and the campaign scheduler.  Runs
-    in-process when there is a single payload or a single job.
-
-    *on_result*, when given, is called as ``on_result(index, result)``
-    **as each payload completes** (completion order, not submission
-    order) — the campaign scheduler checkpoints results into its store
-    from this hook, so a killed run keeps everything that had finished.
-    The returned list is always in payload order.
+    chunks, protocol trial blocks).  Runs in-process when there is a
+    single payload or a single job.
     """
     if len(payloads) <= 1 or (jobs is not None and jobs <= 1):
         with obs.span("engine.fan_out", payloads=len(payloads), jobs=1,
                       pooled=False):
-            results = []
-            for index, payload in enumerate(payloads):
-                result = worker(payload)
-                if on_result is not None:
-                    on_result(index, result)
-                results.append(result)
-            return results
+            return [worker(payload) for payload in payloads]
     workers = min(jobs or default_jobs(), len(payloads))
     _log.debug("fan-out: %d payloads over %d worker processes",
                len(payloads), workers)
@@ -97,15 +84,7 @@ def fan_out_chunks(worker, payloads: Sequence[dict],
                   pooled=True):
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=_pool_context()) as pool:
-            futures = {pool.submit(worker, payload): index
-                       for index, payload in enumerate(payloads)}
-            results: list = [None] * len(payloads)
-            for future in as_completed(futures):
-                index = futures[future]
-                results[index] = future.result()
-                if on_result is not None:
-                    on_result(index, results[index])
-            return results
+            return list(pool.map(worker, payloads))
 
 
 def _run_serial(plan: SimulationPlan, root, budget: int) -> TrialEnsemble:

@@ -34,7 +34,7 @@ import platform
 import subprocess
 import time
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.util.validation import require
 
@@ -212,12 +212,6 @@ def validate_event(event: Any) -> None:
         require(event["metric"] in METRIC_TYPES,
                 f"metric type must be one of {METRIC_TYPES}")
         _require_number(event, "value")
-
-
-def validate_events(events: Iterable[Mapping[str, Any]]) -> None:
-    """Validate a whole event stream (the in-memory sink's contents)."""
-    for event in events:
-        validate_event(event)
 
 
 class TraceRead(tuple):

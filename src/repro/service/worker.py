@@ -122,12 +122,15 @@ def _execute_leased(api: QueueAPI, job: Job, worker: str,
 def run_worker(api: QueueAPI, *, worker: str | None = None,
                campaign_id: str | None = None,
                lease_ttl: float = DEFAULT_LEASE_TTL,
-               poll: float = DEFAULT_POLL_S,
                max_units: int | None = None,
-               drain: bool = True,
                on_unit: Callable[[Job, bool], None] | None = None
                ) -> WorkerStats:
-    """Pull and execute jobs until the queue is drained.
+    """Pull and execute jobs until nothing is pending *or leased*.
+
+    While in-flight work remains the worker sleeps
+    :data:`DEFAULT_POLL_S` between lease attempts — this is how it
+    waits out a *dead peer's* lease so it can reclaim the unit when the
+    TTL expires.
 
     Parameters
     ----------
@@ -139,15 +142,8 @@ def run_worker(api: QueueAPI, *, worker: str | None = None,
         Only pull this campaign's jobs (default: any campaign).
     lease_ttl:
         Lease seconds granted per claim; renewed every ``ttl / 3``.
-    poll:
-        Idle sleep between lease attempts while in-flight work remains
-        — this is how a worker waits out a *dead peer's* lease so it
-        can reclaim the unit when the TTL expires.
     max_units:
         Stop after this many completed/failed units (``None``: no cap).
-    drain:
-        When ``True`` (default) the worker only exits once nothing is
-        pending *or leased*; ``False`` exits at the first empty poll.
     on_unit:
         Optional ``on_unit(job, ok)`` hook, called after each unit
         finishes (``ok`` means the result is now in the store) — the
@@ -165,9 +161,9 @@ def run_worker(api: QueueAPI, *, worker: str | None = None,
                 break
             job = api.lease(worker, campaign_id=campaign_id, ttl=lease_ttl)
             if job is None:
-                if not drain or api.drained(campaign_id):
+                if api.drained(campaign_id):
                     break
-                time.sleep(poll)
+                time.sleep(DEFAULT_POLL_S)
                 continue
             stats.leased += 1
             ok = _execute_leased(api, job, worker, lease_ttl, stats)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.sweep import parameter_grid
+from repro.campaign.jobs import JobQueue
 from repro.campaign.plan import CampaignPlan, plan_experiments, plan_sweep
 from repro.campaign.store import ResultStore
 from repro.experiments.common import ExperimentConfig
@@ -105,13 +106,20 @@ class TestSweepPlans:
             plan_sweep(partial, parameter_grid(n=[4]), seed=1)
 
     def test_pending_diffs_against_store(self, tmp_path):
+        """Submission is the diff: a job is cached iff the store serves
+        it, and *force* makes every unit pending again."""
         store = ResultStore(tmp_path / "s")
+        queue = JobQueue(store.backend)
         plan = plan_sweep(_double, parameter_grid(n=[4, 8]), seed=1)
-        assert plan.pending(store) == list(plan.units)
+
+        def pending(**kwargs):
+            cid = queue.submit(plan, store, **kwargs).campaign_id
+            return {job.key for job in queue.jobs(cid) if not job.cached}
+
+        assert pending() == set(plan.keys())
         store.put(plan.units[0].spec, {"row": {}})
-        assert plan.pending(store) == [plan.units[1]]
-        assert plan.pending(store, force=True) == list(plan.units)
-        assert plan.pending(None) == list(plan.units)
+        assert pending() == {plan.units[1].key}
+        assert pending(force=True) == set(plan.keys())
 
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError):

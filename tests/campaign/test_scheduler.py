@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import subprocess
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.sweep import parameter_grid
+from repro.campaign.jobs import JobQueue
 from repro.campaign.plan import plan_experiments, plan_sweep
 from repro.campaign.query import (
     campaign_rows,
@@ -17,7 +19,7 @@ from repro.campaign.query import (
     fetch_row,
     read_manifest,
 )
-from repro.campaign.scheduler import execute_unit, run_campaign
+from repro.campaign.scheduler import CampaignError, execute_unit, run_campaign
 from repro.campaign.store import ResultStore
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.runner import run_one
@@ -29,6 +31,10 @@ QUICK = ExperimentConfig(scale="quick")
 
 def _double(point):
     return {"value": point["n"] * 2, "half_seed": point.seed % 1000}
+
+
+def _explode(point):
+    raise RuntimeError(f"unit {point.index} always fails")
 
 
 class TestExecuteUnit:
@@ -74,6 +80,24 @@ class TestCampaignCaching:
         plan = plan_experiments(["E1"], QUICK)
         report = run_campaign(plan, None)
         assert len(report.computed) == 1
+
+    def test_store_lost_between_diff_and_submit(self, tmp_path, monkeypatch):
+        """The queue's submit is the only diff against the store: a unit
+        whose object vanishes just before submission is recomputed."""
+        store = ResultStore(tmp_path / "s")
+        plan = plan_experiments(["E1"], QUICK)
+        run_campaign(plan, store)
+        [unit] = plan
+        real_submit = JobQueue.submit
+
+        def submit_after_loss(self, units, submit_store, **kwargs):
+            submit_store.object_path(unit.key).unlink()
+            return real_submit(self, units, submit_store, **kwargs)
+
+        monkeypatch.setattr(JobQueue, "submit", submit_after_loss)
+        report = run_campaign(plan, store)
+        assert report.computed == [unit.key] and not report.fetched
+        assert store.get(unit.key)["result"] == report.results[unit.key]
 
     def test_progress_callback_sees_every_unit(self, tmp_path):
         store = ResultStore(tmp_path / "s")
@@ -233,3 +257,33 @@ class TestQueryLayer:
         [_, missing] = campaign_status(
             store, plan_experiments(["E1", "E13"], QUICK))
         assert missing["cpu_s"] == "" and missing["rss_mb"] == ""
+
+
+class TestStorelessCampaigns:
+    """``store=None`` runs the queue path against a throwaway store."""
+
+    def test_forked_workers_match_stored_serial(self, tmp_path):
+        plan = plan_experiments(["E1", "E7", "E13"], QUICK)
+        serial = run_campaign(plan, ResultStore(tmp_path / "s"), jobs=1)
+        storeless = run_campaign(plan, None, jobs=2)
+        assert storeless.results == serial.results
+        assert sorted(storeless.computed) == sorted(plan.keys())
+        assert not storeless.fetched
+
+    def test_report_carries_campaign_id(self):
+        report = run_campaign(plan_experiments(["E1"], QUICK), None)
+        assert report.campaign_id
+
+    def test_temporary_store_removed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        plan = plan_sweep(_double, parameter_grid(n=[4, 8]), seed=3)
+        for jobs in (1, 2):
+            run_campaign(plan, None, jobs=jobs)
+            assert list(tmp_path.iterdir()) == []
+
+    def test_failing_unit_raises_campaign_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        plan = plan_sweep(_explode, parameter_grid(n=[4]), seed=3)
+        with pytest.raises(CampaignError, match="always fails"):
+            run_campaign(plan, None)
+        assert list(tmp_path.iterdir()) == []
