@@ -37,13 +37,15 @@ import json
 import pickle
 import socket
 import os
+import sqlite3
 import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.campaign.backend import StoreBackend
-from repro.campaign.store import ResultStore, canonical_json, unit_key
+from repro.campaign.store import (ResultStore, _register, canonical_json,
+                                  unit_key)
 from repro.util.logging import get_logger
 from repro.util.validation import require
 
@@ -169,6 +171,37 @@ def campaign_id_for(keys: Iterable[str]) -> str:
     return unit_key({"campaign": body})[:16]
 
 
+def _counts(db: sqlite3.Connection,
+            campaign_id: str | None) -> dict[str, int]:
+    """Per-state job counts (plus ``total`` and ``cached``)."""
+    scope, args = "", []
+    if campaign_id is not None:
+        scope, args = " WHERE campaign_id = ?", [campaign_id]
+    rows = db.execute(
+        f"SELECT state, COUNT(*), SUM(cached) FROM jobs{scope} "
+        f"GROUP BY state", args).fetchall()
+    counts = {state: 0 for state in JOB_STATES}
+    cached = 0
+    for state, count, cached_count in rows:
+        counts[state] = count
+        cached += cached_count or 0
+    counts["total"] = sum(counts[state] for state in JOB_STATES)
+    counts["cached"] = cached
+    return counts
+
+
+def _mark_done(db: sqlite3.Connection, campaign_id: str, key: str,
+               worker: str) -> bool:
+    """Flip one job to ``done`` inside the caller's transaction;
+    ``False`` when it already was."""
+    cursor = db.execute(
+        "UPDATE jobs SET state = 'done', worker = ?, "
+        "lease_expires = NULL, error = NULL, updated_at = ? "
+        "WHERE campaign_id = ? AND key = ? AND state != 'done'",
+        (worker, time.time(), campaign_id, key))
+    return cursor.rowcount > 0
+
+
 class JobQueue:
     """The jobs/campaigns tables behind one :class:`StoreBackend`."""
 
@@ -241,17 +274,13 @@ class JobQueue:
                         "WHERE campaign_id = ? AND key = ? "
                         "AND state != 'leased'",
                         (now, cid, unit.key))
+            receipt = SubmitReceipt(campaign_id=cid, **_counts(db, cid))
         for unit in planned:
             obs.event("campaign.unit", status="planned", label=unit.label,
                       key=unit.key)
-        receipt = self._receipt(cid)
         _log.debug("submit %s: %d units (%d cached, %d pending)", cid,
                    receipt.total, receipt.cached, receipt.pending)
         return receipt
-
-    def _receipt(self, campaign_id: str) -> SubmitReceipt:
-        counts = self.counts(campaign_id)
-        return SubmitReceipt(campaign_id=campaign_id, **counts)
 
     # -- the lease lifecycle ------------------------------------------------
 
@@ -331,14 +360,8 @@ class JobQueue:
         so whoever finishes first wins and later completions are
         harmless no-ops (``False``).
         """
-        now = time.time()
         with self.backend.transaction(immediate=True) as db:
-            cursor = db.execute(
-                "UPDATE jobs SET state = 'done', worker = ?, "
-                "lease_expires = NULL, error = NULL, updated_at = ? "
-                "WHERE campaign_id = ? AND key = ? AND state != 'done'",
-                (worker, now, campaign_id, key))
-            return cursor.rowcount > 0
+            return _mark_done(db, campaign_id, key, worker)
 
     def fail(self, campaign_id: str, key: str, worker: str,
              error: str) -> bool:
@@ -397,21 +420,8 @@ class JobQueue:
 
     def counts(self, campaign_id: str | None = None) -> dict[str, int]:
         """Per-state job counts (plus ``total`` and ``cached``)."""
-        scope, args = "", []
-        if campaign_id is not None:
-            scope, args = " WHERE campaign_id = ?", [campaign_id]
         with self.backend.transaction() as db:
-            rows = db.execute(
-                f"SELECT state, COUNT(*), SUM(cached) FROM jobs{scope} "
-                f"GROUP BY state", args).fetchall()
-        counts = {state: 0 for state in JOB_STATES}
-        cached = 0
-        for state, count, cached_count in rows:
-            counts[state] = count
-            cached += cached_count or 0
-        counts["total"] = sum(counts[state] for state in JOB_STATES)
-        counts["cached"] = cached
-        return counts
+            return _counts(db, campaign_id)
 
     def drained(self, campaign_id: str | None = None) -> bool:
         """No work left to pull: nothing pending, nothing leased."""
@@ -507,13 +517,23 @@ class LocalQueueClient:
                  spec: Mapping[str, Any], result: Mapping[str, Any],
                  label: str = "", elapsed: float | None = None,
                  resources: Mapping[str, float] | None = None) -> bool:
-        """Checkpoint the result into the store, then mark the job done."""
-        stored_key = self.store.put(spec, result, label=label,
-                                    elapsed=elapsed, resources=resources)
-        require(stored_key == key,
-                f"completion key mismatch: job {key[:12]} vs "
-                f"spec {stored_key[:12]}")
-        completed = self.queue.complete(campaign_id, key, worker)
+        """Checkpoint the result into the store, then mark the job done.
+
+        The object file is published first; its index row and the job's
+        ``done`` flip then commit in one immediate transaction.  A crash
+        in between leaves the job leased (its lease expires and it is
+        handed out again) and an object :meth:`ResultStore.reconcile`
+        re-registers.
+        """
+        spec_key = unit_key(spec)
+        require(spec_key == key, f"completion key mismatch: job {key[:12]} "
+                f"vs spec {spec_key[:12]}")
+        with obs.span("store.put", key=key[:12], label=label):
+            row = self.store._publish(key, spec, result, label=label,
+                                      elapsed=elapsed, resources=resources)
+            with self.queue.backend.transaction(immediate=True) as db:
+                _register(db, row)
+                completed = _mark_done(db, campaign_id, key, worker)
         obs.counter("campaign.cache.miss")
         obs.event("campaign.unit", status="checkpointed", label=label,
                   key=key)

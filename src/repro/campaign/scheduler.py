@@ -211,11 +211,12 @@ def write_manifest(store: ResultStore, report: CampaignReport) -> Path:
 def _pull_worker_main(root: str, campaign_id: str, lease_ttl: float) -> None:
     """Entry point of one forked local pull worker.
 
-    Opens its own store handle (per-transaction connections: nothing
-    SQLite crosses the fork) and drains the campaign through the shared
-    worker loop.  Under the fork start method the obs sinks and the
-    current span context are inherited, so a forked worker's unit spans
-    parent into the campaign trace exactly like in-process ones.
+    Opens its own store handle (its backend pools its own connections;
+    the ones inherited from the parent's pool are never used or closed)
+    and drains the campaign through the shared worker loop.  Under the
+    fork start method the obs sinks and the current span context are
+    inherited, so a forked worker's unit spans parent into the campaign
+    trace exactly like in-process ones.
     """
     from repro.service.worker import run_worker
 
@@ -305,13 +306,14 @@ def _run_queued(plan: CampaignPlan, store: ResultStore,
                 _drain_with_processes(store, queue, receipt.campaign_id,
                                       workers, lease_ttl, collect)
 
-    # Late sweep: anything completed by racing clients between the
-    # submission and the worker drain.
-    for job in queue.jobs(receipt.campaign_id, state="done"):
-        collect(job.key)
-
-    failed = [job for job in queue.jobs(receipt.campaign_id, state="failed")
-              if job.key in by_key]
+    # Late sweep, one read: anything completed by racing clients between
+    # the submission and the worker drain, and anything that failed.
+    failed = []
+    for job in queue.jobs(receipt.campaign_id):
+        if job.state == "done":
+            collect(job.key)
+        elif job.state == "failed" and job.key in by_key:
+            failed.append(job)
     if failed:
         lines = "; ".join(f"{job.label} ({job.key[:12]}): {job.error}"
                           for job in failed)
@@ -411,6 +413,8 @@ def run_campaign(
             # A throwaway store: the same queue path, nothing persisted.
             queue_store = ResultStore(scope.enter_context(
                 tempfile.TemporaryDirectory(prefix="repro-campaign-")))
+            # Close the pooled connections before the directory goes.
+            scope.callback(queue_store.backend.close)
         _run_queued(plan, queue_store, report, jobs=jobs, force=force,
                     progress=progress, lease_ttl=lease_ttl)
         report.elapsed = time.perf_counter() - start

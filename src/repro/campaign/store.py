@@ -76,6 +76,12 @@ def unit_key(spec: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical_json(spec).encode("utf-8")).hexdigest()
 
 
+def _register(db: sqlite3.Connection, row: tuple) -> None:
+    """Insert one ``(key, kind, label, created_at, elapsed)`` index row
+    inside the caller's transaction."""
+    db.execute("INSERT OR REPLACE INTO units VALUES (?, ?, ?, ?, ?)", row)
+
+
 class ResultStore:
     """Durable, content-addressed storage for completed work units.
 
@@ -131,34 +137,45 @@ class ResultStore:
         """
         key = unit_key(spec)
         with obs.span("store.put", key=key[:12], label=label):
-            payload = {
-                "key": key,
-                "spec": _canonical_value(spec),
-                "result": _canonical_value(result),
-                "meta": {"created_at": time.time(), "elapsed": elapsed,
-                         "resources": None if resources is None
-                         else dict(resources)},
-            }
-            path = self.object_path(key)
-            path.parent.mkdir(exist_ok=True)
-            # Atomic publish: a crash mid-write leaves no partial object.
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(payload, handle, indent=1)
-                os.replace(tmp_name, path)
-            except BaseException:
-                if os.path.exists(tmp_name):
-                    os.unlink(tmp_name)
-                raise
+            row = self._publish(key, spec, result, label=label,
+                                elapsed=elapsed, resources=resources)
             with self._db() as db:
-                db.execute(
-                    "INSERT OR REPLACE INTO units VALUES (?, ?, ?, ?, ?)",
-                    (key, str(payload["spec"].get("kind", "unknown")), label,
-                     payload["meta"]["created_at"], elapsed),
-                )
-            _log.debug("store.put %s (%s)", key[:12], label or "unlabelled")
+                _register(db, row)
             return key
+
+    def _publish(self, key: str, spec: Mapping[str, Any],
+                 result: Mapping[str, Any], *, label: str,
+                 elapsed: float | None,
+                 resources: Mapping[str, float] | None) -> tuple:
+        """Atomically write *key*'s object file; returns its index row.
+
+        The index insert is the caller's (:func:`_register`, in its own
+        transaction): a crash between the two leaves an object that
+        :meth:`reconcile` re-registers.
+        """
+        payload = {
+            "key": key,
+            "spec": _canonical_value(spec),
+            "result": _canonical_value(result),
+            "meta": {"created_at": time.time(), "elapsed": elapsed,
+                     "resources": None if resources is None
+                     else dict(resources)},
+        }
+        path = self.object_path(key)
+        path.parent.mkdir(exist_ok=True)
+        # Atomic publish: a crash mid-write leaves no partial object.
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                json.dump(payload, handle, indent=1)
+            os.replace(tmp_name, path)
+        except BaseException:
+            if os.path.exists(tmp_name):
+                os.unlink(tmp_name)
+            raise
+        _log.debug("store.put %s (%s)", key[:12], label or "unlabelled")
+        return (key, str(payload["spec"].get("kind", "unknown")), label,
+                payload["meta"]["created_at"], elapsed)
 
     def delete(self, key: str) -> bool:
         """Remove a stored unit (used by ``--force`` and tests)."""
@@ -231,11 +248,9 @@ class ResultStore:
             for key in recovered:
                 payload = self.get(key)
                 meta = payload.get("meta", {})
-                db.execute(
-                    "INSERT OR REPLACE INTO units VALUES (?, ?, ?, ?, ?)",
-                    (key, str(payload["spec"].get("kind", "unknown")), "",
-                     meta.get("created_at", 0.0), meta.get("elapsed")),
-                )
+                kind = str(payload["spec"].get("kind", "unknown"))
+                _register(db, (key, kind, "", meta.get("created_at", 0.0),
+                               meta.get("elapsed")))
             for key in dropped:
                 db.execute("DELETE FROM units WHERE key = ?", (key,))
         if recovered or dropped:

@@ -2,12 +2,13 @@
 
 A work unit is opaque while it runs — an experiment may spend minutes
 inside one numpy call — so the scheduler cannot emit progress from the
-unit's own control flow.  :class:`Heartbeat` instead runs a daemon
-thread in the *executing* process that emits a ``campaign.heartbeat``
-point event immediately and then every ``interval`` seconds until the
-unit completes.  The JSONL sink writes each event in a single
-``os.write`` on an O_APPEND descriptor, so beats from many worker
-processes interleave cleanly in the shared trace.
+unit's own control flow.  :func:`unit_heartbeat` instead emits a
+``campaign.heartbeat`` point event immediately and then runs a
+:class:`Heartbeat` daemon thread in the *executing* process that emits
+one every ``interval`` seconds until the unit completes.  The JSONL
+sink writes each event in a single ``os.write`` on an O_APPEND
+descriptor, so beats from many worker processes interleave cleanly in
+the shared trace.
 
 The signal is designed around failure, not success:
 
@@ -92,7 +93,7 @@ class Heartbeat:
             self._beat()
 
     def start(self) -> "Heartbeat":
-        self._beat()  # first beat is synchronous: every unit records >= 1
+        """Start the timer; the first beat fires one ``interval`` in."""
         self._thread = threading.Thread(
             target=self._run, name=f"obs-heartbeat-{self.attrs.get('label')}",
             daemon=True)
@@ -116,7 +117,9 @@ def unit_heartbeat(label: str, *, key: str | None = None,
     if not _trace.enabled():
         yield
         return
-    hb = Heartbeat(label=label, key=key, interval=interval).start()
+    hb = Heartbeat(label=label, key=key, interval=interval)
+    hb._beat()  # first beat is synchronous: every unit records >= 1
+    hb.start()
     try:
         yield
     finally:

@@ -23,9 +23,10 @@ GET    ``/v1/units/{key}``                every campaign's row for a key
 Every response is a JSON envelope stamped with the frozen
 ``repro.service.api`` schema markers (:mod:`repro.campaign.schema`).
 The server is :class:`http.server.ThreadingHTTPServer` — no new
-dependencies — and every request thread talks to SQLite through the
-backend's per-transaction connections, so request concurrency rides on
-WAL + busy-timeout like every other store client.
+dependencies — and every request thread checks a connection out of
+the backend's pool for each transaction (concurrent requests get
+connections of their own), so request concurrency rides on WAL +
+busy-timeout like every other store client.
 
 Two deliberate protocol choices:
 

@@ -14,8 +14,9 @@ and results are bit-identical by construction (the unit payload and
 :func:`~repro.campaign.scheduler.execute_unit` are shared).
 
 While a unit runs, a :class:`~repro.obs.heartbeat.Heartbeat` thread
-renews the lease every ``ttl / 3`` seconds (and emits the usual
-``campaign.heartbeat`` trace events when tracing is on).  A worker
+renews the lease every ``ttl / 3`` seconds, the first renewal one
+period after the lease (which already granted a full TTL), and emits
+``campaign.lease.heartbeat`` trace events when tracing is on.  A worker
 that dies stops renewing; after the TTL the queue hands the unit to
 someone else, and the store's bit-for-bit resume discipline makes the
 retry exact.  A unit that *raises* is reported ``failed`` — the loop

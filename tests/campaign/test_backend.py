@@ -1,8 +1,12 @@
-"""StoreBackend contract: WAL mode, busy timeout, migration chain."""
+"""StoreBackend contract: WAL mode, busy timeout, migration chain,
+and the per-process connection pool."""
 
 from __future__ import annotations
 
+import gc
+import os
 import sqlite3
+import threading
 
 import pytest
 
@@ -68,6 +72,145 @@ class TestSqliteWalBackend:
         backend = SqliteWalBackend(tmp_path / "index.sqlite")
         again = open_backend(backend.location)
         assert again.schema_version() == SCHEMA_VERSION
+
+
+def _open_index_fds(path) -> list[str]:
+    """This process's file descriptors on *path* and its WAL/SHM files."""
+    found = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor, already closed
+            continue
+        if target.startswith(str(path)):
+            found.append(target)
+    return found
+
+
+needs_proc_fd = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                   reason="needs /proc/self/fd")
+
+
+class TestConnectionPool:
+    def test_sequential_transactions_reuse_one_connection(
+            self, tmp_path, monkeypatch):
+        opened = []
+        real_connect = sqlite3.connect
+
+        def counting_connect(*args, **kwargs):
+            opened.append(args)
+            return real_connect(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", counting_connect)
+        backend = SqliteWalBackend(tmp_path / "index.sqlite")
+        for i in range(50):
+            with backend.transaction(immediate=i % 2 == 0) as db:
+                db.execute("SELECT COUNT(*) FROM units").fetchone()
+        assert len(opened) == 1
+        backend.close()
+
+    def test_nested_transaction_gets_a_second_connection(self, tmp_path):
+        backend = SqliteWalBackend(tmp_path / "index.sqlite")
+        with backend.transaction() as outer:
+            with backend.transaction() as inner:
+                assert inner is not outer
+        with backend.transaction() as again:
+            assert again in (outer, inner)
+        backend.close()
+
+    def test_threads_increment_exactly(self, tmp_path):
+        backend = SqliteWalBackend(tmp_path / "index.sqlite")
+        with backend.transaction() as db:
+            db.execute("CREATE TABLE counter (n INTEGER NOT NULL)")
+            db.execute("INSERT INTO counter VALUES (0)")
+        errors = []
+
+        def bump() -> None:
+            try:
+                for _ in range(50):
+                    with backend.transaction(immediate=True) as db:
+                        (n,) = db.execute(
+                            "SELECT n FROM counter").fetchone()
+                        db.execute("UPDATE counter SET n = ?", (n + 1,))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=bump) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        with backend.transaction() as db:
+            assert db.execute("SELECT n FROM counter").fetchone() == (400,)
+        backend.close()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_never_touches_inherited_connections(
+            self, tmp_path):
+        backend = SqliteWalBackend(tmp_path / "index.sqlite")
+        log = tmp_path / "statements.log"
+
+        def record(statement: str) -> None:
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {statement}\n")
+
+        with backend.transaction() as pooled:
+            pooled.set_trace_callback(record)
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            code = 1
+            try:
+                for i in range(5):
+                    with backend.transaction(immediate=True) as db:
+                        assert db is not pooled
+                        db.execute("INSERT INTO units VALUES "
+                                   "(?, 'x', 'child', 0.0, NULL)",
+                                   (f"k{i}",))
+                backend.close()
+                code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        with backend.transaction() as db:
+            assert db is pooled
+            assert db.execute("SELECT COUNT(*) FROM units").fetchone() == (5,)
+        pids = {line.split()[0] for line in log.read_text().splitlines()}
+        assert pids == {str(os.getpid())}
+        backend.close()
+
+    @needs_proc_fd
+    def test_close_releases_every_descriptor(self, tmp_path):
+        path = tmp_path / "index.sqlite"
+        backend = SqliteWalBackend(path)
+        with backend.transaction() as outer, backend.transaction() as inner:
+            outer.execute("SELECT 1")
+            inner.execute("SELECT 1")
+        assert _open_index_fds(path)
+        backend.close()
+        assert _open_index_fds(path) == []
+        # Still usable: the next transaction reconnects.
+        assert backend.schema_version() == SCHEMA_VERSION
+        backend.close()
+        assert _open_index_fds(path) == []
+
+    @needs_proc_fd
+    def test_dropping_the_backend_releases_every_descriptor(self, tmp_path):
+        path = tmp_path / "index.sqlite"
+        gc.disable()
+        try:
+            backend = SqliteWalBackend(path)
+            with backend.transaction() as db:
+                db.execute("INSERT INTO units VALUES "
+                           "('k', 'x', '', 0.0, NULL)")
+            assert _open_index_fds(path)
+            del backend, db
+            assert _open_index_fds(path) == []
+        finally:
+            gc.enable()
+        # The last close checkpointed the file and removed its WAL.
+        assert not (tmp_path / "index.sqlite-wal").exists()
 
 
 class TestMigrationChain:

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import subprocess
 import tempfile
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.sweep import parameter_grid
-from repro.campaign.jobs import JobQueue
-from repro.campaign.plan import plan_experiments, plan_sweep
+from repro.campaign import jobs as jobs_module
+from repro.campaign.backend import SqliteWalBackend
+from repro.campaign.jobs import DEFAULT_LEASE_TTL, JobQueue
+from repro.campaign.plan import CampaignPlan, plan_experiments, plan_sweep
 from repro.campaign.query import (
     campaign_rows,
     campaign_status,
@@ -148,6 +154,97 @@ class TestCampaignCaching:
         assert set(report.unit_resources) == {u.key for u in plan}
         for res in report.unit_resources.values():
             assert res["cpu_s"] >= 0.0
+
+
+def _seeded_plan(*seeds: int) -> CampaignPlan:
+    units = []
+    for seed in seeds:
+        units.extend(plan_experiments(
+            ["E1"], ExperimentConfig(scale="quick", seed=seed)))
+    return CampaignPlan(tuple(units))
+
+
+class TestStoreHotPath:
+    """What one campaign costs the store and queue, and what a crash
+    between the object publish and the index-and-complete commit
+    leaves behind."""
+
+    def test_transaction_budget(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "s")
+        run_campaign(_seeded_plan(1, 2), store, jobs=1)
+        calls = []
+        real = vars(SqliteWalBackend)["transaction"]
+
+        @contextmanager
+        def counted(self, **kwargs):
+            calls.append(kwargs)
+            with real(self, **kwargs) as db:
+                yield db
+
+        monkeypatch.setattr(SqliteWalBackend, "transaction", counted)
+        report = run_campaign(_seeded_plan(1, 2, 3, 4), store, jobs=1)
+        assert len(report.fetched) == 2 and len(report.computed) == 2
+        # reconcile, submit (receipt included), the cached-job read,
+        # lease + index-and-complete per computed unit, the empty lease
+        # and drained check that end the drain, one late-sweep read.
+        assert len(calls) == 10
+
+    def test_crash_before_index_and_complete_commit(self, tmp_path,
+                                                    monkeypatch):
+        store = ResultStore(tmp_path / "s")
+        plan = _seeded_plan(1)
+        [unit] = plan
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("killed before commit")
+
+        monkeypatch.setattr(jobs_module, "_mark_done", crash)
+        with pytest.raises(RuntimeError, match="killed before commit"):
+            run_campaign(plan, store, jobs=1)
+        monkeypatch.undo()
+        # The object was published; its index row rolled back with the
+        # job's done flip, so the job is still leased.
+        assert unit.key in store
+        assert [row["key"] for row in store.rows()] == []
+        queue = JobQueue(store.backend)
+        [job] = queue.jobs()
+        assert job.state == "leased"
+        assert store.reconcile() == (1, 0)
+        assert [row["key"] for row in store.rows()] == [unit.key]
+        # The lease expires; resubmission serves the unit from the store.
+        assert [j.key for j in queue.reap(
+            now=time.time() + 2 * DEFAULT_LEASE_TTL)] == [unit.key]
+        report = run_campaign(plan, store, jobs=1)
+        assert report.fetched == [unit.key] and not report.computed
+        [job] = queue.jobs()
+        assert job.state == "done" and job.cached
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_dropped_stores_release_their_descriptors(self, tmp_path):
+        """Without the cycle collector, a store that ran a campaign and
+        was dropped holds no descriptor on its index (an unclosed
+        connection would later checkpoint and delete the WAL under
+        whoever uses the directory next)."""
+        plan = plan_experiments(["E1"], QUICK)
+        gc.disable()
+        try:
+            for i in range(3):
+                store = ResultStore(tmp_path / f"s{i}")
+                run_campaign(plan, store, jobs=1)
+                del store
+            held = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    target = os.readlink(f"/proc/self/fd/{fd}")
+                except OSError:
+                    continue
+                if target.startswith(str(tmp_path)) and \
+                        "index.sqlite" in target:
+                    held.append(target)
+        finally:
+            gc.enable()
+        assert held == []
 
 
 class TestManifestProvenance:
