@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mobility.base import MobilityModel
-from repro.util.rng import SeedLike, as_generator
+from repro.mobility.base import MobilityModel, trial_rows
 from repro.util.validation import require, require_positive, require_probability
 
 __all__ = ["RandomDirection"]
@@ -22,6 +21,8 @@ __all__ = ["RandomDirection"]
 
 class RandomDirection(MobilityModel):
     """Billiard mobility in ``[0, side]^2``.
+
+    State: positions and velocities as a pair of ``(B, n, 2)`` arrays.
 
     Parameters
     ----------
@@ -43,38 +44,40 @@ class RandomDirection(MobilityModel):
         self.speed = require_positive(speed, "speed")
         require(self.speed <= side, "speed must not exceed the region side")
         self.turn_probability = require_probability(turn_probability, "turn_probability")
-        self._pos = np.zeros((self.n, 2))
-        self._vel = np.zeros((self.n, 2))
-        self._rng = as_generator(None)
 
-    def reset(self, seed: SeedLike = None) -> None:
-        self._rng = as_generator(seed)
-        self._pos = self._rng.uniform(0.0, self.side, size=(self.n, 2))
-        self._draw_directions(np.ones(self.n, dtype=bool))
+    def _fresh_velocities(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
+        return np.column_stack([self.speed * np.cos(theta),
+                                self.speed * np.sin(theta)])
 
-    def _draw_directions(self, mask: np.ndarray) -> None:
-        count = int(mask.sum())
-        if count:
-            theta = self._rng.uniform(0.0, 2.0 * np.pi, size=count)
-            self._vel[mask, 0] = self.speed * np.cos(theta)
-            self._vel[mask, 1] = self.speed * np.sin(theta)
+    def init_state(self, count: int, rng: np.random.Generator):
+        pos = rng.uniform(0.0, self.side, size=(count, self.n, 2))
+        vel = self._fresh_velocities(rng, count * self.n)
+        return pos, vel.reshape(count, self.n, 2)
 
-    def step(self) -> None:
+    def advance(self, state, rng: np.random.Generator, act: np.ndarray) -> None:
+        pos, vel = state
+        rows = trial_rows(act, pos.shape[0])
+        turned = vel[rows]
         if self.turn_probability > 0:
-            self._draw_directions(self._rng.random(self.n) < self.turn_probability)
-        pos = self._pos + self._vel
+            turn = rng.random(turned.shape[:2]) < self.turn_probability
+            redraws = int(turn.sum())
+            if redraws:
+                turned[turn] = self._fresh_velocities(rng, redraws)
+        moved = pos[rows] + turned
         # Specular reflection by folding: reflect coordinates across the
         # borders until inside (speed <= side, so at most one fold per axis
         # per border, but folding handles corners uniformly).
         for axis in range(2):
-            over = pos[:, axis] > self.side
-            pos[over, axis] = 2.0 * self.side - pos[over, axis]
-            self._vel[over, axis] = -self._vel[over, axis]
-            under = pos[:, axis] < 0.0
-            pos[under, axis] = -pos[under, axis]
-            self._vel[under, axis] = -self._vel[under, axis]
-        np.clip(pos, 0.0, self.side, out=pos)
-        self._pos = pos
+            over = moved[..., axis] > self.side
+            moved[over, axis] = 2.0 * self.side - moved[over, axis]
+            turned[over, axis] = -turned[over, axis]
+            under = moved[..., axis] < 0.0
+            moved[under, axis] = -moved[under, axis]
+            turned[under, axis] = -turned[under, axis]
+        np.clip(moved, 0.0, self.side, out=moved)
+        pos[rows] = moved
+        vel[rows] = turned
 
-    def positions(self) -> np.ndarray:
-        return self._pos.copy()
+    def state_positions(self, state, act: np.ndarray) -> np.ndarray:
+        return state[0][act]

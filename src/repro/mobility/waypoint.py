@@ -22,14 +22,65 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mobility.base import MobilityModel
-from repro.util.rng import SeedLike, as_generator
+from repro.mobility.base import MobilityModel, trial_rows
 from repro.util.validation import require, require_positive
 
 __all__ = ["RandomWaypoint", "RandomWaypointTorus"]
 
 
-class RandomWaypoint(MobilityModel):
+class _Waypoint(MobilityModel):
+    """The random-waypoint law, on the square or (``torus = True``) the torus.
+
+    State: positions and destinations as a pair of ``(B, n, 2)`` arrays.
+    Arriving nodes land on their waypoint and redraw it; moving nodes
+    advance ``speed`` along the (toroidally shortest, on the torus)
+    connecting segment.
+    """
+
+    torus = False
+
+    def __init__(self, n: int, side: float, *, speed: float) -> None:
+        super().__init__(n, side)
+        self.speed = require_positive(speed, "speed")
+        if self.torus:
+            require(self.speed <= side / 2, "speed must be at most side/2 on the torus")
+        else:
+            require(self.speed <= side, "speed must not exceed the region side")
+
+    def init_state(self, count: int, rng: np.random.Generator):
+        pos = rng.uniform(0.0, self.side, size=(count, self.n, 2))
+        dest = rng.uniform(0.0, self.side, size=(count, self.n, 2))
+        return pos, dest
+
+    def advance(self, state, rng: np.random.Generator, act: np.ndarray) -> None:
+        pos, dest = state
+        rows = trial_rows(act, pos.shape[0])
+        here, there = pos[rows], dest[rows]
+        delta = there - here
+        if self.torus:
+            delta -= self.side * np.round(delta / self.side)
+        dist = np.sqrt(np.einsum("bij,bij->bi", delta, delta))
+        arriving = dist <= self.speed
+        # Arriving nodes land exactly on the waypoint, movers advance
+        # `speed` along the segment (the max() only keeps the arriving
+        # entries finite; np.where discards them).
+        scale = self.speed / np.maximum(dist, self.speed)
+        moved = np.where(arriving[..., None], there, here + delta * scale[..., None])
+        redraws = int(arriving.sum())
+        if redraws:
+            there[arriving] = rng.uniform(0.0, self.side, size=(redraws, 2))
+        if self.torus:
+            np.mod(moved, self.side, out=moved)
+        else:
+            np.clip(moved, 0.0, self.side, out=moved)
+        pos[rows] = moved
+        dest[rows] = there
+
+    def state_positions(self, state, act: np.ndarray) -> np.ndarray:
+        return state[0][act]
+
+
+class RandomWaypoint(_Waypoint):
     """Random waypoint on the square ``[0, side]^2`` with zero pause time.
 
     Parameters
@@ -43,42 +94,8 @@ class RandomWaypoint(MobilityModel):
 
     exact_stationary_start = False
 
-    def __init__(self, n: int, side: float, *, speed: float) -> None:
-        super().__init__(n, side)
-        self.speed = require_positive(speed, "speed")
-        require(self.speed <= side, "speed must not exceed the region side")
-        self._pos = np.zeros((self.n, 2))
-        self._dest = np.zeros((self.n, 2))
-        self._rng = as_generator(None)
 
-    def reset(self, seed: SeedLike = None) -> None:
-        self._rng = as_generator(seed)
-        self._pos = self._rng.uniform(0.0, self.side, size=(self.n, 2))
-        self._dest = self._rng.uniform(0.0, self.side, size=(self.n, 2))
-
-    def _redraw_destinations(self, mask: np.ndarray) -> None:
-        count = int(mask.sum())
-        if count:
-            self._dest[mask] = self._rng.uniform(0.0, self.side, size=(count, 2))
-
-    def step(self) -> None:
-        delta = self._dest - self._pos
-        dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-        arriving = dist <= self.speed
-        # Arriving nodes land exactly on the waypoint, then redraw.
-        self._pos[arriving] = self._dest[arriving]
-        moving = ~arriving
-        if moving.any():
-            step_vec = delta[moving] * (self.speed / dist[moving])[:, None]
-            self._pos[moving] += step_vec
-        self._redraw_destinations(arriving)
-        np.clip(self._pos, 0.0, self.side, out=self._pos)
-
-    def positions(self) -> np.ndarray:
-        return self._pos.copy()
-
-
-class RandomWaypointTorus(MobilityModel):
+class RandomWaypointTorus(_Waypoint):
     """Random waypoint on the torus (reference [19, 20, 25] of the paper).
 
     Destinations are drawn uniformly; travel follows the shortest
@@ -88,39 +105,4 @@ class RandomWaypointTorus(MobilityModel):
     """
 
     exact_stationary_start = True
-
-    def __init__(self, n: int, side: float, *, speed: float) -> None:
-        super().__init__(n, side)
-        self.speed = require_positive(speed, "speed")
-        require(self.speed <= side / 2, "speed must be at most side/2 on the torus")
-        self._pos = np.zeros((self.n, 2))
-        self._dest = np.zeros((self.n, 2))
-        self._rng = as_generator(None)
-
-    def reset(self, seed: SeedLike = None) -> None:
-        self._rng = as_generator(seed)
-        self._pos = self._rng.uniform(0.0, self.side, size=(self.n, 2))
-        self._dest = self._rng.uniform(0.0, self.side, size=(self.n, 2))
-
-    def _toroidal_delta(self) -> np.ndarray:
-        """Shortest displacement vectors to the destinations."""
-        delta = self._dest - self._pos
-        delta -= self.side * np.round(delta / self.side)
-        return delta
-
-    def step(self) -> None:
-        delta = self._toroidal_delta()
-        dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-        arriving = dist <= self.speed
-        self._pos[arriving] = self._dest[arriving]
-        moving = ~arriving
-        if moving.any():
-            step_vec = delta[moving] * (self.speed / dist[moving])[:, None]
-            self._pos[moving] += step_vec
-        count = int(arriving.sum())
-        if count:
-            self._dest[arriving] = self._rng.uniform(0.0, self.side, size=(count, 2))
-        np.mod(self._pos, self.side, out=self._pos)
-
-    def positions(self) -> np.ndarray:
-        return self._pos.copy()
+    torus = True

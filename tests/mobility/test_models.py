@@ -56,6 +56,22 @@ class TestCommonContract:
         assert (dist <= 1.0 + 1e-6).all()
 
     @pytest.mark.parametrize("name,make", ALL_MODELS)
+    def test_step_and_positions_need_reset(self, name, make):
+        """Without reset() the generator is unseeded, so fail fast."""
+        model = make(10)
+        with pytest.raises(RuntimeError, match="reset"):
+            model.step()
+        with pytest.raises(RuntimeError, match="reset"):
+            model.positions()
+
+    @pytest.mark.parametrize("name,make", ALL_MODELS)
+    def test_population_size_must_be_an_integer(self, name, make):
+        with pytest.raises(TypeError):
+            make(2.7)
+        with pytest.raises(ValueError):
+            make(0)
+
+    @pytest.mark.parametrize("name,make", ALL_MODELS)
     def test_warmup_advances(self, name, make):
         model = make(20)
         model.reset(seed=2)
@@ -89,7 +105,8 @@ class TestDirection:
         model.reset(seed=3)
         for _ in range(50):
             model.step()
-        speeds = np.sqrt((model._vel**2).sum(axis=1))  # noqa: SLF001
+        _, vel = model._state  # noqa: SLF001
+        speeds = np.sqrt((vel[0]**2).sum(axis=1))
         np.testing.assert_allclose(speeds, 2.0, rtol=1e-9)
 
     def test_turn_probability_validation(self):
@@ -107,6 +124,22 @@ class TestTorusWalk:
     def test_move_set_size(self):
         model = TorusGridWalk(5, SIDE, grid_size=16, move_radius=1.0)
         assert model.num_moves == 5  # stay + 4 axis moves at spacing 1
+
+    def test_grid_size_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            TorusGridWalk(5, 4.0, grid_size=3.9, move_radius=1.0)
+        assert TorusGridWalk(5, 4.0, grid_size=4.0, move_radius=1.0).grid_size == 4
+
+    def test_disc_wider_than_the_torus_is_rejected(self):
+        """Offsets of a disc with 2 * reach >= g collide mod g, so the
+        move law would no longer be uniform over its targets."""
+        with pytest.raises(ValueError, match="alias"):
+            TorusGridWalk(5, 4.0, grid_size=4, move_radius=3.0)
+        with pytest.raises(ValueError, match="alias"):
+            TorusGridWalk(5, 4.0, grid_size=4, move_radius=2.0)  # reach 2 = g/2
+        model = TorusGridWalk(5, 5.0, grid_size=5, move_radius=2.0)  # reach 2 < 5/2
+        targets = {tuple(o % 5) for o in model._offsets}  # noqa: SLF001
+        assert len(targets) == model.num_moves
 
 
 class TestUniformity:
