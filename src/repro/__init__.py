@@ -13,7 +13,7 @@ Processes
     paper's flooding mechanism) plus the pluggable protocol subsystem
     in :mod:`repro.protocols` — flooding, probabilistic p-flooding,
     expiring (SIR-style) flooding, push / pull / push–pull gossip —
-    behind one registry the engine dispatches through
+    each law written once and run by every backend
     (:func:`~repro.protocols.spread`, the single serial reference loop
     ``flood`` wraps, and :func:`~repro.protocols.spreading_trials`).
 Engine

@@ -73,7 +73,7 @@ class PerNodePushPull(SpreadingProtocol):
 
     name: ClassVar[str] = "push-pull"
 
-    def transmit(self, snapshot, state, informed, active, t, rng):
+    def transmit(self, snapshot, informed, active, rng):
         fresh = np.zeros(informed.shape[0], dtype=bool)
         for u in range(informed.shape[0]):
             nbrs = snapshot.neighbors_of(u)

@@ -11,11 +11,11 @@ multipliers into batch dimensions:
   the model-family kernels plug in through the
   :class:`~repro.dynamics.batched.BatchedDynamics` registry (providers
   live next to their models: ``repro.edgemeg.kernels``,
-  ``repro.geometric.kernels``, ``repro.mobility.kernels``), the
-  spreading-process kernels through the
-  :class:`~repro.protocols.batched.BatchedProtocol` registry
-  (``SimulationPlan(protocol=...)``), with per-trial fallbacks for
-  unregistered families and protocols.
+  ``repro.geometric.kernels``, ``repro.mobility.kernels``), and the
+  spreading process (``SimulationPlan(protocol=...)``) runs its own
+  rules, written once over a leading trial axis on
+  :class:`~repro.protocols.base.SpreadingProtocol`; unregistered model
+  families and sampling protocols run trial by trial.
 * :func:`~repro.engine.executor.run_plan` — ``serial`` / ``batched`` /
   ``parallel`` execution behind one call.
 * :class:`~repro.engine.results.TrialEnsemble` — column-wise results

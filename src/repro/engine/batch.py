@@ -1,4 +1,5 @@
-"""Batched spreading bookkeeping over pluggable model and protocol kernels.
+"""Batched spreading bookkeeping over pluggable model kernels and
+protocol rules.
 
 This module advances **B independent spreading trials simultaneously**,
 holding the informed sets as a ``(B, n)`` boolean matrix.  Everything
@@ -6,28 +7,30 @@ model-specific — the exact ``N(I)`` query against a live trial model,
 the fully batched native population kernels — is obtained through the
 :class:`~repro.dynamics.batched.BatchedDynamics` registry
 (:func:`~repro.dynamics.batched.batched_dynamics_for`), and everything
-*process*-specific — activation, transmission, stalling — through the
-:class:`~repro.protocols.batched.BatchedProtocol` registry
-(:func:`~repro.protocols.batched.batched_protocol_for`); this module
-owns only the protocol- and model-agnostic bookkeeping: informed
-matrices, count histories, truncation, multi-source seeding, and chunk
-assembly.  It imports **no concrete model classes** — model packages
-register their kernel providers (``repro.edgemeg.kernels``,
-``repro.geometric.kernels``, ``repro.mobility.kernels``) and any
-unregistered family runs on the generic snapshot fallback; likewise
-unregistered protocols run their serial rules per trial.
+*process*-specific — activation, transmission, stalling — from the
+protocol's own rules, written once over a leading trial axis on
+:class:`~repro.protocols.base.SpreadingProtocol` and looked up through
+:func:`batched_protocol_for`.  This module owns only the protocol- and
+model-agnostic bookkeeping: informed matrices, count histories,
+truncation, multi-source seeding, and chunk assembly.  It imports **no
+concrete model classes** — model packages register their kernel
+providers (``repro.edgemeg.kernels``, ``repro.geometric.kernels``,
+``repro.mobility.kernels``) and any unregistered family runs on the
+generic snapshot fallback.
 
 Two stream layouts are supported (see :mod:`repro.engine.plan`):
 *replay* advances each trial's own generators exactly like the serial
-reference, making every result bit-identical to
-:func:`repro.core.flooding.flood` /
+reference, running the protocol rules as their one-trial case, which
+makes every result bit-identical to :func:`repro.core.flooding.flood` /
 :func:`repro.protocols.runner.spread`; *native* draws from one
 chunk-level generator in batch order, enabling the vectorised
 population kernels that the providers implement (sparse edge churn,
 shared lattice steps, stacked mobility kinematics) composed with the
-mask-based protocol kernels.  Native *flooding* on a family whose
-provider declares a count law (the edge-MEGs) skips the populations
-altogether and runs the exact chain on two informed counts
+protocol rules on whole chunks.  Protocols that transmit by sampling
+(they override ``transmit``) have no member-set form and run native
+chunks trial by trial with chunk-spawned streams.  Native *flooding* on
+a family whose provider declares a count law (the edge-MEGs) skips the
+populations altogether and runs the exact chain on two informed counts
 (:func:`count_chain`).
 """
 
@@ -40,10 +43,13 @@ import numpy as np
 from repro import obs
 from repro.core.flooding import _resolve_sources
 from repro.dynamics.base import EvolvingGraph
-from repro.dynamics.batched import BatchedDynamics, batched_dynamics_for
+from repro.dynamics.batched import (
+    BatchedDynamics,
+    batched_dynamics_for,
+    uses_inherited,
+)
 from repro.engine.results import TrialEnsemble
 from repro.protocols.base import SpreadingProtocol
-from repro.protocols.batched import BatchedProtocol, batched_protocol_for
 from repro.util.validation import require, require_node
 
 __all__ = [
@@ -53,29 +59,69 @@ __all__ = [
 ]
 
 
+def batched_protocol_for(protocol: SpreadingProtocol,
+                         num_nodes: int) -> SpreadingProtocol:
+    """The object whose ``batch_*`` hooks (and ``transmit``) the engine
+    calls for *protocol* on ``num_nodes`` nodes: the protocol itself,
+    which writes its law once over a leading trial axis.
+
+    Every engine path looks the hooks up through this one name, and
+    only here: ``perfbench/probe.py`` patches it and times the four
+    ``batch_*`` hooks of whatever it returns as ``protocol.hooks_ms``.
+    """
+    return protocol
+
+
+def member_set(protocol: SpreadingProtocol) -> bool:
+    """Whether *protocol* transmits by the member-set rule (it inherits
+    :meth:`~repro.protocols.base.SpreadingProtocol.transmit`), so the
+    model family's neighborhood queries can answer its rounds: the gate
+    for native kernels.  Sampling protocols override ``transmit`` and
+    run trial by trial."""
+    return uses_inherited(protocol, SpreadingProtocol, "transmit")
+
+
 # ---------------------------------------------------------------------------
 # replay kernel: per-trial model streams, batched bookkeeping
 # ---------------------------------------------------------------------------
 
-def _fresh_masks(pk: BatchedProtocol, kernel: BatchedDynamics,
-                 models: list[EvolvingGraph], states: list,
-                 informed: np.ndarray, act: list[int], t: int,
+def _fresh_masks(pk: SpreadingProtocol, members_only: bool,
+                 kernel: BatchedDynamics, models: list[EvolvingGraph],
+                 pstate, informed: np.ndarray, act: list[int], t: int,
                  rngs: "list[np.random.Generator | None] | None") -> np.ndarray:
-    """Fresh masks of the *act* trials through the protocol kernel.
+    """Fresh masks of the *act* trials: the one-trial case of the
+    protocol's rules (``act = slice(b, b + 1)``), each trial with its
+    own protocol generator.
 
-    Every provider's replay round is exact (for flooding, bit-identical
-    to the snapshot path by the dynamics contract; for other protocols,
-    the same draws as the serial :func:`repro.protocols.runner.spread`
-    round), so replay results stay bit-identical to the serial
-    reference.
+    Member-set rounds go through the model family's exact
+    :meth:`~repro.dynamics.batched.BatchedDynamics.replay_neighborhood`
+    (bit-identical to the snapshot query by the dynamics contract), and
+    sampling protocols run their ``transmit`` against the trial's own
+    snapshot — the same draws as the serial
+    :func:`repro.protocols.runner.spread` round, so replay results stay
+    bit-identical to the serial reference.
     """
     n = informed.shape[1]
     out = np.zeros((len(act), n), dtype=bool)
     for j, b in enumerate(act):
         rng = rngs[b] if rngs is not None else None
-        out[j] = pk.replay_round(kernel, models[b], states[b], informed[b],
-                                 t, rng)
+        row = informed[b]
+        members = pk.batch_active(pstate, informed, slice(b, b + 1), t, rng)
+        active = row if members is None else members[0]
+        if not members_only:
+            out[j] = pk.transmit(models[b].snapshot(), row, active, rng)
+        elif members is None:
+            out[j] = kernel.replay_neighborhood(models[b], row)
+        elif active.any():
+            out[j] = kernel.replay_neighborhood(models[b], active) & ~row
     return out
+
+
+def _stalled(pk: SpreadingProtocol, pstate, informed: np.ndarray, b: int,
+             t: int) -> bool:
+    """The protocol's stall predicate on trial *b* alone."""
+    stalled = pk.batch_stalled(pstate, informed, slice(b, b + 1), t)
+    return stalled is not None and bool(stalled[0])
 
 
 def _run_models_loop(models: list[EvolvingGraph],
@@ -91,19 +137,20 @@ def _run_models_loop(models: list[EvolvingGraph],
     Mirrors the update order of :func:`repro.core.flooding.flood` (and
     its protocol generalisation :func:`repro.protocols.runner.spread`)
     exactly — conditional recount, post-increment time, one step budget
-    shared by every trial, post-round stall check — so times, histories
-    and masks coincide with the serial reference."""
+    shared by every trial, post-round stall check — and runs the
+    protocol's rules on each trial's row alone, so times, histories and
+    masks coincide with the serial reference."""
     kernel = batched_dynamics_for(models[0])
     n = models[0].num_nodes
     pk = batched_protocol_for(protocol, n)
+    members_only = member_set(protocol)
     num = len(models)
     informed = np.zeros((num, n), dtype=bool)
     histories: list[list[int]] = []
-    states = []
     for i, src in enumerate(sources):
         informed[i, list(src)] = True
         histories.append([len(src)])
-        states.append(pk.trial_state(src))
+    pstate = pk.batch_state(informed)
     times = np.zeros(num, dtype=np.int64)
     completed = np.zeros(num, dtype=bool)
     act = [i for i in range(num) if histories[i][-1] < n]
@@ -112,22 +159,23 @@ def _run_models_loop(models: list[EvolvingGraph],
             completed[i] = True  # single-node graphs complete at t=0
     t = 0
     while act and t < budget:
-        fresh = _fresh_masks(pk, kernel, models, states, informed, act, t, rngs)
+        fresh = _fresh_masks(pk, members_only, kernel, models, pstate,
+                             informed, act, t, rngs)
         t += 1
         still = []
         for j, b in enumerate(act):
             count = histories[b][-1]
             if fresh[j].any():
                 informed[b] |= fresh[j]
-                pk.absorb(states[b], fresh[j], t)
                 count = int(informed[b].sum())
+            pk.batch_absorb(pstate, slice(b, b + 1), fresh[j:j + 1], t)
             histories[b].append(count)
             if count == n:
                 times[b] = t
                 completed[b] = True
             elif t >= budget:
                 times[b] = t
-            elif pk.stalled(states[b], informed[b], t):
+            elif _stalled(pk, pstate, informed, b, t):
                 times[b] = t  # retired early; completed stays False
             else:
                 models[b].step()
@@ -213,17 +261,18 @@ def _finish_native(n, sources, times, completed, count_log, informed,
     )
 
 
-def _run_chunk_native(plan, kernel: BatchedDynamics, pk: BatchedProtocol,
+def _run_chunk_native(plan, kernel: BatchedDynamics, pk: SpreadingProtocol,
                       rng: np.random.Generator, count: int,
                       budget: int) -> TrialEnsemble:
     """The generic native loop: model- and protocol-agnostic bookkeeping
     around the dynamics provider's ``batch_init`` /
     ``batch_neighborhood`` / ``batch_step`` hooks composed with the
-    protocol provider's ``batch_active`` / ``batch_absorb`` /
-    ``batch_stalled`` hooks.  The update order matches the serial
-    reference (inform across the time-``t`` graphs, then advance the
-    survivors), so every family's native results share the semantics of
-    the serial process — as different realisations of the same law.
+    protocol's ``batch_state`` / ``batch_active`` / ``batch_absorb`` /
+    ``batch_stalled`` rules over the whole chunk.  The update order
+    matches the serial reference (inform across the time-``t`` graphs,
+    then advance the survivors), so every family's native results share
+    the semantics of the serial process — as different realisations of
+    the same law.
     For flooding the protocol hooks are the identity (``batch_active``
     returns ``None`` and the informed matrix goes to the dynamics
     kernel untouched), keeping its native draws byte-for-byte what they
@@ -231,11 +280,11 @@ def _run_chunk_native(plan, kernel: BatchedDynamics, pk: BatchedProtocol,
     n = kernel.num_nodes
     sources = _chunk_sources(plan, rng, count, n)
     state = kernel.batch_init(count, rng)
-    pstate = pk.batch_state(count, sources)
 
     informed = np.zeros((count, n), dtype=bool)
     for i, src in enumerate(sources):
         informed[i, list(src)] = True
+    pstate = pk.batch_state(informed)
     counts = informed.sum(axis=1)
     times = np.zeros(count, dtype=np.int64)
     completed = counts == n
@@ -407,18 +456,16 @@ def run_chunk(payload: dict) -> TrialEnsemble:
             rng = np.random.default_rng(payload["chunk_seed"])
             template = plan.make_model()
             kernel = batched_dynamics_for(template)
-            pk = batched_protocol_for(plan.protocol, template.num_nodes)
-            native = kernel.native_capable and pk.native_capable
+            native = kernel.native_capable and member_set(plan.protocol)
             if plan.is_flooding and kernel.count_law:
                 tier = "counts"
             else:
                 tier = "kernel" if native else "generic"
-            sp.set(kernel=type(kernel).__name__,
-                   protocol_kernel=type(pk).__name__,
-                   native=native, tier=tier)
+            sp.set(kernel=type(kernel).__name__, native=native, tier=tier)
             if tier == "counts":
                 ensemble = _run_chunk_counts(plan, kernel, rng, count, budget)
             elif tier == "kernel":
+                pk = batched_protocol_for(plan.protocol, kernel.num_nodes)
                 ensemble = _run_chunk_native(plan, kernel, pk, rng, count,
                                              budget)
             else:

@@ -3,14 +3,16 @@
 The process counterpart of the :class:`~repro.dynamics.batched.BatchedDynamics`
 model-kernel inversion: the *spreading process* itself is a plug-in.
 
-* :class:`~repro.protocols.base.SpreadingProtocol` — the four-rule
-  serial interface (state init / activation / transmission / retire),
-  with :class:`~repro.protocols.base.Flooding` as the default protocol.
+* :class:`~repro.protocols.base.SpreadingProtocol` — one law per
+  protocol: state, activation, absorb and stall rules written once over
+  a leading trial axis (``batch_state`` / ``batch_active`` /
+  ``batch_absorb`` / ``batch_stalled``), plus the per-trial
+  ``transmit`` rule sampling protocols override.  The serial loop runs
+  them as the one-trial case, the engine on whole chunks, so a
+  subclass that overrides a rule gets it on every backend.
+  :class:`~repro.protocols.base.Flooding` is the default protocol.
 * :mod:`~repro.protocols.zoo` — push gossip, pull gossip, push–pull,
   probabilistic p-flooding, and expiring (SIR-style) flooding.
-* :mod:`~repro.protocols.batched` — ``(B, n)`` protocol kernels and
-  the MRO-walking registry the engine dispatches through
-  (:func:`~repro.protocols.batched.batched_protocol_for`).
 * :mod:`~repro.protocols.registry` — canonical protocol tokens for the
   CLI (``--protocol``), sweep grids, and campaign cache keys
   (:func:`~repro.protocols.registry.resolve_protocol`).
@@ -19,18 +21,11 @@ model-kernel inversion: the *spreading process* itself is a plug-in.
   :func:`~repro.core.flooding.flood` wraps) and engine-backed trial
   batches (:func:`~repro.protocols.runner.spreading_trials`).
 
-See DESIGN.md ("The protocol subsystem") for the kernel table, the
+See DESIGN.md ("The protocol subsystem") for the rule table, the
 backend/stream semantics, and the cache-key rules.
 """
 
 from repro.protocols.base import FLOODING, Flooding, SpreadingProtocol
-from repro.protocols.batched import (
-    BatchedProtocol,
-    GenericBatchedProtocol,
-    batched_protocol_for,
-    register_batched_protocol,
-    registered_protocol_families,
-)
 from repro.protocols.registry import (
     default_zoo,
     protocol_names,
@@ -55,11 +50,6 @@ __all__ = [
     "PushGossip",
     "PullGossip",
     "PushPullGossip",
-    "BatchedProtocol",
-    "GenericBatchedProtocol",
-    "batched_protocol_for",
-    "register_batched_protocol",
-    "registered_protocol_families",
     "register_protocol",
     "protocol_names",
     "resolve_protocol",

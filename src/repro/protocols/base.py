@@ -2,24 +2,24 @@
 
 The paper studies *flooding* — the canonical member of a family of
 information-spreading processes on evolving graphs.  Everything the
-rest of the stack needs from a process is captured by four per-round
-rules over the informed mask:
+rest of the stack needs from a process is captured by a few per-round
+rules over the informed sets, each written **once** over a leading
+trial axis (``B`` trials as rows of a ``(B, n)`` matrix):
 
-* **state init** — per-node protocol state beyond the informed mask
-  (e.g. the informed-at clock of expiring flooding);
+* **state** — per-node protocol state beyond the informed mask (e.g.
+  the informed-at clock of expiring flooding);
 * **activation rule** — which informed nodes transmit this round;
 * **transmission rule** — which uninformed nodes the active set reaches
   across the current graph ``G_t``;
-* **retire predicate** — whether the protocol has provably stalled
-  (no transmitter will ever fire again) and the run can stop early.
+* **absorb** — the state update for newly informed nodes;
+* **stall predicate** — whether a trial has provably stalled (no
+  transmitter will ever fire again) and can stop early.
 
 :class:`SpreadingProtocol` is that contract.  A protocol instance is a
 small frozen dataclass carrying its parameters, so it is hashable,
 picklable (module-level class), and canonically printable via
 :meth:`SpreadingProtocol.token` — the string the campaign cache key
-records.  Concrete protocols live in :mod:`repro.protocols.zoo`;
-batched ``(B, n)`` kernels and their dispatch registry mirror
-:mod:`repro.dynamics.batched` in :mod:`repro.protocols.batched`.
+records.  Concrete protocols live in :mod:`repro.protocols.zoo`.
 
 Seeding convention
 ------------------
@@ -34,7 +34,7 @@ realisation while keeping protocol randomness independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Sequence
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -45,24 +45,35 @@ __all__ = ["SpreadingProtocol", "Flooding", "FLOODING"]
 
 @dataclass(frozen=True)
 class SpreadingProtocol:
-    """One information-spreading process, as four per-round rules.
+    """One information-spreading process, as per-round rules over trials.
 
     Subclasses are frozen dataclasses whose fields are the protocol's
     parameters; :meth:`params` and :meth:`token` derive the canonical
     parameterisation from those fields automatically.
 
-    The library's one serial reference loop
-    (:func:`repro.protocols.runner.spread`) drives the rules in a fixed order each round ``t``::
+    Every ``batch_*`` rule sees the informed matrix ``(B, n)`` and an
+    index *act* of the trial rows it acts on (an index array, or a
+    slice); it must only read and write those rows, so that one trial
+    (*act* a one-row slice) and a batch of trials follow the same law.
+    Each round ``t`` runs::
 
-        active = protocol.active_mask(state, informed, t, rng)
-        fresh  = protocol.transmit(snapshot, state, informed, active, t, rng)
-        informed |= fresh            # if any
-        protocol.absorb(state, fresh, t + 1)
-        ...step the graph, t += 1...
-        stop if protocol.stalled(state, informed, t)
+        members = protocol.batch_active(state, informed, act, t, rng)
+        fresh   = N(members) & ~informed[act]   # members None: N(informed)
+        informed[act] |= fresh
+        protocol.batch_absorb(state, act, fresh, t + 1)
+        ...step the graphs, t += 1...
+        retire rows where protocol.batch_stalled(state, informed, act, t)
 
-    and the engine's batched kernels must reproduce exactly these
-    semantics (see :mod:`repro.protocols.batched`).
+    The serial reference loop (:func:`repro.protocols.runner.spread`)
+    and the engine's replay loop run it as the one-trial case, each
+    trial with its own generator, and the engine's native loop runs it on
+    whole chunks with one chunk generator and answers ``N(members)``
+    with the model family's batched neighborhood query.
+
+    Sampling protocols (push, pull, push–pull) pick neighbors node by
+    node, which has no member-set form: they override the per-trial
+    :meth:`transmit` rule instead, and a protocol that overrides it runs
+    trial by trial on every backend.
     """
 
     #: Registry name of the protocol family (e.g. ``"push-pull"``).
@@ -75,28 +86,50 @@ class SpreadingProtocol:
 
     # -- per-round rules -----------------------------------------------------
 
-    def state_init(self, n: int, sources: Sequence[int]) -> Any:
-        """Per-node protocol state at time 0 (``None`` for stateless)."""
+    def batch_state(self, informed: np.ndarray) -> Any:
+        """Protocol state of the trials whose time-0 informed rows are
+        *informed* (``None`` for stateless protocols)."""
         return None
 
-    def active_mask(self, state: Any, informed: np.ndarray, t: int,
-                    rng: np.random.Generator | None) -> np.ndarray:
-        """Activation rule: the informed nodes transmitting this round."""
-        return informed
+    def batch_active(self, state: Any, informed: np.ndarray, act,
+                     t: int, rng: np.random.Generator | None,
+                     ) -> np.ndarray | None:
+        """Activation rule: the member rows (within ``informed[act]``)
+        that transmit at round *t*.
 
-    def transmit(self, snapshot: GraphSnapshot, state: Any,
-                 informed: np.ndarray, active: np.ndarray, t: int,
-                 rng: np.random.Generator | None) -> np.ndarray:
-        """Transmission rule: the newly informed mask (disjoint from
-        *informed*) reached across *snapshot* by the *active* set."""
-        raise NotImplementedError
+        ``None`` means "the informed rows themselves" (flooding), which
+        hands the informed matrix to the neighborhood query unchanged.
+        """
+        return None
 
-    def absorb(self, state: Any, fresh: np.ndarray, t: int) -> None:
-        """Update protocol *state* for nodes newly informed at time *t*."""
+    def transmit(self, snapshot: GraphSnapshot, informed: np.ndarray,
+                 active: np.ndarray, rng: np.random.Generator | None,
+                 ) -> np.ndarray:
+        """Transmission rule of one trial: the newly informed mask
+        (disjoint from *informed*) reached across *snapshot* by the
+        *active* set.
 
-    def stalled(self, state: Any, informed: np.ndarray, t: int) -> bool:
-        """Retire predicate: no transmitter can ever fire again."""
-        return False
+        The default is the member-set rule ``N(active) & ~informed``;
+        *active* is *informed* itself when :meth:`batch_active` returned
+        ``None``, and ``N(I)`` is disjoint from ``I`` by the snapshot
+        contract.
+        """
+        if active is informed:
+            return snapshot.neighborhood_mask(informed)
+        if not active.any():
+            return np.zeros_like(informed)
+        return snapshot.neighborhood_mask(active) & ~informed
+
+    def batch_absorb(self, state: Any, act, fresh: np.ndarray,
+                     t: int) -> None:
+        """State update: *fresh* rows of the *act* trials were informed
+        at time *t*.  Default: no-op (stateless protocols)."""
+
+    def batch_stalled(self, state: Any, informed: np.ndarray, act,
+                      t: int) -> np.ndarray | None:
+        """Stall predicate after round *t*: a retire mask over the *act*
+        trials, or ``None`` when the protocol never stalls."""
+        return None
 
     # -- identity ------------------------------------------------------------
 
@@ -136,11 +169,6 @@ class Flooding(SpreadingProtocol):
 
     name: ClassVar[str] = "flooding"
     splits_seed: ClassVar[bool] = False
-
-    def transmit(self, snapshot, state, informed, active, t, rng):
-        # N(I) of the full informed set (disjoint from it by the
-        # snapshot contract).
-        return snapshot.neighborhood_mask(informed)
 
 
 #: Shared default instance (the engine plan default).

@@ -13,7 +13,8 @@ Accepted spellings for :func:`resolve_protocol`:
   (``"push-pull"`` -> ``PushPullGossip()``);
 * ``name(key=value, ...)`` or the CLI-friendly ``name:key=value,...`` —
   explicit parameters, parsed as int, then float, then bare string
-  (``"p-flood:transmit_probability=0.3"``).
+  (``"p-flood:transmit_probability=0.3"``); naming a parameter twice is
+  an error.
 """
 
 from __future__ import annotations
@@ -79,7 +80,10 @@ def _parse_token(token: str) -> tuple[str, dict]:
     for item in filter(None, (part.strip() for part in body.split(","))):
         key, sep, value = item.partition("=")
         require(bool(sep), f"malformed protocol parameter {item!r} in {token!r}")
-        params[key.strip()] = _parse_value(value.strip())
+        key = key.strip()
+        require(key not in params,
+                f"repeated protocol parameter {key!r} in {token!r}")
+        params[key] = _parse_value(value.strip())
     return name.strip(), params
 
 

@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 
+#: The trial index of the one-trial case: every row of a ``(1, n)`` matrix.
+_ALL = slice(None)
+
+
 def split_protocol_seed(protocol: SpreadingProtocol,
                         seed: SeedLike) -> tuple:
     """``(graph_seed, protocol_rng)`` from one trial seed.
@@ -87,7 +91,8 @@ def spread(
 ) -> FloodingResult:
     """Run *protocol* on *graph* from *source*; the serial reference path.
 
-    Each round queries ``G_t`` through the protocol's four rules, then
+    Each round runs the protocol's rules as their one-trial case against
+    ``G_t`` (see :class:`~repro.protocols.base.SpreadingProtocol`), then
     steps the graph (the flooding semantics of Section 2: information
     crosses one edge per step).  The graph is ``reset`` with the
     protocol's graph seed first unless ``reset=False``.  A run that
@@ -104,9 +109,12 @@ def spread(
     if reset:
         graph.reset(rng_graph)
 
-    informed = np.zeros(n, dtype=bool)
+    # The one-trial case of the protocol's batch rules: *rows* is the
+    # (1, n) informed matrix, *informed* its only row (a view).
+    rows = np.zeros((1, n), dtype=bool)
+    informed = rows[0]
     informed[list(sources)] = True
-    state = protocol.state_init(n, sources)
+    state = protocol.batch_state(rows)
     history = [len(sources)]
 
     # Per-run transmit/sample kernel attribution, only when a live sink
@@ -117,22 +125,25 @@ def spread(
     t = 0
     while history[-1] < n and t < budget:
         snap = graph.snapshot()
-        active = protocol.active_mask(state, informed, t, rng_proto)
+        members = protocol.batch_active(state, rows, _ALL, t, rng_proto)
+        active = informed if members is None else members[0]
         if traced:
             t0 = time.perf_counter()
-        fresh = protocol.transmit(snap, state, informed, active, t, rng_proto)
+        fresh = protocol.transmit(snap, informed, active, rng_proto)
         if traced:
             transmit_s += time.perf_counter() - t0
         count = history[-1]
         if fresh.any():
             informed |= fresh
-            protocol.absorb(state, fresh, t + 1)
             count = int(informed.sum())
+        protocol.batch_absorb(state, _ALL, fresh[np.newaxis], t + 1)
         graph.step()
         t += 1
         history.append(count)
-        if count < n and protocol.stalled(state, informed, t):
-            break
+        if count < n:
+            stalled = protocol.batch_stalled(state, rows, _ALL, t)
+            if stalled is not None and stalled[0]:
+                break
 
     if traced:
         obs.histogram("protocol.transmit_s", transmit_s,

@@ -1,9 +1,9 @@
 """The built-in protocol zoo: gossip, push–pull, probabilistic and
 expiring flooding.
 
-Four spreading processes beyond flooding, each a
-:class:`~repro.protocols.base.SpreadingProtocol` with a batched kernel
-in :mod:`repro.protocols.batched`:
+Five spreading processes beyond flooding, each a
+:class:`~repro.protocols.base.SpreadingProtocol` whose rules are
+written once, over a leading trial axis:
 
 * :class:`ProbabilisticFlooding` — every informed node transmits
   independently with probability ``transmit_probability`` per round
@@ -26,9 +26,9 @@ in :mod:`repro.protocols.batched`:
 The gossip protocols use a vectorised transmission rule: one neighbor
 row-gather for the whole sender set plus a single uniform draw per
 sender (inverse-CDF over the row), instead of a Python loop over nodes.
-That makes even the *serial* path fast, and it is the exact rule the
-batched kernels replicate per trial — so replay results are
-bit-identical across backends by construction.
+That makes even the *serial* path fast, and it is the one rule every
+backend runs per trial — so replay results are bit-identical across
+backends by construction.
 """
 
 from __future__ import annotations
@@ -147,16 +147,12 @@ class ProbabilisticFlooding(SpreadingProtocol):
             require_probability(self.transmit_probability,
                                 "transmit_probability", open_left=True))
 
-    def active_mask(self, state, informed, t, rng):
-        # One random(n) vector per round, drawn unconditionally — the
-        # draw schedule pinned in tests/protocols/test_protocols.py.
-        return informed & (rng.random(informed.shape[0])
-                           < self.transmit_probability)
-
-    def transmit(self, snapshot, state, informed, active, t, rng):
-        if not active.any():
-            return _empty(informed.shape[0])
-        return snapshot.neighborhood_mask(active) & ~informed
+    def batch_active(self, state, informed, act, t, rng):
+        # One random((B, n)) block per round, drawn unconditionally; on
+        # one trial it is the random(n) vector pinned in
+        # tests/protocols/test_protocols.py.
+        rows = informed[act]
+        return rows & (rng.random(rows.shape) < self.transmit_probability)
 
 
 @dataclass(frozen=True)
@@ -167,9 +163,9 @@ class ExpiringFlooding(SpreadingProtocol):
     ``t0 .. t0 + active_steps - 1`` and is retired afterwards
     (infected -> recovered).  On fast-mixing MEGs a small
     ``active_steps`` already completes; on slowly-changing ones the
-    transmitter pool can die out first — the :meth:`stalled` predicate
-    detects that and retires the run early instead of burning the whole
-    step budget.
+    transmitter pool can die out first — the :meth:`batch_stalled`
+    predicate detects that and retires the run early instead of burning
+    the whole step budget.
     """
 
     active_steps: int = 2
@@ -182,24 +178,25 @@ class ExpiringFlooding(SpreadingProtocol):
             self, "active_steps",
             require_positive_int(self.active_steps, "active_steps"))
 
-    def state_init(self, n, sources):
-        informed_at = np.full(n, -1, dtype=np.int64)
-        informed_at[list(sources)] = 0
+    def batch_state(self, informed):
+        # Informed-at clock: 0 for the sources, -1 for the uninformed.
+        informed_at = np.full(informed.shape, -1, dtype=np.int64)
+        informed_at[informed] = 0
         return informed_at
 
-    def active_mask(self, state, informed, t, rng):
-        return informed & (state > t - self.active_steps)
+    def _relaying(self, state, informed, act, t):
+        return informed[act] & (state[act] > t - self.active_steps)
 
-    def transmit(self, snapshot, state, informed, active, t, rng):
-        if not active.any():
-            return _empty(informed.shape[0])
-        return snapshot.neighborhood_mask(active) & ~informed
+    def batch_active(self, state, informed, act, t, rng):
+        return self._relaying(state, informed, act, t)
 
-    def absorb(self, state, fresh, t):
-        state[fresh] = t
+    def batch_absorb(self, state, act, fresh, t):
+        rows = state[act]
+        rows[fresh] = t
+        state[act] = rows
 
-    def stalled(self, state, informed, t):
-        return not (informed & (state > t - self.active_steps)).any()
+    def batch_stalled(self, state, informed, act, t):
+        return ~self._relaying(state, informed, act, t).any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,7 @@ class PushGossip(SpreadingProtocol):
 
     name: ClassVar[str] = "push"
 
-    def transmit(self, snapshot, state, informed, active, t, rng):
+    def transmit(self, snapshot, informed, active, rng):
         n = informed.shape[0]
         fresh = _empty(n)
         senders = np.flatnonzero(active)
@@ -232,7 +229,7 @@ class PullGossip(SpreadingProtocol):
 
     name: ClassVar[str] = "pull"
 
-    def transmit(self, snapshot, state, informed, active, t, rng):
+    def transmit(self, snapshot, informed, active, rng):
         n = informed.shape[0]
         fresh = _empty(n)
         pullers = np.flatnonzero(~informed)
@@ -249,13 +246,13 @@ class PushPullGossip(SpreadingProtocol):
 
     Informed nodes push to one random neighbor; uninformed nodes pull
     from one random neighbor (successful if that neighbor was informed
-    at the start of the round).  Push draws first, then pull — the
-    fixed draw order the batched kernel replicates.
+    at the start of the round).  Push draws first, then pull — one
+    fixed draw order on every backend.
     """
 
     name: ClassVar[str] = "push-pull"
 
-    def transmit(self, snapshot, state, informed, active, t, rng):
+    def transmit(self, snapshot, informed, active, rng):
         n = informed.shape[0]
         fresh = _empty(n)
         senders = np.flatnonzero(active)

@@ -22,10 +22,9 @@ from repro.edgemeg.independent import IndependentDynamicGraph, IndependentMEG
 from repro.edgemeg.meg import EdgeMEG
 from repro.edgemeg.sparse import SparseEdgeMEG
 from repro.engine import SimulationPlan, run_plan
-from repro.engine.batch import _run_chunk_native
+from repro.engine.batch import _run_chunk_native, batched_protocol_for
 from repro.geometric.meg import GeometricMEG
 from repro.obs.sinks import MemorySink
-from repro.protocols.batched import batched_protocol_for
 
 #: Trials per sample in every two-sample test.
 SAMPLE = 2000

@@ -281,6 +281,13 @@ class TestRegistryTokens:
         with pytest.raises(ValueError):
             ProbabilisticFlooding(0.0)
 
+    def test_repeated_parameter_rejected(self):
+        with pytest.raises(ValueError, match="repeated protocol parameter"):
+            resolve_protocol("p-flood:transmit_probability=0.5,"
+                             "transmit_probability=0.2")
+        with pytest.raises(ValueError, match="repeated protocol parameter"):
+            resolve_protocol("expiring(active_steps=2, active_steps=3)")
+
     def test_names_registered(self):
         assert {"flooding", "p-flood", "expiring", "push", "pull",
                 "push-pull"} <= set(protocol_names())
