@@ -7,6 +7,7 @@ experiment spends its time in:
 * one edge-MEG step (``n(n-1)/2`` two-state chains, vectorised),
 * one geometric-MEG step (bulk rejection sampling over the move disc),
 * one ``N(I)`` radius query (k-d tree on the informed frontier),
+* one batched lattice ``N(I)`` query (bit rows, 32 walker stacks),
 * one ``N(I)`` dense-adjacency query,
 * the exact stationary samplers of both models.
 """
@@ -38,6 +39,10 @@ def test_bench_geometric_stationary_reset(benchmark):
 
 def test_bench_radius_query(benchmark):
     run_in_pytest(benchmark, "micro/radius_query")
+
+
+def test_bench_lattice_radius_query(benchmark):
+    run_in_pytest(benchmark, "micro/lattice_radius_query")
 
 
 def test_bench_dense_adjacency_query(benchmark):

@@ -3,7 +3,9 @@
 Ports of ``benchmarks/test_bench_micro_flooding.py``,
 ``test_bench_micro_kernels.py`` and ``test_bench_micro_sparse.py``: one
 model step / stationary reset / snapshot / ``N(I)`` query per model
-family, plus complete flooding runs at representative sizes.
+family, plus complete flooding runs at representative sizes, and the
+native geometric-MEG's lattice radius query at perfbench
+flood-geometric's shape.
 """
 
 from __future__ import annotations
@@ -86,6 +88,21 @@ def _radius_query():
     snap = GeometricSnapshot(positions, 8.0)
     members = rng.random(16384) < 0.1
     return lambda: snap.neighborhood_mask(members)
+
+
+def _lattice_radius_query():
+    from repro.geometric.meg import GeometricMEG
+    from repro.geometric.neighbors import lattice_within_radius
+    trials, n = 32, 1024
+    meg = GeometricMEG(n, 1.0, 2 * math.sqrt(math.log(n)))
+    lattice = meg.lattice
+    rng = np.random.default_rng(0)
+    ix, iy = lattice.sample_stationary_indices(trials * n, seed=rng)
+    ix, iy = ix.reshape(trials, n), iy.reshape(trials, n)
+    members = rng.random((trials, n)) < 0.1
+    return lambda: lattice_within_radius(ix, iy, members, meg.radius,
+                                         eps=lattice.eps,
+                                         grid_size=lattice.grid_size)
 
 
 def _dense_adjacency_query():
@@ -184,6 +201,10 @@ register(BenchCase(
 register(BenchCase(
     name="micro/radius_query", suite=SUITE, scale="n=16384, |I|~10%",
     setup=_radius_query))
+register(BenchCase(
+    name="micro/lattice_radius_query", suite=SUITE,
+    scale="32 trials, n=1024, g=33, R=2sqrt(ln n), |I|~10%",
+    setup=_lattice_radius_query))
 register(BenchCase(
     name="micro/dense_adjacency_query", suite=SUITE, scale="n=2048, |I|~10%",
     setup=_dense_adjacency_query))

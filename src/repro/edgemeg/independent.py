@@ -123,19 +123,25 @@ def flood_time_independent(
     :func:`~repro.edgemeg.kernels.edge_count_stay_log`) at ``q = 1 - p``,
     where ``p_hat = p`` makes the older/fresh split irrelevant; it is
     validated in tests against full simulation on
-    :class:`IndependentDynamicGraph`.
+    :class:`IndependentDynamicGraph`.  One chain runs on Python scalars
+    with the same stay law and the same binomial draws as a one-trial
+    ``count_chain``, without its per-round array bookkeeping.
     """
-    from repro.engine.batch import count_chain
-
     n = require_positive_int(n, "n")
     p = require_probability(p, "p", open_left=True)
     m0 = require_positive_int(initial_informed, "initial_informed")
     require(m0 <= n, "initial_informed must be <= n")
     budget = 4 * n + 64 if max_steps is None else require_positive_int(max_steps, "max_steps")
 
-    times, completed, count_log = count_chain(
-        partial(edge_count_stay_log, p=p, p_hat=p), n, np.array([m0]),
-        as_generator(seed), budget)
-    if not completed[0]:
+    stay_log = partial(edge_count_stay_log, p=p, p_hat=p)
+    rng = as_generator(seed)
+    history = [m0]
+    older, m, t = 0, m0, 0
+    while m < n and t < budget:
+        hit = -np.expm1(stay_log(older, m - older))
+        older, m = m, m + int(rng.binomial(n - m, hit))
+        t += 1
+        history.append(m)
+    if m < n:
         raise RuntimeError(f"flooding did not complete within {budget} steps")
-    return int(times[0]), np.concatenate(count_log)
+    return t, np.array(history, dtype=np.int64)

@@ -15,8 +15,9 @@ The batched kernels answer ``B`` trials at once: the mobility models
 (arbitrary float positions) through the shared cell grid of
 :func:`batched_within_radius`, and the native geometric-MEG (walkers on
 the lattice ``L_{n,eps}``) through :func:`lattice_within_radius`, which
-dilates occupancy grids by the disc of admissible lattice offsets and
-never computes a distance.
+dilates bit rows (one ``uint64`` word per 64 lattice columns) by the
+disc of admissible lattice offsets with shifts and ORs and never
+computes a distance.
 """
 
 from __future__ import annotations
@@ -240,11 +241,14 @@ def batched_within_radius(
     # every point of a spread-out informed set with no distance work.
     bound2 = (radius * (1 + 1e-12)) ** 2
     cell2 = cell * cell
+    # A pair within R sits at most ceil(R / c) cells apart, but the
+    # quotient can round just below an integer (0.9 / 0.3 < 3) and a
+    # point on a cell boundary can round into the lower cell, hence +2.
     # Offsets beyond grid-1 cells reach no new cell (out of range when
     # Euclidean, already wrapped onto covered cells when toroidal), so
     # the clamp also keeps a tightly clustered cloud (span << radius,
     # hence a tiny grid) from enumerating a huge offset range.
-    dmax = min(int(radius // cell) + 1, grid - 1) if cell > 0 else 0
+    dmax = min(int(radius // cell) + 2, grid - 1) if cell > 0 else 0
     guaranteed = []
     maybe = []
     for dx in range(-dmax, dmax + 1):
@@ -359,6 +363,32 @@ def batched_within_radius(
     return out
 
 
+def _or_shifted(into: np.ndarray, rows: np.ndarray, shift: int) -> None:
+    """OR *rows* moved by *shift* columns into *into*, in place.
+
+    Both are ``(..., W)`` bit rows of little-endian ``uint64`` words
+    (column ``y`` is bit ``y % 64`` of word ``y // 64``): bit ``y`` of
+    *into* gains bit ``y - shift`` of *rows*.  Whole words move by
+    ``|shift| // 64``; the remaining bits carry into the neighbouring
+    word, and bits moved past either end of a row drop.
+    """
+    whole, part = divmod(abs(shift), 64)
+    keep = rows.shape[-1] - whole
+    if keep <= 0:
+        return
+    carry = part and keep > 1
+    if shift >= 0:
+        src, dst = rows[..., :keep], into[..., whole:]
+        dst |= src << part
+        if carry:
+            dst[..., 1:] |= src[..., :-1] >> (64 - part)
+    else:
+        src, dst = rows[..., whole:], into[..., :keep]
+        dst |= src >> part
+        if carry:
+            dst[..., :-1] |= src[..., 1:] << (64 - part)
+
+
 def lattice_within_radius(
     ix: np.ndarray,
     iy: np.ndarray,
@@ -373,20 +403,25 @@ def lattice_within_radius(
 
     On the lattice, adjacency depends only on the integer offset:
     ``(di eps)^2 + (dj eps)^2 <= (R (1 + 1e-12))^2``.  So the query needs
-    no coordinates and no pair checks:
+    no coordinates and no pair checks.  It works on bit rows: lattice
+    row ``x`` of a trial is ``W = ceil(g / 64)`` little-endian ``uint64``
+    words, bit ``y % 64`` of word ``y // 64`` marking a member at
+    ``(x, y)``.
 
-    1. mark each trial's members in a ``(B, g, g)`` occupancy grid;
-    2. OR the grid over the disc of admissible offsets — the disc is
-       ``2 floor(R/eps) + 1`` horizontal runs, each a windowed "any"
-       along one axis (a cumulative-sum difference, one per distinct run
-       width) shifted along the other axis;
-    3. read the dilated grid at every point and drop the members.
+    1. pack each trial's members into its ``(g, W)`` bit rows;
+    2. build the disc's horizontal run of every half-width ``w`` by
+       shift-OR, ``run_w = run_{w-1} | rows << w | rows >> w``;
+    3. OR ``run_{half(di)}`` into the dilated rows at row offsets
+       ``+-di`` for every row offset ``di`` of the disc;
+    4. unpack the dilated rows, read them at every point and drop the
+       members.
 
-    Work per call is ``O(B g^2 (2R/eps + 1))``.  When the lattice has
-    more than :data:`_MAX_CELLS_PER_POINT` points per trial point
-    (``g^2 > 8 n``, fine resolutions) that grid work would outgrow the
-    point count, so the points go to :func:`batched_within_radius` as
-    Euclidean coordinates instead.
+    Work per call is ``O(B g W (2R/eps + 1))`` word operations, 64
+    lattice columns to the word.  When the lattice has more than
+    :data:`_MAX_CELLS_PER_POINT` points per trial point (``g^2 > 8 n``,
+    fine resolutions) that grid work would outgrow the point count, so
+    the points go to :func:`batched_within_radius` as Euclidean
+    coordinates instead.
 
     Parameters
     ----------
@@ -431,23 +466,31 @@ def lattice_within_radius(
     half = ((offsets[:, None] ** 2 + offsets[None, :] ** 2 <= limit ** 2)
             .sum(axis=1) - 1)
 
-    cell = (np.arange(num_trials, dtype=np.int64)[:, None] * g + ix) * g + iy
-    occupied = np.zeros(num_trials * g * g, dtype=bool)
-    occupied[cell[members]] = True
-    occupied = occupied.reshape(num_trials, g, g)
-    # counts[b, x, k] = members of trial b at ix = x with iy < k.
-    counts = np.zeros((num_trials, g, g + 1), dtype=np.int32)
-    np.cumsum(occupied, axis=2, out=counts[:, :, 1:])
-    cols = np.arange(g)
-    dilated = np.zeros_like(occupied)
-    for width in np.unique(half[half >= 0]):
-        runs = (counts[:, :, np.minimum(cols + width + 1, g)]
-                > counts[:, :, np.maximum(cols - width, 0)])
-        for di in np.flatnonzero(half == width):
-            dilated[:, di:] |= runs[:, :g - di]
-            if di:
-                dilated[:, :g - di] |= runs[:, di:]
-    return dilated.ravel()[cell] & ~members
+    words = -(-g // 64)
+    cols = 64 * words
+    cell = ix * cols
+    cell += iy
+    cell += (np.arange(num_trials, dtype=np.int64) * (g * cols))[:, None]
+    grid = np.zeros((num_trials, g, cols), dtype=bool)
+    grid.ravel()[np.compress(members.ravel(), cell)] = True
+    rows = np.packbits(grid, axis=2, bitorder="little").view("<u8")
+    runs = [rows]
+    for width in range(1, int(half.max()) + 1):
+        run = runs[-1].copy()
+        _or_shifted(run, rows, width)
+        _or_shifted(run, rows, -width)
+        runs.append(run)
+    dilated = np.zeros_like(rows)
+    for di in np.flatnonzero(half >= 0):
+        run = runs[half[di]]
+        dilated[:, di:] |= run[:, :g - di]
+        if di:
+            dilated[:, :g - di] |= run[:, di:]
+    # Clear the tail bits that runs shifted past column g - 1, so the
+    # words hold exactly the dilated lattice rows.
+    dilated[..., -1] &= np.uint64((1 << (g - 64 * (words - 1))) - 1)
+    grid = np.unpackbits(dilated.view(np.uint8), axis=2, bitorder="little")
+    return grid.view(bool).ravel()[cell] & ~members
 
 
 def radius_edges(positions: np.ndarray, radius: float, *,

@@ -46,15 +46,26 @@ GOLDEN = {
          "44444354443444444443454445445345"),
         "8790d0862d2438c9859b37d224d4568283cedeb962d4dba144b8725610a09f95",
     ),
+    "n-1024-eps-0.5": (
+        ("66767768867558999877859777677869",
+         "59678576888776677857776677877767",
+         "66699678777787756689867666877776"),
+        "2847801290768d581a56049200e1cfb3975253861189b9ca62ba34684680a1a7",
+    ),
 }
 
-EPS = {"eps-1": 1.0, "eps-0.5": 0.5}
+#: Per configuration: (n, eps, lattice indices per axis g).  At g = 65 a
+#: lattice row of the radius query spans two 64-bit words, so its word
+#: carries are on the pinned path.
+SHAPE = {"eps-1": (N, 1.0, 17), "eps-0.5": (N, 0.5, 33),
+         "n-1024-eps-0.5": (1024, 0.5, 65)}
 
 
 @pytest.mark.parametrize("config", sorted(GOLDEN))
 def test_native_geometric_flooding_is_pinned(config):
-    model = repro.GeometricMEG(N, 1.0, 2 * math.sqrt(math.log(N)),
-                               eps=EPS[config])
+    n, eps, grid_size = SHAPE[config]
+    model = repro.GeometricMEG(n, 1.0, 2 * math.sqrt(math.log(n)), eps=eps)
+    assert model.lattice.grid_size == grid_size
     times, digest = GOLDEN[config]
     history = hashlib.sha256()
     for seed, expected in enumerate(times):

@@ -238,6 +238,25 @@ class TestBatchedWithinRadius:
         out = batched_within_radius(positions, members, 2.5)
         np.testing.assert_array_equal(out, [[False, True, True]])
 
+    def test_pair_at_radius_across_rounded_cell_boundaries(self):
+        """Lattice points exactly R = 3 eps apart: 0.9 / 0.3 rounds below
+        3 and 31 * 0.3 rounds into cell 30, so the pair sits four cells
+        apart and the offset range must still reach it.  Filler points
+        at the origin keep the grid (39 x 39 cells) off the k-d
+        fallback."""
+        eps = 0.3
+        positions = np.zeros((1, 200, 2))
+        positions[0, 1] = 39 * eps
+        positions[0, 2] = (20 * eps, 31 * eps)
+        positions[0, 3] = (20 * eps, 34 * eps)
+        members = np.zeros((1, 200), dtype=bool)
+        members[0, 3] = True
+        out = batched_within_radius(positions, members, 3 * eps)
+        np.testing.assert_array_equal(np.flatnonzero(out[0]), [2])
+        np.testing.assert_array_equal(
+            out[0], brute_force_within_radius(positions[0], members[0],
+                                              3 * eps))
+
 
 #: (density, eps, move radius, R) for 64 walkers; every regime keeps
 #: g^2 <= 8n, so the lattice dilation (not the fallback) answers.
@@ -328,3 +347,83 @@ class TestLatticeWithinRadius:
         if calls:
             np.testing.assert_array_equal(calls[0], positions)
         np.testing.assert_array_equal(out, real(positions, members, 3.0))
+
+    # -- bit rows: W = ceil(g / 64) words per lattice row -----------------
+
+    @staticmethod
+    def _check_uniform_walkers(g, eps, radius, trials, rates, *,
+                               seed=0, brute_force=True):
+        """Walkers uniform over a ``g x g`` lattice, ``n`` just large
+        enough that ``g^2 <= 8n`` keeps the bit-row path; the query must
+        equal the cell grid and (optionally) brute force at every rate."""
+        n = -(-g * g // _MAX_CELLS_PER_POINT)
+        assert g * g <= _MAX_CELLS_PER_POINT * n
+        rng = np.random.default_rng(seed)
+        ix = rng.integers(0, g, size=(trials, n))
+        iy = rng.integers(0, g, size=(trials, n))
+        positions = np.stack((ix * eps, iy * eps), axis=-1).astype(float)
+        for rate in rates:
+            members = rng.random((trials, n)) < rate
+            out = lattice_within_radius(ix, iy, members, radius, eps=eps,
+                                        grid_size=g)
+            np.testing.assert_array_equal(
+                out, batched_within_radius(positions, members, radius),
+                err_msg=f"g {g}, eps {eps}, R {radius}, rate {rate}")
+            if not brute_force:
+                continue
+            for b in range(trials):
+                np.testing.assert_array_equal(
+                    out[b], brute_force_within_radius(
+                        positions[b], members[b], radius),
+                    err_msg=f"g {g}, R {radius}, rate {rate}, trial {b}")
+
+    @pytest.mark.parametrize("g", [63, 64, 65, 129])
+    def test_word_boundaries(self, g):
+        """Rows of one word with a free tail bit, exactly one full word,
+        one bit into a second word, and three words: every carry between
+        neighbouring words and the last word's tail mask."""
+        self._check_uniform_walkers(g, 1.0, 2 * math.sqrt(math.log(64)), 2,
+                                    (0.0, 0.02, 0.3, 1.0))
+
+    @pytest.mark.parametrize("radius", [64.0, 70.5, 130.0])
+    def test_reach_of_whole_words(self, radius):
+        """Runs 64 or more columns wide move whole words (R = 64 is a
+        whole-word shift with no carry); R >= g reaches every column."""
+        self._check_uniform_walkers(129, 1.0, radius, 2, (0.0, 0.001, 0.05))
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3])
+    @pytest.mark.parametrize("multiple", [1, 2, 3, 5, 7])
+    def test_radius_a_multiple_of_eps(self, eps, multiple):
+        """R = k eps puts lattice points exactly on the circle, and the
+        quotient R / eps can round just below k (0.3 / 0.1 < 3)."""
+        self._check_uniform_walkers(40, eps, multiple * eps, 2,
+                                    (0.05, 0.4), seed=multiple)
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    @pytest.mark.parametrize("g", [33, 65])
+    def test_single_trial_empty_and_full_member_sets(self, g, rate):
+        """B = 1; no members, or every walker a member: nothing to add."""
+        n = -(-g * g // _MAX_CELLS_PER_POINT)
+        rng = np.random.default_rng(g)
+        ix = rng.integers(0, g, size=(1, n))
+        iy = rng.integers(0, g, size=(1, n))
+        members = np.full((1, n), rate == 1.0)
+        out = lattice_within_radius(ix, iy, members, 5.0, eps=1.0,
+                                    grid_size=g)
+        assert out.shape == (1, n) and not out.any()
+        self._check_uniform_walkers(g, 1.0, 5.0, 1, (rate,), seed=g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(trials=st.integers(1, 4), g=st.integers(1, 140),
+           eps=st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]),
+           reach=st.one_of(st.integers(1, 150).map(float),
+                           st.integers(1, 400).map(math.sqrt),
+                           st.floats(0.05, 150.0)),
+           rate=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 16))
+    def test_matches_cell_grid_property(self, trials, g, eps, reach, rate,
+                                        seed):
+        """Any stack shape, lattice size, resolution, radius (R / eps an
+        integer, the root of one, or neither) and member rate: bit rows
+        equal the cell grid."""
+        self._check_uniform_walkers(g, eps, reach * eps, trials, (rate,),
+                                    seed=seed, brute_force=False)
