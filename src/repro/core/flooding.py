@@ -219,24 +219,23 @@ def flooding_trials(
     Parameters
     ----------
     backend:
-        ``"serial"`` (one :func:`flood` per trial, the reference
-        path), ``"batched"`` (the vectorised engine of
-        :mod:`repro.engine`), or ``"parallel"`` (chunked
-        multiprocessing fan-out).  With the default
-        ``rng_mode="replay"`` every backend is bit-identical to the
-        serial path for the same *seed*.
+        ``"serial"`` or ``"batched"`` (the engine's chunks of
+        :mod:`repro.engine`, run one after another in this process),
+        or ``"parallel"`` (the same chunks fanned out to worker
+        processes).  Every backend returns the same results for the
+        same *seed*, *rng_mode* and *chunk_size*.
     jobs:
         Worker count for the parallel backend (``None`` = one per CPU).
     rng_mode:
-        ``"replay"`` reproduces the serial seed tree draw-for-draw;
-        ``"native"`` uses the engine's own batched stream layout —
-        identical process law, different realisations, and a much
-        faster kernel (see DESIGN.md).
+        ``"replay"`` runs every trial through :func:`flood`'s loop with
+        the serial seed tree (one ``(graph, source)`` stream pair per
+        trial); ``"native"`` uses the engine's own batched stream
+        layout — identical process law, different realisations, and a
+        much faster kernel (see DESIGN.md).
     chunk_size:
         Trials per engine chunk (``None``: the plan default).  Replay
-        results never depend on it; native realisations do (the
-        ``(seed, trials, chunk_size)`` contract).  Unused by the
-        serial backend.
+        results never depend on it; native realisations do, on every
+        backend (the ``(seed, trials, chunk_size)`` contract).
     """
     from repro.protocols.base import FLOODING
     from repro.protocols.runner import spreading_trials

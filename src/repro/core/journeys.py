@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.flooding import resolve_max_steps
 from repro.dynamics.base import EvolvingGraph
 from repro.util.rng import SeedLike, as_generator
-from repro.util.validation import require, require_node, require_positive_int
+from repro.util.validation import require, require_node
 
 __all__ = ["ArrivalTimes", "foremost_arrival_times", "temporal_eccentricity",
            "temporal_diameter"]
@@ -90,8 +91,7 @@ def foremost_arrival_times(
     """
     n = graph.num_nodes
     source = require_node(source, n, "source")
-    budget = 4 * n + 64 if max_steps is None else require_positive_int(max_steps,
-                                                                       "max_steps")
+    budget = resolve_max_steps(n, max_steps)
     if reset:
         graph.reset(seed)
 

@@ -1,16 +1,16 @@
 """The pluggable batched-kernel protocol and its dispatch registry.
 
-The simulation engine (:mod:`repro.engine`) advances ``B`` independent
-flooding trials as one ``(B, n)`` informed matrix.  All of its
-*bookkeeping* — informed masks, histories, truncation, multi-source
-handling — is model-agnostic; only two things depend on the model
-family:
+The serial loop (:func:`repro.protocols.runner.spread`) and the
+simulation engine (:mod:`repro.engine`) are model-agnostic apart from
+two things that depend on the model family:
 
-1. the exact ``N(I)`` query against a live per-trial model (the
-   *replay* contract, bit-identical to the serial reference), and
+1. the exact ``N(I)`` query against one live model, which ``spread``
+   asks every member-set round (the *replay* contract, bit-identical to
+   the snapshot query), and
 2. the fully batched native kernels that initialise, query, and advance
-   all ``B`` trial populations from one chunk-level generator (the
-   *native* contract: same process law, different realisations).
+   all ``B`` trial populations of an engine chunk from one chunk-level
+   generator as a ``(B, n)`` informed matrix (the *native* contract:
+   same process law, different realisations).
 
 :class:`BatchedDynamics` is the provider interface for both.  Model
 packages implement it next to their models and register a factory here
@@ -21,7 +21,7 @@ kernels instead of silently falling back to the generic snapshot path.
 Unregistered families always work: :class:`GenericBatchedDynamics`
 answers replay queries through ``snapshot().neighborhood_mask`` and
 reports no native capability, which routes native runs to the engine's
-per-trial fallback.
+per-trial fallback (``spread``'s loop with chunk-spawned streams).
 
 A factory may *decline* a particular template by returning ``None`` —
 the lookup then continues up the MRO.  The standard reason to decline
@@ -65,10 +65,12 @@ class BatchedDynamics:
     replay (always available)
         :meth:`replay_neighborhood` must be **bit-identical** to
         ``model.snapshot().neighborhood_mask(informed)`` for every model
-        the factory accepts.  The engine drives per-trial models through
-        their own ``reset``/``step`` and only delegates the ``N(I)``
-        query, so replay results coincide with serial
-        :func:`repro.core.flooding.flood` draw for draw.
+        the factory accepts, and must draw no randomness.
+        :func:`~repro.protocols.runner.spread` drives the model through
+        its own ``reset``/``step`` and asks this query for ``N(I)`` in
+        every round of a member-set protocol (sampling protocols still
+        read ``snapshot()``), so serial runs and every replayed engine
+        trial go through it and stay equal to the snapshot semantics.
     native (optional, ``native_capable = True``)
         :meth:`batch_init` / :meth:`batch_neighborhood` /
         :meth:`batch_step` must implement the model's *exact process
@@ -177,8 +179,9 @@ class GenericBatchedDynamics(BatchedDynamics):
 
     Replay queries go through ``snapshot().neighborhood_mask`` (exact by
     definition, ``O(n^2)``-ish per trial per step for dense snapshots);
-    there are no native kernels, so the engine steps per-trial models
-    with generators spawned from the chunk stream instead.
+    there are no native kernels, so the engine runs ``spread``'s loop
+    trial by trial with generators spawned from the chunk stream
+    instead.
     """
 
     native_capable = False

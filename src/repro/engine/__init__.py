@@ -6,9 +6,10 @@ multipliers into batch dimensions:
 * :class:`~repro.engine.plan.SimulationPlan` — declarative description
   of a trial batch (model, trials, sources, budget, deterministic seed
   tree).
-* :mod:`~repro.engine.batch` — model- and protocol-agnostic batched
-  bookkeeping advancing ``B`` trials as a ``(B, n)`` informed matrix;
-  the model-family kernels plug in through the
+* :mod:`~repro.engine.batch` — one chunk of trials: replayed trials
+  run :func:`repro.protocols.runner.spread` one by one, and native
+  chunks advance ``B`` trials as a ``(B, n)`` informed matrix; the
+  model-family kernels plug in through the
   :class:`~repro.dynamics.batched.BatchedDynamics` registry (providers
   live next to their models: ``repro.edgemeg.kernels``,
   ``repro.geometric.kernels``, ``repro.mobility.kernels``), and the
@@ -16,8 +17,9 @@ multipliers into batch dimensions:
   rules, written once over a leading trial axis on
   :class:`~repro.protocols.base.SpreadingProtocol`; unregistered model
   families and sampling protocols run trial by trial.
-* :func:`~repro.engine.executor.run_plan` — ``serial`` / ``batched`` /
-  ``parallel`` execution behind one call.
+* :func:`~repro.engine.executor.run_plan` — the same chunks in this
+  process (``serial`` / ``batched``) or in worker processes
+  (``parallel``) behind one call.
 * :class:`~repro.engine.results.TrialEnsemble` — column-wise results
   that plug into :mod:`repro.analysis`.
 

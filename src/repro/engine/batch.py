@@ -1,41 +1,39 @@
-"""Batched spreading bookkeeping over pluggable model kernels and
-protocol rules.
+"""Chunk execution over pluggable model kernels and protocol rules.
 
-This module advances **B independent spreading trials simultaneously**,
-holding the informed sets as a ``(B, n)`` boolean matrix.  Everything
-model-specific — the exact ``N(I)`` query against a live trial model,
-the fully batched native population kernels — is obtained through the
+:func:`run_chunk` runs one chunk of a plan's trials.  Everything
+model-specific — the fully batched native population kernels, the exact
+count law — is obtained through the
 :class:`~repro.dynamics.batched.BatchedDynamics` registry
 (:func:`~repro.dynamics.batched.batched_dynamics_for`), and everything
 *process*-specific — activation, transmission, stalling — from the
 protocol's own rules, written once over a leading trial axis on
-:class:`~repro.protocols.base.SpreadingProtocol` and looked up through
-:func:`batched_protocol_for`.  This module owns only the protocol- and
-model-agnostic bookkeeping: informed matrices, count histories,
-truncation, multi-source seeding, and chunk assembly.  It imports **no
+:class:`~repro.protocols.base.SpreadingProtocol`.  It imports **no
 concrete model classes** — model packages register their kernel
 providers (``repro.edgemeg.kernels``, ``repro.geometric.kernels``,
 ``repro.mobility.kernels``) and any unregistered family runs on the
 generic snapshot fallback.
 
 Two stream layouts are supported (see :mod:`repro.engine.plan`):
-*replay* advances each trial's own generators exactly like the serial
-reference, running the protocol rules as their one-trial case, which
-makes every result bit-identical to :func:`repro.core.flooding.flood` /
-:func:`repro.protocols.runner.spread`; *native* draws from one
-chunk-level generator in batch order, enabling the vectorised
-population kernels that the providers implement (sparse edge churn,
-shared lattice steps, stacked mobility kinematics) composed with the
-protocol rules on whole chunks.  Protocols that transmit by sampling
-(they override ``transmit``) have no member-set form and run native
-chunks trial by trial with chunk-spawned streams.  Native *flooding* on
-a family whose provider declares a count law (the edge-MEGs) skips the
-populations altogether and runs the exact chain on two informed counts
+*replay* runs each trial as one :func:`repro.protocols.runner.spread`
+call with its own generators, on one model per chunk reset per trial,
+so every result is the serial reference's by construction; *native*
+draws from one chunk-level generator in batch order, enabling the
+vectorised population kernels that the providers implement (sparse edge
+churn, shared lattice steps, stacked mobility kinematics) composed with
+the protocol rules on whole ``(B, n)`` informed matrices
+(:func:`_run_chunk_native`, the rules looked up through
+:func:`batched_protocol_for`).  Native pairs without such kernels —
+protocols that transmit by sampling (they override ``transmit``), or
+families without native kernels — run ``spread``'s loop trial by trial
+with chunk-spawned streams.  Native *flooding* on a family whose
+provider declares a count law (the edge-MEGs) skips the populations
+altogether and runs the exact chain on two informed counts
 (:func:`count_chain`).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -43,13 +41,10 @@ import numpy as np
 from repro import obs
 from repro.core.flooding import _resolve_sources
 from repro.dynamics.base import EvolvingGraph
-from repro.dynamics.batched import (
-    BatchedDynamics,
-    batched_dynamics_for,
-    uses_inherited,
-)
+from repro.dynamics.batched import BatchedDynamics, batched_dynamics_for
 from repro.engine.results import TrialEnsemble
-from repro.protocols.base import SpreadingProtocol
+from repro.protocols.base import SpreadingProtocol, member_set
+from repro.protocols.runner import _spread_loop, draw_trial_source, spread
 from repro.util.validation import require, require_node
 
 __all__ = [
@@ -61,175 +56,49 @@ __all__ = [
 
 def batched_protocol_for(protocol: SpreadingProtocol,
                          num_nodes: int) -> SpreadingProtocol:
-    """The object whose ``batch_*`` hooks (and ``transmit``) the engine
-    calls for *protocol* on ``num_nodes`` nodes: the protocol itself,
-    which writes its law once over a leading trial axis.
+    """The object whose ``batch_*`` hooks the native kernel tier calls
+    for *protocol* on ``num_nodes`` nodes: the protocol itself, which
+    writes its law once over a leading trial axis.
 
-    Every engine path looks the hooks up through this one name, and
-    only here: ``perfbench/probe.py`` patches it and times the four
-    ``batch_*`` hooks of whatever it returns as ``protocol.hooks_ms``.
+    The kernel tier (:func:`_run_chunk_native`) looks the hooks up
+    through this one name, and only here: ``perfbench/probe.py`` patches
+    it and times the four ``batch_*`` hooks of whatever it returns as
+    ``protocol.hooks_ms``.  Per-trial chunks (replay and the generic
+    native tier) run :func:`~repro.protocols.runner.spread`'s loop,
+    which calls the protocol's rules directly.
     """
     return protocol
 
 
-def member_set(protocol: SpreadingProtocol) -> bool:
-    """Whether *protocol* transmits by the member-set rule (it inherits
-    :meth:`~repro.protocols.base.SpreadingProtocol.transmit`), so the
-    model family's neighborhood queries can answer its rounds: the gate
-    for native kernels.  Sampling protocols override ``transmit`` and
-    run trial by trial."""
-    return uses_inherited(protocol, SpreadingProtocol, "transmit")
-
-
 # ---------------------------------------------------------------------------
-# replay kernel: per-trial model streams, batched bookkeeping
+# per-trial chunks: spread's loop on one model, reset per trial
 # ---------------------------------------------------------------------------
 
-def _fresh_masks(pk: SpreadingProtocol, members_only: bool,
-                 kernel: BatchedDynamics, models: list[EvolvingGraph],
-                 pstate, informed: np.ndarray, act: list[int], t: int,
-                 rngs: "list[np.random.Generator | None] | None") -> np.ndarray:
-    """Fresh masks of the *act* trials: the one-trial case of the
-    protocol's rules (``act = slice(b, b + 1)``), each trial with its
-    own protocol generator.
-
-    Member-set rounds go through the model family's exact
-    :meth:`~repro.dynamics.batched.BatchedDynamics.replay_neighborhood`
-    (bit-identical to the snapshot query by the dynamics contract), and
-    sampling protocols run their ``transmit`` against the trial's own
-    snapshot — the same draws as the serial
-    :func:`repro.protocols.runner.spread` round, so replay results stay
-    bit-identical to the serial reference.
-    """
-    n = informed.shape[1]
-    out = np.zeros((len(act), n), dtype=bool)
-    for j, b in enumerate(act):
-        rng = rngs[b] if rngs is not None else None
-        row = informed[b]
-        members = pk.batch_active(pstate, informed, slice(b, b + 1), t, rng)
-        active = row if members is None else members[0]
-        if not members_only:
-            out[j] = pk.transmit(models[b].snapshot(), row, active, rng)
-        elif members is None:
-            out[j] = kernel.replay_neighborhood(models[b], row)
-        elif active.any():
-            out[j] = kernel.replay_neighborhood(models[b], active) & ~row
-    return out
+def _ensemble(plan, results: list) -> TrialEnsemble:
+    """A chunk's per-trial results as an ensemble, honouring the plan's
+    recording flags."""
+    ensemble = TrialEnsemble.from_results(results)
+    return replace(
+        ensemble,
+        histories=ensemble.histories if plan.record_history else (),
+        informed=ensemble.informed if plan.record_informed else None)
 
 
-def _stalled(pk: SpreadingProtocol, pstate, informed: np.ndarray, b: int,
-             t: int) -> bool:
-    """The protocol's stall predicate on trial *b* alone."""
-    stalled = pk.batch_stalled(pstate, informed, slice(b, b + 1), t)
-    return stalled is not None and bool(stalled[0])
-
-
-def _run_models_loop(models: list[EvolvingGraph],
-                     sources: list[tuple[int, ...]],
-                     budget: int,
-                     record_history: bool,
-                     record_informed: bool,
-                     protocol: SpreadingProtocol,
-                     rngs: "list[np.random.Generator | None] | None" = None,
-                     ) -> TrialEnsemble:
-    """Advance already-reset per-trial models in lockstep.
-
-    Mirrors the update order of :func:`repro.core.flooding.flood` (and
-    its protocol generalisation :func:`repro.protocols.runner.spread`)
-    exactly — conditional recount, post-increment time, one step budget
-    shared by every trial, post-round stall check — and runs the
-    protocol's rules on each trial's row alone, so times, histories and
-    masks coincide with the serial reference."""
-    kernel = batched_dynamics_for(models[0])
-    n = models[0].num_nodes
-    pk = batched_protocol_for(protocol, n)
-    members_only = member_set(protocol)
-    num = len(models)
-    informed = np.zeros((num, n), dtype=bool)
-    histories: list[list[int]] = []
-    for i, src in enumerate(sources):
-        informed[i, list(src)] = True
-        histories.append([len(src)])
-    pstate = pk.batch_state(informed)
-    times = np.zeros(num, dtype=np.int64)
-    completed = np.zeros(num, dtype=bool)
-    act = [i for i in range(num) if histories[i][-1] < n]
-    for i in range(num):
-        if histories[i][-1] >= n:
-            completed[i] = True  # single-node graphs complete at t=0
-    t = 0
-    while act and t < budget:
-        fresh = _fresh_masks(pk, members_only, kernel, models, pstate,
-                             informed, act, t, rngs)
-        t += 1
-        still = []
-        for j, b in enumerate(act):
-            count = histories[b][-1]
-            if fresh[j].any():
-                informed[b] |= fresh[j]
-                count = int(informed[b].sum())
-            pk.batch_absorb(pstate, slice(b, b + 1), fresh[j:j + 1], t)
-            histories[b].append(count)
-            if count == n:
-                times[b] = t
-                completed[b] = True
-            elif t >= budget:
-                times[b] = t
-            elif _stalled(pk, pstate, informed, b, t):
-                times[b] = t  # retired early; completed stays False
-            else:
-                models[b].step()
-                still.append(b)
-        act = still
-    return TrialEnsemble(
-        num_nodes=n,
-        sources=tuple(sources),
-        times=times,
-        completed=completed,
-        histories=tuple(np.asarray(h, dtype=np.int64) for h in histories)
-        if record_history else (),
-        informed=informed if record_informed else None,
-    )
-
-
-def _run_chunk_replay(plan, streams: list[np.random.Generator],
-                      count: int, budget: int) -> TrialEnsemble:
-    """Run *count* flooding trials whose ``(graph, source)`` generator
-    pairs are given in the serial layout (two streams per trial)."""
-    models = [plan.make_model() for _ in range(count)]
-    n = models[0].num_nodes
-    sources = []
-    for i in range(count):
-        rng_graph, rng_src = streams[2 * i], streams[2 * i + 1]
-        src = int(rng_src.integers(n)) if plan.source is None else plan.source
-        sources.append(_resolve_sources(src, n))
-        models[i].reset(rng_graph)
-    return _run_models_loop(models, sources, budget,
-                            plan.record_history, plan.record_informed,
-                            plan.protocol)
-
-
-def _run_chunk_replay_protocol(plan, trial_streams: list[tuple[int, int]],
-                               count: int, budget: int) -> TrialEnsemble:
-    """Run *count* non-flooding protocol trials from their per-trial
-    ``(run_seed, source_seed)`` integers (the
-    :func:`repro.protocols.runner.spreading_trials` layout)."""
-    from repro.protocols.runner import draw_trial_source, split_protocol_seed
-
-    protocol = plan.protocol
-    models = [plan.make_model() for _ in range(count)]
-    n = models[0].num_nodes
-    sources = []
-    rngs: list[np.random.Generator | None] = []
-    for i, (run_seed, source_seed) in enumerate(trial_streams):
-        src = draw_trial_source(plan.source, n, source_seed)
-        sources.append(_resolve_sources(src, n))
-        rng_graph, rng_proto = split_protocol_seed(protocol, run_seed)
-        models[i].reset(rng_graph)
-        rngs.append(rng_proto)
-    return _run_models_loop(models, sources, budget,
-                            plan.record_history, plan.record_informed,
-                            protocol, rngs)
+def _run_chunk_replay(plan, trial_streams: list[tuple],
+                      budget: int) -> TrialEnsemble:
+    """Run a chunk's trials from their ``(run_seed, source_seed)`` pairs
+    in the serial layout: flooding's spawned generator pairs, or the
+    ``derive_seed`` integers of other protocols (the
+    :func:`repro.protocols.runner.spreading_trials` layout).  Each trial
+    is one :func:`~repro.protocols.runner.spread` call on the chunk's
+    one model, so results are the serial reference's by construction."""
+    model = plan.make_model()
+    n = model.num_nodes
+    return _ensemble(plan, [
+        spread(plan.protocol, model,
+               draw_trial_source(plan.source, n, source_seed),
+               seed=run_seed, max_steps=budget)
+        for run_seed, source_seed in trial_streams])
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +277,23 @@ def _run_chunk_counts(plan, kernel: BatchedDynamics,
 def _run_chunk_native_generic(plan, rng: np.random.Generator,
                               count: int, budget: int) -> TrialEnsemble:
     """Native fallback for protocol/model pairs without composed batched
-    kernels: per-trial model stepping with generators spawned from the
-    chunk stream (the replay-style loop, minus the replay stream
-    layout).  Flooding spawns one stream per trial — the pre-protocol
-    layout, kept byte-stable — while protocols drawing per-round
-    randomness spawn a second block of per-trial protocol streams."""
-    models = [plan.make_model() for _ in range(count)]
-    n = models[0].num_nodes
+    kernels: :func:`~repro.protocols.runner.spread`'s loop trial by
+    trial on one model, reset per trial with a generator spawned from
+    the chunk stream.  Flooding spawns one stream per trial — the
+    pre-protocol layout, kept byte-stable — while protocols drawing
+    per-round randomness spawn a second block of per-trial protocol
+    streams."""
+    model = plan.make_model()
+    n = model.num_nodes
     sources = _chunk_sources(plan, rng, count, n)
-    for model, stream in zip(models, rng.spawn(count)):
+    graph_streams = rng.spawn(count)
+    rngs = (rng.spawn(count) if plan.protocol.splits_seed
+            else [None] * count)
+    results = []
+    for src, stream, prng in zip(sources, graph_streams, rngs):
         model.reset(stream)
-    rngs = (list(rng.spawn(count)) if plan.protocol.splits_seed else None)
-    return _run_models_loop(models, sources, budget,
-                            plan.record_history, plan.record_informed,
-                            plan.protocol, rngs)
+        results.append(_spread_loop(plan.protocol, model, src, budget, prng))
+    return _ensemble(plan, results)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +304,8 @@ def run_chunk(payload: dict) -> TrialEnsemble:
     """Run one chunk of a plan; the executor's unit of work.
 
     *payload* carries the plan, the trial range, and the pre-derived
-    randomness (replay generator pairs or the native chunk seed), so a
+    randomness (per-trial replay ``(run_seed, source_seed)`` pairs or
+    the native chunk seed), so a
     worker process needs nothing beyond this dict.  Kernel selection
     goes through the :class:`BatchedDynamics` registry; native flooding
     on a provider with a count law runs the count chain, and the span's
@@ -446,12 +319,8 @@ def run_chunk(payload: dict) -> TrialEnsemble:
                   mode=plan.rng_mode, protocol=plan.protocol.name) as sp:
         if plan.rng_mode == "replay":
             sp.set(tier="replay")
-            if plan.is_flooding:
-                ensemble = _run_chunk_replay(plan, payload["streams"],
-                                             count, budget)
-            else:
-                ensemble = _run_chunk_replay_protocol(
-                    plan, payload["trial_streams"], count, budget)
+            ensemble = _run_chunk_replay(plan, payload["trial_streams"],
+                                         budget)
         else:
             rng = np.random.default_rng(payload["chunk_seed"])
             template = plan.make_model()

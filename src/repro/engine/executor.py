@@ -1,27 +1,25 @@
-"""Plan execution: serial reference, in-process batching, and
-chunked multiprocessing fan-out.
+"""Plan execution: chunks of trials in this process or fanned out to
+worker processes.
 
-``run_plan`` is the single entry point.  Backends:
+``run_plan`` is the single entry point.  Every backend cuts the plan
+into the same chunk payloads (plan, trial range, pre-derived chunk
+randomness) and runs each through :func:`repro.engine.batch.run_chunk`:
 
-``serial``
-    The reference path — one :func:`repro.protocols.runner.spread` call
-    per trial on a single model instance, with the plan's replay stream
-    layout.  Exists so every other backend has a bit-comparable
-    baseline.
-``batched``
-    Chunks of trials advance together through the batched bookkeeping of
-    :mod:`repro.engine.batch` and the model family's registered
-    :class:`~repro.dynamics.batched.BatchedDynamics` kernels, in this
-    process.
+``serial`` / ``batched``
+    The chunks run one after another in this process.  The two names
+    run the same code; ``serial`` stays as the name of the reference
+    run that other backends are compared against.
 ``parallel``
     The same chunks, fanned out to worker processes.  Workers receive
-    a self-contained payload (plan + pre-derived chunk randomness) and
-    build their models locally, so nothing is shared but the results.
+    a self-contained payload and build their models locally, so
+    nothing is shared but the results.
 
-With the plan's default ``rng_mode="replay"`` all three backends return
-bit-identical ensembles for the same seed; ``"native"`` trades that for
-the fast chunk-stream kernels (deterministic in ``(seed, trials,
-chunk_size)``, independent of *jobs*).
+With the plan's default ``rng_mode="replay"`` every trial is one
+:func:`repro.protocols.runner.spread` call, and all backends return
+bit-identical ensembles for the same seed, whatever the chunk size;
+``"native"`` trades that for the fast chunk-stream kernels on every
+backend (deterministic in ``(seed, trials, chunk_size)``, independent
+of the backend and of *jobs*).
 """
 
 from __future__ import annotations
@@ -87,50 +85,17 @@ def fan_out_chunks(worker, payloads: Sequence[dict],
             return list(pool.map(worker, payloads))
 
 
-def _run_serial(plan: SimulationPlan, root, budget: int) -> TrialEnsemble:
-    """Per-trial :func:`~repro.protocols.runner.spread` loop (the
-    bit-compatibility reference).
-
-    Flooding keeps its frozen ``spawn(seed, 2·trials)`` generator
-    pairs; other protocols use the per-trial ``derive_seed`` integers
-    of :meth:`SimulationPlan.protocol_streams`.
-    """
-    from repro.protocols.runner import draw_trial_source, spread
-
-    model = plan.make_model()
-    n = model.num_nodes
-    if plan.is_flooding:
-        streams = plan.replay_streams(root)
-        trial_streams = zip(streams[0::2], streams[1::2])
-    else:
-        trial_streams = plan.protocol_streams(root, 0, plan.trials)
-    results = [spread(plan.protocol, model,
-                      draw_trial_source(plan.source, n, source_seed),
-                      seed=run_seed, max_steps=budget)
-               for run_seed, source_seed in trial_streams]
-    ensemble = TrialEnsemble.from_results(results, num_nodes=n)
-    if plan.record_history and plan.record_informed:
-        return ensemble
-    # Honour the plan's recording flags so every backend returns the
-    # same ensemble shape.
-    return TrialEnsemble(
-        num_nodes=ensemble.num_nodes,
-        sources=ensemble.sources,
-        times=ensemble.times,
-        completed=ensemble.completed,
-        histories=ensemble.histories if plan.record_history else (),
-        informed=ensemble.informed if plan.record_informed else None,
-    )
-
-
 def _chunk_payloads(plan: SimulationPlan, root, budget: int) -> list[dict]:
     payloads = []
     replay = plan.rng_mode == "replay"
-    streams = plan.replay_streams(root) if replay and plan.is_flooding else None
+    pairs = None
+    if replay and plan.is_flooding:
+        streams = plan.replay_streams(root)
+        pairs = list(zip(streams[0::2], streams[1::2]))
     for start, stop in plan.chunk_ranges():
         payload = {"plan": plan, "range": (start, stop), "budget": budget}
-        if streams is not None:
-            payload["streams"] = streams[2 * start:2 * stop]
+        if pairs is not None:
+            payload["trial_streams"] = pairs[start:stop]
         elif replay:
             payload["trial_streams"] = plan.protocol_streams(root, start, stop)
         else:
@@ -165,11 +130,9 @@ def run_plan(plan: SimulationPlan, *, backend: str = "batched",
 
     with obs.span("engine.plan", backend=backend, trials=plan.trials, n=n,
                   rng_mode=plan.rng_mode, protocol=plan.protocol.name):
-        if backend == "serial":
-            return _run_serial(plan, root, budget)
         payloads = _chunk_payloads(plan, root, budget)
-        if backend == "batched":
-            parts = [run_chunk(p) for p in payloads]
-        else:
+        if backend == "parallel":
             parts = fan_out_chunks(run_chunk, payloads, jobs)
+        else:
+            parts = [run_chunk(p) for p in payloads]
         return TrialEnsemble.concatenate(parts)

@@ -7,14 +7,14 @@ executed (``serial`` / ``batched`` / ``parallel``, see
 plan's single seed through one of two documented stream layouts:
 
 ``replay`` (default)
-    The per-trial layout of the ``serial`` backend, which runs
-    :func:`repro.protocols.runner.spread` once per trial.  For flooding,
+    The per-trial layout of the serial reference: every trial is one
+    :func:`repro.protocols.runner.spread` call.  For flooding,
     ``spawn(seed, 2 * trials)`` yields per-trial ``(graph, source)``
     generator pairs in trial order; other protocols get per-trial
     ``derive_seed`` integers (:meth:`SimulationPlan.protocol_streams`).
-    Every backend consuming this layout is **bit-identical** to the
-    serial loop — same flooding times, same informed histories, same
-    masks — regardless of chunking or worker count.
+    Every backend returns the serial loop's results **bit for bit** —
+    same flooding times, same informed histories, same masks —
+    regardless of chunking or worker count.
 
 ``native``
     One generator per fixed-size *chunk* of trials, derived via
@@ -64,8 +64,8 @@ class SimulationPlan:
     ----------
     model:
         Template :class:`~repro.dynamics.base.EvolvingGraph`; the engine
-        deep-copies it per trial/worker, so the instance you pass is
-        never mutated by the non-serial backends.  Exactly one of
+        deep-copies it per chunk, so the instance you pass is never
+        mutated by any backend.  Exactly one of
         *model* and *model_factory* must be given.
     model_factory:
         Zero-argument callable building a fresh model.  Must be

@@ -3,15 +3,18 @@
 A model family registering its own
 :class:`~repro.dynamics.batched.BatchedDynamics` provider signs up for
 the replay contract: for the same seed, every backend must reproduce
-the serial reference **bit for bit**.  This module holds the assertion
-the repository's own kernel suites use to enforce it, so downstream
-kernel authors can apply the identical check::
+the serial reference **bit for bit**.  Every backend runs replayed
+trials as :func:`repro.protocols.runner.spread` calls, which ask the
+provider's ``replay_neighborhood``, so the check that reaches a new
+provider compares the engine with a loop of its own on
+``graph.snapshot()`` over the replay layout (``spawn(seed, 2 *
+trials)`` as ``(graph, source)`` pairs), as the repository's
+``tests/engine/test_replay_reference.py`` does::
 
     from repro.engine.testing import assert_results_bit_identical
 
-    serial = flooding_trials(model, trials=5, seed=0)
     engine = flooding_trials(model, trials=5, seed=0, backend="batched")
-    assert_results_bit_identical(serial, engine)
+    assert_results_bit_identical(snapshot_reference, engine)
 """
 
 from __future__ import annotations

@@ -64,11 +64,11 @@ class SpreadingProtocol:
         ...step the graphs, t += 1...
         retire rows where protocol.batch_stalled(state, informed, act, t)
 
-    The serial reference loop (:func:`repro.protocols.runner.spread`)
-    and the engine's replay loop run it as the one-trial case, each
-    trial with its own generator, and the engine's native loop runs it on
-    whole chunks with one chunk generator and answers ``N(members)``
-    with the model family's batched neighborhood query.
+    The serial reference loop (:func:`repro.protocols.runner.spread`),
+    which runs every replayed engine trial too, runs it as the one-trial
+    case, each trial with its own generator, and the engine's native
+    loop runs it on whole chunks with one chunk generator and answers
+    ``N(members)`` with the model family's batched neighborhood query.
 
     Sampling protocols (push, pull, push–pull) pick neighbors node by
     node, which has no member-set form: they override the per-trial
@@ -114,11 +114,7 @@ class SpreadingProtocol:
         ``None``, and ``N(I)`` is disjoint from ``I`` by the snapshot
         contract.
         """
-        if active is informed:
-            return snapshot.neighborhood_mask(informed)
-        if not active.any():
-            return np.zeros_like(informed)
-        return snapshot.neighborhood_mask(active) & ~informed
+        return _member_fresh(snapshot.neighborhood_mask, informed, active)
 
     def batch_absorb(self, state: Any, act, fresh: np.ndarray,
                      t: int) -> None:
@@ -173,3 +169,29 @@ class Flooding(SpreadingProtocol):
 
 #: Shared default instance (the engine plan default).
 FLOODING = Flooding()
+
+
+def member_set(protocol: SpreadingProtocol) -> bool:
+    """Whether *protocol* transmits by the member-set rule (it inherits
+    :meth:`SpreadingProtocol.transmit`), so the model family's
+    neighborhood queries can answer its rounds: serial ``spread`` then
+    asks the family's ``replay_neighborhood`` instead of a snapshot, and
+    the engine may run native kernels.  Sampling protocols override
+    ``transmit`` and run trial by trial against snapshots."""
+    return type(protocol).transmit is SpreadingProtocol.transmit
+
+
+def _member_fresh(neighborhood, informed: np.ndarray,
+                  active: np.ndarray) -> np.ndarray:
+    """The member-set rule ``N(active) & ~informed`` of one trial, with
+    ``N`` answered by *neighborhood* (a mask -> mask query of ``G_t``).
+
+    The default :meth:`SpreadingProtocol.transmit` asks the snapshot;
+    :func:`repro.protocols.runner.spread` asks the model family's
+    ``replay_neighborhood``, so both run this one rule.
+    """
+    if active is informed:
+        return neighborhood(informed)
+    if not active.any():
+        return np.zeros_like(informed)
+    return neighborhood(active) & ~informed

@@ -3,11 +3,12 @@
 :func:`spread` is the single serial per-round loop of the library: one
 run of one protocol on one evolving-graph realisation, returning a
 :class:`~repro.core.flooding.FloodingResult`.  :func:`repro.core.flooding.flood`
-is a thin wrapper over ``spread(FLOODING, ...)``, and the engine's
-``serial`` backend calls it once per trial.  Randomized protocols split
-the seed as ``rng_graph, rng_protocol = spawn(seed, 2)``
-(:func:`split_protocol_seed`), so the same trial seed couples the
-evolving-graph realisation across protocols.
+is a thin wrapper over ``spread(FLOODING, ...)``, and the engine runs
+every replayed trial (and every generic native trial) through the same
+loop.  Randomized protocols split the seed as
+``rng_graph, rng_protocol = spawn(seed, 2)`` (:func:`split_protocol_seed`),
+so the same trial seed couples the evolving-graph realisation across
+protocols.
 
 :func:`spreading_trials` runs independent trials of any protocol by
 building a :class:`~repro.engine.plan.SimulationPlan` and executing it
@@ -25,6 +26,7 @@ existing campaign cache entries were computed under.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +39,8 @@ from repro.core.flooding import (
     resolve_max_steps,
 )
 from repro.dynamics.base import EvolvingGraph
-from repro.protocols.base import SpreadingProtocol
+from repro.dynamics.batched import batched_dynamics_for
+from repro.protocols.base import SpreadingProtocol, _member_fresh, member_set
 from repro.util.rng import SeedLike, as_generator, as_seed_sequence, derive_seed, spawn
 
 __all__ = [
@@ -60,9 +63,8 @@ def split_protocol_seed(protocol: SpreadingProtocol,
     The single definition of the seed-split convention: protocols with
     ``splits_seed`` get ``spawn(seed, 2)`` streams; flooding-style
     protocols hand the seed to ``graph.reset`` untouched and consume no
-    protocol randomness.  Every replay path (serial :func:`spread`, the
-    engine's protocol chunks) goes through here, so cross-backend
-    bit-identity cannot drift.
+    protocol randomness.  Every replayed trial, on every backend, is a
+    :func:`spread` call and splits its seed here.
     """
     if protocol.splits_seed:
         rng_graph, rng_proto = spawn(seed, 2)
@@ -93,13 +95,22 @@ def spread(
 
     Each round runs the protocol's rules as their one-trial case against
     ``G_t`` (see :class:`~repro.protocols.base.SpreadingProtocol`), then
-    steps the graph (the flooding semantics of Section 2: information
-    crosses one edge per step).  The graph is ``reset`` with the
-    protocol's graph seed first unless ``reset=False``.  A run that
-    exhausts *max_steps* (``None``: ``4n + 64``) returns with
-    ``completed = False``; a stalled protocol (retire predicate fires)
-    returns early the same way, with ``time`` equal to the rounds
-    actually run.
+    the graph steps to ``G_{t+1}`` if another round follows (the
+    flooding semantics of Section 2: information crosses one edge per
+    step).  Member-set protocols get ``N(I)`` from the model family's
+    :meth:`~repro.dynamics.batched.BatchedDynamics.replay_neighborhood`
+    (bit-identical to the snapshot query; unregistered families answer
+    through the snapshot), and sampling protocols run ``transmit``
+    against ``graph.snapshot()``.
+
+    The graph is ``reset`` with the protocol's graph seed first unless
+    ``reset=False``.  A run that exhausts *max_steps* (``None``:
+    ``4n + 64``) returns with ``completed = False``; a stalled protocol
+    (retire predicate fires) returns early the same way, with ``time``
+    equal to the rounds actually run.  The graph is left at the last
+    snapshot the run used: a run of ``T >= 1`` rounds started at time
+    ``t0`` leaves ``graph.time == t0 + T - 1``, and a run of no rounds
+    does not step it.
     """
     n = graph.num_nodes
     sources = _resolve_sources(source, n)
@@ -108,7 +119,16 @@ def spread(
     rng_graph, rng_proto = split_protocol_seed(protocol, seed)
     if reset:
         graph.reset(rng_graph)
+    return _spread_loop(protocol, graph, sources, budget, rng_proto)
 
+
+def _spread_loop(protocol: SpreadingProtocol, graph: EvolvingGraph,
+                 sources: tuple[int, ...], budget: int,
+                 rng: np.random.Generator | None) -> FloodingResult:
+    """:func:`spread`'s loop on an already-reset *graph*, drawing protocol
+    randomness from *rng*; the engine's per-trial chunks call it with
+    their own streams."""
+    n = graph.num_nodes
     # The one-trial case of the protocol's batch rules: *rows* is the
     # (1, n) informed matrix, *informed* its only row (a view).
     rows = np.zeros((1, n), dtype=bool)
@@ -116,6 +136,8 @@ def spread(
     informed[list(sources)] = True
     state = protocol.batch_state(rows)
     history = [len(sources)]
+    neighborhood = (partial(batched_dynamics_for(graph).replay_neighborhood,
+                            graph) if member_set(protocol) else None)
 
     # Per-run transmit/sample kernel attribution, only when a live sink
     # is installed: the accumulation adds two clock reads per round.
@@ -124,12 +146,16 @@ def spread(
 
     t = 0
     while history[-1] < n and t < budget:
-        snap = graph.snapshot()
-        members = protocol.batch_active(state, rows, _ALL, t, rng_proto)
+        if t:
+            graph.step()
+        members = protocol.batch_active(state, rows, _ALL, t, rng)
         active = informed if members is None else members[0]
         if traced:
             t0 = time.perf_counter()
-        fresh = protocol.transmit(snap, informed, active, rng_proto)
+        if neighborhood is None:
+            fresh = protocol.transmit(graph.snapshot(), informed, active, rng)
+        else:
+            fresh = _member_fresh(neighborhood, informed, active)
         if traced:
             transmit_s += time.perf_counter() - t0
         count = history[-1]
@@ -137,7 +163,6 @@ def spread(
             informed |= fresh
             count = int(informed.sum())
         protocol.batch_absorb(state, _ALL, fresh[np.newaxis], t + 1)
-        graph.step()
         t += 1
         history.append(count)
         if count < n:
@@ -192,11 +217,13 @@ def spreading_trials(
     Parameters mirror :func:`repro.core.flooding.flooding_trials`;
     *protocol* may be an instance or a registry token (``"push-pull"``,
     ``"p-flood:transmit_probability=0.3"``, ...).  Every backend runs
-    through :func:`~repro.engine.executor.run_plan`.  With the default
-    ``rng_mode="replay"`` the serial, batched, and parallel backends
-    are bit-identical for the same seed; ``"native"`` draws protocol
-    and model randomness from the engine's chunk streams (deterministic
-    in ``(seed, trials, chunk_size)``, independent of *jobs*).
+    through :func:`~repro.engine.executor.run_plan`, and all of them
+    return the same results for the same seed.  The default
+    ``rng_mode="replay"`` runs each trial as one :func:`spread` call
+    with its per-trial seeds (independent of *chunk_size*);
+    ``"native"`` draws protocol and model randomness from the engine's
+    chunk streams (deterministic in ``(seed, trials, chunk_size)``,
+    independent of *backend* and *jobs*).
     """
     from repro.engine import SimulationPlan, run_plan
     from repro.engine.plan import DEFAULT_CHUNK_SIZE

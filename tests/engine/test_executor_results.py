@@ -7,7 +7,10 @@ import pytest
 
 from repro.core.flooding import flooding_trials
 from repro.edgemeg.meg import EdgeMEG
-from repro.engine import SimulationPlan, TrialEnsemble, run_plan
+from repro.engine import RNG_MODES, SimulationPlan, TrialEnsemble, run_plan
+from repro.engine.testing import assert_results_bit_identical
+from repro.geometric.meg import GeometricMEG
+from repro.protocols import spreading_trials
 
 
 def make_meg():
@@ -43,6 +46,27 @@ class TestRunPlan:
         serial = run_plan(plan, backend="serial")
         fanned = run_plan(plan, backend="parallel", jobs=2)
         np.testing.assert_array_equal(serial.times, fanned.times)
+
+    @pytest.mark.parametrize("model, protocol", [
+        pytest.param(make_meg(), "flooding", id="edge-counts"),
+        pytest.param(make_meg(), "push-pull", id="edge-generic"),
+        pytest.param(GeometricMEG(24, move_radius=1.0, radius=2.5),
+                     "expiring:active_steps=2", id="geometric-kernel"),
+    ])
+    def test_serial_honours_native_mode(self, model, protocol):
+        """``backend="serial"`` runs the native tiers, not replay."""
+        runs = {
+            (backend, mode): spreading_trials(
+                protocol, model, trials=7, seed=8, backend=backend,
+                rng_mode=mode, chunk_size=3)
+            for backend in ("serial", "batched") for mode in RNG_MODES}
+        assert_results_bit_identical(runs["serial", "native"],
+                                     runs["batched", "native"])
+        assert_results_bit_identical(runs["serial", "replay"],
+                                     runs["batched", "replay"])
+        replay = [r.informed_history.tolist() for r in runs["serial", "replay"]]
+        native = [r.informed_history.tolist() for r in runs["serial", "native"]]
+        assert native != replay
 
     @pytest.mark.parametrize("backend", ["serial", "batched"])
     def test_record_flags(self, backend):

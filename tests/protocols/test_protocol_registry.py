@@ -19,10 +19,11 @@ import pytest
 from repro import obs
 from repro.edgemeg.meg import EdgeMEG
 from repro.edgemeg.sparse import SparseEdgeMEG
-from repro.engine.batch import batched_protocol_for, member_set
+from repro.engine.batch import batched_protocol_for
 from repro.engine.testing import assert_results_bit_identical as assert_bit_identical
 from repro.geometric.meg import GeometricMEG
 from repro.obs.sinks import MemorySink
+from repro.protocols.base import member_set
 from repro.protocols import (
     FLOODING,
     ExpiringFlooding,

@@ -21,6 +21,7 @@ from repro.dynamics.sequence import (
 )
 from repro.dynamics.snapshots import AdjacencySnapshot
 from repro.edgemeg.meg import EdgeMEG
+from repro.edgemeg.sparse import SparseEdgeMEG
 from repro.geometric.meg import GeometricMEG
 from repro.protocols import (
     FLOODING,
@@ -81,6 +82,65 @@ class TestFloodingAnchor:
     def test_flooding_does_not_split_its_seed(self):
         """The seed is the graph seed, exactly like the legacy flood."""
         assert not Flooding.splits_seed
+
+
+class TestSpreadLoop:
+    """How the one loop touches its graph: member-set rounds ask the
+    family's ``replay_neighborhood``, and the graph steps only between
+    rounds."""
+
+    @pytest.fixture
+    def snapshot_calls(self, monkeypatch):
+        calls = []
+        original = SparseEdgeMEG.snapshot
+
+        def counting(graph):
+            calls.append(graph.time)
+            return original(graph)
+
+        monkeypatch.setattr(SparseEdgeMEG, "snapshot", counting)
+        return calls
+
+    @pytest.mark.parametrize("protocol", [
+        pytest.param(FLOODING, id="flooding"),
+        pytest.param(ProbabilisticFlooding(0.5), id="p-flood"),
+        pytest.param(ExpiringFlooding(2), id="expiring"),
+    ])
+    def test_member_set_protocols_build_no_snapshot(self, protocol,
+                                                    snapshot_calls):
+        result = spread(protocol, SparseEdgeMEG(64, 0.05, 0.5), 0, seed=3)
+        assert result.time >= 1
+        assert snapshot_calls == []
+
+    def test_sampling_protocols_build_one_snapshot_per_round(
+            self, snapshot_calls):
+        result = spread(PushGossip(), SparseEdgeMEG(64, 0.05, 0.5), 0, seed=3)
+        assert result.completed and result.time >= 2
+        assert snapshot_calls == list(range(result.time))
+
+    @pytest.mark.parametrize("protocol", [
+        pytest.param(FLOODING, id="flooding"),
+        pytest.param(PushPullGossip(), id="push-pull"),
+    ])
+    def test_graph_left_at_last_snapshot(self, protocol):
+        meg = SparseEdgeMEG(48, 0.05, 0.5)
+        meg.reset(11)
+        result = spread(protocol, meg, 0, seed=5, reset=False)
+        assert result.completed and result.time >= 1
+        assert meg.time == result.time - 1
+
+    def test_truncated_run_left_at_last_snapshot(self):
+        meg = EdgeMEG(40, 0.01, 0.9)
+        result = spread(FLOODING, meg, 0, seed=3, max_steps=3)
+        assert not result.completed and result.time == 3
+        assert meg.time == 2
+
+    def test_zero_round_run_does_not_step(self):
+        graph = static(complete_adjacency(4))
+        graph.reset(0)
+        result = spread(FLOODING, graph, (0, 1, 2, 3), reset=False)
+        assert result.time == 0 and result.completed
+        assert graph.time == 0
 
 
 def realisation_digest(result) -> str:
