@@ -1,4 +1,4 @@
-"""Engine throughput: serial vs batched (replay/native) vs parallel.
+"""Engine throughput: serial (replay) vs batched native vs parallel.
 
 Thin pytest wrappers over the ``engine`` harness suite
 (:mod:`repro.bench.workloads.engine`): the acceptance comparison
@@ -17,7 +17,6 @@ def test_engine_native_speedup_over_serial():
     """The ISSUE acceptance criterion: >= 5x on a 64-trial ensemble."""
     showdown = run_showdown([
         "engine/edge_ensemble_serial",
-        "engine/edge_ensemble_replay",
         "engine/edge_ensemble_native",
         "engine/edge_ensemble_parallel",
     ])
@@ -31,7 +30,6 @@ def test_geometric_native_speedup_over_serial():
     its registered floor on the E4 law at n=1024, 64 trials."""
     showdown = run_showdown([
         "engine/geometric_ensemble_serial",
-        "engine/geometric_ensemble_replay",
         "engine/geometric_ensemble_native",
         "engine/geometric_ensemble_parallel",
     ])
@@ -42,10 +40,6 @@ def test_geometric_native_speedup_over_serial():
 
 def test_bench_flooding_trials_serial(benchmark):
     run_in_pytest(benchmark, "engine/trials_serial")
-
-
-def test_bench_flooding_trials_batched_replay(benchmark):
-    run_in_pytest(benchmark, "engine/trials_batched_replay")
 
 
 def test_bench_flooding_trials_batched_native(benchmark):

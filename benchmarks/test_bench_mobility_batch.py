@@ -19,7 +19,6 @@ def test_mobility_native_speedup_over_serial():
     """The ISSUE acceptance criterion: >= 3x on a waypoint ensemble."""
     showdown = run_showdown([
         "engine/mobility_ensemble_serial",
-        "engine/mobility_ensemble_replay",
         "engine/mobility_ensemble_native",
         "engine/mobility_ensemble_parallel",
     ])

@@ -10,7 +10,9 @@ wrappers thin:
 * :func:`run_showdown` — measure a group of cases with the harness
   timer, render the classic backend-comparison table, and report any
   speedup-floor violations; the acceptance tests print the table and
-  assert the failure list is empty.
+  assert the failure list is empty.  The cases run in alternating
+  rounds, so a change in host load lands on both sides of every
+  ratio a floor gates.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 
 from repro.analysis.tables import render_table
 from repro.bench.case import get_case
-from repro.bench.timer import MeasureConfig, measure_case
+from repro.bench.timer import MeasureConfig, measure_interleaved
 
 __all__ = ["run_in_pytest", "run_showdown", "ShowdownResult"]
 
@@ -56,13 +58,11 @@ class ShowdownResult:
 
 def run_showdown(names: Sequence[str],
                  config: MeasureConfig | None = None) -> ShowdownResult:
-    """Measure *names* with the harness timer and compare against each
-    case's declared serial reference."""
+    """Measure *names* in alternating rounds with the harness timer and
+    compare against each case's declared serial reference."""
     cases = [get_case(name) for name in names]
-    best: dict[str, float] = {}
-    for case in cases:
-        measurement, _ = measure_case(case, config)
-        best[case.name] = measurement.best
+    best = {case.name: measurement.best for case, measurement
+            in zip(cases, measure_interleaved(cases, config))}
 
     rows = []
     speedups: dict[str, float] = {}

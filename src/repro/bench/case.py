@@ -107,15 +107,15 @@ class BenchCase:
             self.check(result)
 
 
-_REGISTRY: dict[str, BenchCase] = {}
+_CASES: dict[str, BenchCase] = {}
 _LOADED = False
 
 
 def register(case: BenchCase) -> BenchCase:
     """Add *case* to the registry; duplicate names are an error."""
-    require(case.name not in _REGISTRY,
+    require(case.name not in _CASES,
             f"duplicate benchmark case {case.name!r}")
-    _REGISTRY[case.name] = case
+    _CASES[case.name] = case
     return case
 
 
@@ -132,10 +132,10 @@ def load_workloads() -> None:
 def get_case(name: str) -> BenchCase:
     """Look up a registered case by its full ``suite/case`` name."""
     load_workloads()
-    require(name in _REGISTRY,
+    require(name in _CASES,
             f"unknown benchmark case {name!r} "
             f"(known suites: {', '.join(suite_names())})")
-    return _REGISTRY[name]
+    return _CASES[name]
 
 
 def iter_cases(suite: str | None = None,
@@ -143,7 +143,7 @@ def iter_cases(suite: str | None = None,
     """Registered cases in registration order, optionally filtered by
     suite and an ``fnmatch`` pattern on the full name."""
     load_workloads()
-    for case in _REGISTRY.values():
+    for case in _CASES.values():
         if suite is not None and case.suite != suite:
             continue
         if pattern is not None and not fnmatch(case.name, pattern):
@@ -155,6 +155,6 @@ def suite_names() -> list[str]:
     """Suites with at least one registered case, in first-seen order."""
     load_workloads()
     seen: dict[str, None] = {}
-    for case in _REGISTRY.values():
+    for case in _CASES.values():
         seen.setdefault(case.suite, None)
     return list(seen)

@@ -13,13 +13,15 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Any
+from itertools import zip_longest
+from typing import Any, Iterator, Sequence
 
 from repro.bench.case import BenchCase
 from repro.util.timing import Timer
 from repro.util.validation import require
 
-__all__ = ["Measurement", "MeasureConfig", "measure_case"]
+__all__ = ["Measurement", "MeasureConfig", "measure_case",
+           "measure_interleaved"]
 
 
 @dataclass(frozen=True)
@@ -79,31 +81,50 @@ class MeasureConfig:
         return max(self.min_rounds, min(self.max_rounds, goal))
 
 
+def _timed_rounds(case: BenchCase, config: MeasureConfig,
+                  ) -> Iterator[tuple[float, Any]]:
+    """Yield ``(seconds, result)`` per measured round of *case*.
+
+    The first round's elapsed time calibrates the round count (a case's
+    fixed ``rounds`` wins).  The case's ``check`` runs on every round,
+    so an invalid result aborts the measurement instead of polluting
+    the artifact.
+    """
+    workload, done, total = case.setup(), 0, 1
+    while done < total:
+        if done and case.fresh_state:
+            workload = case.setup()
+        with Timer() as timer:
+            result = workload()
+        case.check_result(result)
+        yield timer.elapsed, result
+        if not done:
+            total = case.rounds or config.calibrated_rounds(timer.elapsed)
+        done += 1
+
+
 def measure_case(case: BenchCase,
                  config: MeasureConfig | None = None,
                  ) -> tuple[Measurement, Any]:
     """Measure *case*: calibrated repetitions, per-round validation.
-
-    Returns the measurement and the last round's workload result.  The
-    case's ``check`` runs on every round, so an invalid result aborts
-    the measurement instead of polluting the artifact.
-    """
-    config = config or MeasureConfig()
-    workload = case.setup()
-    times: list[float] = []
-
-    with Timer() as timer:
-        result = workload()
-    times.append(timer.elapsed)
-    case.check_result(result)
-
-    total = case.rounds if case.rounds is not None \
-        else config.calibrated_rounds(times[0])
-    for _ in range(total - 1):
-        if case.fresh_state:
-            workload = case.setup()
-        with Timer() as timer:
-            result = workload()
-        times.append(timer.elapsed)
-        case.check_result(result)
+    Returns the measurement and the last round's workload result."""
+    times = []
+    for elapsed, result in _timed_rounds(case, config or MeasureConfig()):
+        times.append(elapsed)
     return Measurement(tuple(times)), result
+
+
+def measure_interleaved(cases: Sequence[BenchCase],
+                        config: MeasureConfig | None = None,
+                        ) -> list[Measurement]:
+    """Measure *cases* in alternating rounds (one round of each in turn,
+    until each has run its own round count), so a drift in host load
+    hits every case alike instead of whichever happened to run then."""
+    config = config or MeasureConfig()
+    times: list[list[float]] = [[] for _ in cases]
+    streams = (_timed_rounds(case, config) for case in cases)
+    for turn in zip_longest(*streams):
+        for case_times, timed in zip(times, turn):
+            if timed is not None:
+                case_times.append(timed[0])
+    return [Measurement(tuple(case_times)) for case_times in times]

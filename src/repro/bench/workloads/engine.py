@@ -91,22 +91,19 @@ def _trials_setup(make_meg, n: int, trials: int, **kwargs):
 
 
 def _register_family(prefix: str, make_meg, n: int, scale: str, *,
-                     floor: float) -> None:
+                     floor: float, serial_rounds: int = 2,
+                     native_rounds: int = 5) -> None:
     ref = f"engine/{prefix}_ensemble_serial"
     ensemble = dict(make_meg=make_meg, n=n, trials=ENSEMBLE_TRIALS)
     register(BenchCase(
         name=ref, suite=SUITE, scale=scale,
-        setup=_trials_setup(**ensemble), rounds=2,
+        setup=_trials_setup(**ensemble), rounds=serial_rounds,
         check=_check_trials(ENSEMBLE_TRIALS)))
-    register(BenchCase(
-        name=f"engine/{prefix}_ensemble_replay", suite=SUITE, scale=scale,
-        setup=_trials_setup(**ensemble, backend="batched"),
-        rounds=2, ref=ref, check=_check_trials(ENSEMBLE_TRIALS)))
     register(BenchCase(
         name=f"engine/{prefix}_ensemble_native", suite=SUITE, scale=scale,
         setup=_trials_setup(**ensemble, backend="batched",
                             rng_mode="native"),
-        rounds=5, ref=ref, floor=floor,
+        rounds=native_rounds, ref=ref, floor=floor,
         check=_check_trials(ENSEMBLE_TRIALS)))
     register(BenchCase(
         name=f"engine/{prefix}_ensemble_parallel", suite=SUITE, scale=scale,
@@ -121,9 +118,12 @@ _register_family("edge", make_edge_meg, 512,
 _register_family("geometric", make_geometric_meg, 1024,
                  "GeometricMEG n=1024, r=1, R=2 sqrt(log n), 64 trials",
                  floor=GEOMETRIC_NATIVE_FLOOR)
+# The mobility floor has the smallest margin and each round is cheap
+# (~50 ms serial, ~15 ms native), so its pair gets many more rounds.
 _register_family("mobility", make_waypoint_meg, 256,
                  "RandomWaypointTorus n=256, R=3 sqrt(log n), 64 trials",
-                 floor=MOBILITY_NATIVE_FLOOR)
+                 floor=MOBILITY_NATIVE_FLOOR, serial_rounds=20,
+                 native_rounds=20)
 
 # Small tracking cases: calibrated rounds, baseline-gated latency.
 _SMALL = "EdgeMEG n=256, 16 trials"
@@ -131,10 +131,6 @@ register(BenchCase(
     name="engine/trials_serial", suite=SUITE, scale=_SMALL,
     setup=_trials_setup(make_edge_meg, 256, 16),
     check=_check_trials(16)))
-register(BenchCase(
-    name="engine/trials_batched_replay", suite=SUITE, scale=_SMALL,
-    setup=_trials_setup(make_edge_meg, 256, 16, backend="batched"),
-    ref="engine/trials_serial", check=_check_trials(16)))
 register(BenchCase(
     name="engine/trials_batched_native", suite=SUITE, scale=_SMALL,
     setup=_trials_setup(make_edge_meg, 256, 16, backend="batched",

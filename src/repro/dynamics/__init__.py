@@ -4,10 +4,7 @@ from repro.dynamics.adversarial import moving_hub_star, snapshot_diameter
 from repro.dynamics.base import EvolvingGraph, GraphSnapshot
 from repro.dynamics.batched import (
     BatchedDynamics,
-    GenericBatchedDynamics,
     batched_dynamics_for,
-    register_batched_dynamics,
-    registered_families,
     uses_inherited,
 )
 from repro.dynamics.sequence import (
@@ -28,10 +25,7 @@ __all__ = [
     "EvolvingGraph",
     "GraphSnapshot",
     "BatchedDynamics",
-    "GenericBatchedDynamics",
     "batched_dynamics_for",
-    "register_batched_dynamics",
-    "registered_families",
     "uses_inherited",
     "AdjacencySnapshot",
     "EdgeListSnapshot",

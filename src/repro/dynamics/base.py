@@ -15,7 +15,8 @@ use the representation that makes its hot path fast:
 * :class:`EvolvingGraph` — the stateful process: ``reset`` samples
   ``G_0`` (from the stationary distribution for stationary MEGs),
   ``step`` advances ``t -> t+1``, ``snapshot`` exposes the current
-  graph.
+  graph, and ``batched_dynamics`` names the family's batched kernels
+  (:mod:`repro.dynamics.batched`).
 
 All implementations must be deterministic given the generator passed to
 ``reset`` (which is the basis for reproducible experiments).
@@ -28,6 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.dynamics.batched import BatchedDynamics
 from repro.util.rng import SeedLike
 
 __all__ = ["GraphSnapshot", "EvolvingGraph"]
@@ -174,3 +176,14 @@ class EvolvingGraph(abc.ABC):
             if i > 0:
                 self.step()
             yield self.snapshot()
+
+    def batched_dynamics(self) -> BatchedDynamics:
+        """The batched-kernel provider serving this model's family.
+
+        The default is the generic :class:`BatchedDynamics`: exact
+        replay through :meth:`snapshot` and no native kernels.  A model
+        family overrides this to hand the engine its own kernels, gated
+        on the subclass still inheriting the methods those kernels
+        re-implement (:func:`~repro.dynamics.batched.uses_inherited`).
+        """
+        return BatchedDynamics(self)

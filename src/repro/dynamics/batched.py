@@ -1,4 +1,4 @@
-"""The pluggable batched-kernel protocol and its dispatch registry.
+"""The pluggable batched-kernel protocol.
 
 The serial loop (:func:`repro.protocols.runner.spread`) and the
 simulation engine (:mod:`repro.engine`) are model-agnostic apart from
@@ -12,40 +12,36 @@ two things that depend on the model family:
    generator as a ``(B, n)`` informed matrix (the *native* contract:
    same process law, different realisations).
 
-:class:`BatchedDynamics` is the provider interface for both.  Model
-packages implement it next to their models and register a factory here
-(:func:`register_batched_dynamics`); the engine looks providers up with
-:func:`batched_dynamics_for`, which walks the model's MRO so that plain
-subclasses (a re-parameterised edge-MEG, say) inherit their family's
-kernels instead of silently falling back to the generic snapshot path.
-Unregistered families always work: :class:`GenericBatchedDynamics`
-answers replay queries through ``snapshot().neighborhood_mask`` and
-reports no native capability, which routes native runs to the engine's
-per-trial fallback (``spread``'s loop with chunk-spawned streams).
+:class:`BatchedDynamics` is the provider interface for both.  Each
+model names its own provider:
+:meth:`~repro.dynamics.base.EvolvingGraph.batched_dynamics` returns it,
+and the engine asks through :func:`batched_dynamics_for`.  The default
+is the base class itself, which answers replay queries through
+``snapshot().neighborhood_mask`` and reports no native capability,
+which routes native runs to the engine's per-trial fallback
+(``spread``'s loop with chunk-spawned streams).  Model families
+override the method next to their models, so Python's method
+resolution hands plain subclasses (a re-parameterised edge-MEG, say)
+their family's kernels.
 
-A factory may *decline* a particular template by returning ``None`` —
-the lookup then continues up the MRO.  The standard reason to decline
-is a subclass that overrides the very methods the kernel re-implements
-(:func:`uses_inherited` is the gate the built-in factories use): a
-kernel that replicates ``reset``/``step`` semantics is only exact for
-classes that inherit them unchanged.
+An override serves a subclass only as far as its kernels stay exact:
+a kernel that replicates ``reset``/``step``/``snapshot`` semantics is
+exact only for classes that inherit them unchanged
+(:func:`uses_inherited` is the gate the built-in families use).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.dynamics.base import EvolvingGraph
-from repro.util.validation import require
+if TYPE_CHECKING:
+    from repro.dynamics.base import EvolvingGraph
 
 __all__ = [
     "BatchedDynamics",
-    "GenericBatchedDynamics",
-    "register_batched_dynamics",
     "batched_dynamics_for",
-    "registered_families",
     "uses_inherited",
 ]
 
@@ -60,12 +56,18 @@ class BatchedDynamics:
     returned by :meth:`batch_init` and threaded back through the other
     native hooks.
 
+    The base class itself is the generic provider every model gets by
+    default: replay goes through the snapshot (exact by definition,
+    ``O(n^2)``-ish per trial per step for dense snapshots) and there are
+    no native kernels, so the engine runs ``spread``'s loop trial by
+    trial with generators spawned from the chunk stream instead.
+
     Contracts
     ---------
     replay (always available)
         :meth:`replay_neighborhood` must be **bit-identical** to
         ``model.snapshot().neighborhood_mask(informed)`` for every model
-        the factory accepts, and must draw no randomness.
+        the provider serves, and must draw no randomness.
         :func:`~repro.protocols.runner.spread` drives the model through
         its own ``reset``/``step`` and asks this query for ``N(I)`` in
         every round of a member-set protocol (sampling protocols still
@@ -174,60 +176,14 @@ class BatchedDynamics:
             f"{type(self).__name__} provides no count law")
 
 
-class GenericBatchedDynamics(BatchedDynamics):
-    """Fallback provider for unregistered model families.
-
-    Replay queries go through ``snapshot().neighborhood_mask`` (exact by
-    definition, ``O(n^2)``-ish per trial per step for dense snapshots);
-    there are no native kernels, so the engine runs ``spread``'s loop
-    trial by trial with generators spawned from the chunk stream
-    instead.
-    """
-
-    native_capable = False
-
-
-#: Registered kernel factories, keyed by model class.  A factory maps a
-#: template model to a provider, or to ``None`` to decline it.
-KernelFactory = Callable[[EvolvingGraph], Optional[BatchedDynamics]]
-
-_REGISTRY: dict[type, KernelFactory] = {}
-
-
-def register_batched_dynamics(model_type: type,
-                              factory: KernelFactory) -> None:
-    """Register *factory* as the kernel provider for *model_type*.
-
-    The registration covers subclasses via MRO dispatch: a lookup for a
-    subclass finds the nearest registered ancestor.  Re-registering a
-    class replaces its factory (last one wins), which keeps module
-    re-imports idempotent.
-    """
-    require(isinstance(model_type, type) and issubclass(model_type, EvolvingGraph),
-            "model_type must be an EvolvingGraph subclass")
-    _REGISTRY[model_type] = factory
-
-
 def batched_dynamics_for(template: EvolvingGraph) -> BatchedDynamics:
-    """The kernel provider serving *template*'s model family.
+    """The kernel provider serving *template*'s model family:
+    ``template.batched_dynamics()``.
 
-    Walks ``type(template).__mro__`` for the nearest registered factory
-    that accepts the template; falls back to
-    :class:`GenericBatchedDynamics` when none does.  Never returns
+    The one name the engine and ``spread`` call.  Never returns
     ``None`` — every model is at least generically simulable.
     """
-    for cls in type(template).__mro__:
-        factory = _REGISTRY.get(cls)
-        if factory is not None:
-            provider = factory(template)
-            if provider is not None:
-                return provider
-    return GenericBatchedDynamics(template)
-
-
-def registered_families() -> tuple[type, ...]:
-    """The model classes with registered kernel factories (for docs/tests)."""
-    return tuple(_REGISTRY)
+    return template.batched_dynamics()
 
 
 def uses_inherited(template: EvolvingGraph, base: type,
@@ -235,9 +191,10 @@ def uses_inherited(template: EvolvingGraph, base: type,
     """Whether *template*'s class inherits every named method of *base*
     unchanged.
 
-    The capability gate used by the built-in factories: a batched kernel
-    that re-implements ``reset``/``step``/``snapshot`` semantics is exact
-    only for classes that did not override them.
+    The capability gate of the built-in families' ``batched_dynamics``
+    overrides: a batched kernel that re-implements
+    ``reset``/``step``/``snapshot`` semantics is exact only for classes
+    that did not override them.
     """
     cls = type(template)
     return all(getattr(cls, name) is getattr(base, name)

@@ -38,7 +38,7 @@ class ErMEG(EdgeMEG):
     constructor when an experiment pins the stationary ``G(n, p_hat)``
     law (the quantity Theorem 4.3's bound depends on) and sweeps the
     persistence ``q``.  Being a plain subclass, it inherits the edge
-    family's batched kernels through the registry's MRO dispatch.
+    family's batched kernels with ``EdgeMEG.batched_dynamics``.
     """
 
     def __init__(self, n: int, p_hat: float, q: float) -> None:

@@ -47,9 +47,9 @@ class IndependentMEG(EdgeMEG):
     snapshot is an independent ``G(n, p)`` draw.  Unlike
     :class:`IndependentDynamicGraph` (a standalone implementation that
     redraws a dense adjacency and runs on the engine's generic path),
-    this subclass keeps the ``EdgeMEG`` state layout, so the
-    batched-kernel registry resolves it to the edge family's kernels and
-    it rides the engine fast paths like its parent.
+    this subclass keeps the ``EdgeMEG`` state layout, so it inherits
+    ``EdgeMEG.batched_dynamics`` (the edge family's kernels) and rides
+    the engine fast paths like its parent.
     """
 
     def __init__(self, n: int, p: float) -> None:

@@ -2,8 +2,8 @@
 
 This module implements the :class:`~repro.dynamics.batched.BatchedDynamics`
 protocol for :class:`~repro.edgemeg.meg.EdgeMEG` and
-:class:`~repro.edgemeg.sparse.SparseEdgeMEG` (and, via the registry's
-MRO dispatch, their plain subclasses such as
+:class:`~repro.edgemeg.sparse.SparseEdgeMEG` (and, through their
+inherited ``batched_dynamics`` methods, their plain subclasses such as
 :class:`~repro.edgemeg.er.ErMEG` and
 :class:`~repro.edgemeg.independent.IndependentMEG`):
 
@@ -25,21 +25,19 @@ MRO dispatch, their plain subclasses such as
   are still stationary), independently across nodes, so the engine
   runs native flooding as a two-count chain (:func:`edge_count_stay_log`).
 
-Subclass gating: the factories accept any subclass that inherits
-``snapshot`` (the edge state stays authoritative, so the replay query is
-exact) and additionally require un-overridden ``reset``/``step`` for the
-native kernels (which re-implement exactly those semantics).
+Subclass gating (in ``EdgeMEG.batched_dynamics`` and
+``SparseEdgeMEG.batched_dynamics``): these providers serve any subclass
+that inherits ``snapshot`` (the edge state stays authoritative, so the
+replay query is exact), and the native kernels additionally require
+un-overridden ``reset``/``step`` (they re-implement exactly those
+semantics).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dynamics.batched import (
-    BatchedDynamics,
-    register_batched_dynamics,
-    uses_inherited,
-)
+from repro.dynamics.batched import BatchedDynamics
 from repro.edgemeg.meg import EdgeMEG
 from repro.edgemeg.sparse import SparseEdgeMEG, decode_pairs
 from repro.util.validation import require
@@ -344,20 +342,3 @@ class SparseEdgeBatchedDynamics(_EdgeFamilyKernel):
         mask[u[informed[v]]] = True
         return mask & ~informed
 
-
-def _edge_factory(template: EdgeMEG) -> EdgeBatchedDynamics | None:
-    if not uses_inherited(template, EdgeMEG, "snapshot"):
-        return None  # edge state may be stale: use the generic provider
-    native = uses_inherited(template, EdgeMEG, "reset", "step")
-    return EdgeBatchedDynamics(template, native=native)
-
-
-def _sparse_factory(template: SparseEdgeMEG) -> SparseEdgeBatchedDynamics | None:
-    if not uses_inherited(template, SparseEdgeMEG, "snapshot"):
-        return None
-    native = uses_inherited(template, SparseEdgeMEG, "reset", "step")
-    return SparseEdgeBatchedDynamics(template, native=native)
-
-
-register_batched_dynamics(EdgeMEG, _edge_factory)
-register_batched_dynamics(SparseEdgeMEG, _sparse_factory)

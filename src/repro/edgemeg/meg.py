@@ -22,6 +22,7 @@ import copy
 import numpy as np
 
 from repro.dynamics.base import EvolvingGraph
+from repro.dynamics.batched import BatchedDynamics, uses_inherited
 from repro.dynamics.snapshots import AdjacencySnapshot
 from repro.markov.two_state import TwoStateChain
 from repro.util.rng import SeedLike, as_generator
@@ -153,6 +154,14 @@ class EdgeMEG(EvolvingGraph):
         adj[self._iu] = self._states
         adj |= adj.T
         return AdjacencySnapshot(adj, validate=False)
+
+    def batched_dynamics(self) -> BatchedDynamics:
+        from repro.edgemeg.kernels import EdgeBatchedDynamics
+
+        if not uses_inherited(self, EdgeMEG, "snapshot"):
+            return super().batched_dynamics()  # edge state may be stale
+        return EdgeBatchedDynamics(
+            self, native=uses_inherited(self, EdgeMEG, "reset", "step"))
 
     # -- inspection ---------------------------------------------------------
 

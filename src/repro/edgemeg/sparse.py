@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 from repro.dynamics.base import EvolvingGraph
+from repro.dynamics.batched import BatchedDynamics, uses_inherited
 from repro.dynamics.snapshots import EdgeListSnapshot
 from repro.markov.two_state import TwoStateChain
 from repro.util.rng import SeedLike, as_generator
@@ -228,6 +229,14 @@ class SparseEdgeMEG(EvolvingGraph):
             raise RuntimeError("call reset() before snapshot()")
         u, v = decode_pairs(self._alive, self._n)
         return EdgeListSnapshot(self._n, np.column_stack([u, v]), validate=False)
+
+    def batched_dynamics(self) -> BatchedDynamics:
+        from repro.edgemeg.kernels import SparseEdgeBatchedDynamics
+
+        if not uses_inherited(self, SparseEdgeMEG, "snapshot"):
+            return super().batched_dynamics()
+        return SparseEdgeBatchedDynamics(
+            self, native=uses_inherited(self, SparseEdgeMEG, "reset", "step"))
 
     # -- inspection -----------------------------------------------------------
 

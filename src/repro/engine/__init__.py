@@ -9,14 +9,15 @@ multipliers into batch dimensions:
 * :mod:`~repro.engine.batch` — one chunk of trials: replayed trials
   run :func:`repro.protocols.runner.spread` one by one, and native
   chunks advance ``B`` trials as a ``(B, n)`` informed matrix; the
-  model-family kernels plug in through the
-  :class:`~repro.dynamics.batched.BatchedDynamics` registry (providers
-  live next to their models: ``repro.edgemeg.kernels``,
-  ``repro.geometric.kernels``, ``repro.mobility.kernels``), and the
-  spreading process (``SimulationPlan(protocol=...)``) runs its own
-  rules, written once over a leading trial axis on
-  :class:`~repro.protocols.base.SpreadingProtocol`; unregistered model
-  families and sampling protocols run trial by trial.
+  model-family kernels are the
+  :class:`~repro.dynamics.batched.BatchedDynamics` provider each model
+  names with its ``batched_dynamics()`` method (providers live next to
+  their models: ``repro.edgemeg.kernels``, ``repro.geometric.kernels``,
+  ``repro.mobility.kernels``), and the spreading process
+  (``SimulationPlan(protocol=...)``) runs its own rules, written once
+  over a leading trial axis on
+  :class:`~repro.protocols.base.SpreadingProtocol`; model families
+  without native kernels and sampling protocols run trial by trial.
 * :func:`~repro.engine.executor.run_plan` — the same chunks in this
   process (``serial`` / ``batched``) or in worker processes
   (``parallel``) behind one call.

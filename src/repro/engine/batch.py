@@ -2,16 +2,17 @@
 
 :func:`run_chunk` runs one chunk of a plan's trials.  Everything
 model-specific — the fully batched native population kernels, the exact
-count law — is obtained through the
-:class:`~repro.dynamics.batched.BatchedDynamics` registry
-(:func:`~repro.dynamics.batched.batched_dynamics_for`), and everything
-*process*-specific — activation, transmission, stalling — from the
-protocol's own rules, written once over a leading trial axis on
+count law — comes from the model's own
+:class:`~repro.dynamics.batched.BatchedDynamics` provider, looked up
+with :func:`~repro.dynamics.batched.batched_dynamics_for` (the model's
+``batched_dynamics()``), and everything *process*-specific —
+activation, transmission, stalling — from the protocol's own rules,
+written once over a leading trial axis on
 :class:`~repro.protocols.base.SpreadingProtocol`.  It imports **no
-concrete model classes** — model packages register their kernel
-providers (``repro.edgemeg.kernels``, ``repro.geometric.kernels``,
-``repro.mobility.kernels``) and any unregistered family runs on the
-generic snapshot fallback.
+concrete model classes** — model packages keep their kernel providers
+(``repro.edgemeg.kernels``, ``repro.geometric.kernels``,
+``repro.mobility.kernels``) and any other family runs on the generic
+snapshot fallback.
 
 Two stream layouts are supported (see :mod:`repro.engine.plan`):
 *replay* runs each trial as one :func:`repro.protocols.runner.spread`
@@ -102,7 +103,7 @@ def _run_chunk_replay(plan, trial_streams: list[tuple],
 
 
 # ---------------------------------------------------------------------------
-# native path: one chunk stream, kernels from the provider registry
+# native path: one chunk stream, kernels from the model's provider
 # ---------------------------------------------------------------------------
 
 def _chunk_sources(plan, rng: np.random.Generator, count: int,
@@ -307,7 +308,8 @@ def run_chunk(payload: dict) -> TrialEnsemble:
     randomness (per-trial replay ``(run_seed, source_seed)`` pairs or
     the native chunk seed), so a
     worker process needs nothing beyond this dict.  Kernel selection
-    goes through the :class:`BatchedDynamics` registry; native flooding
+    goes through :func:`batched_dynamics_for` (the template's
+    ``batched_dynamics()`` provider); native flooding
     on a provider with a count law runs the count chain, and the span's
     ``tier`` attribute names the path that ran.
     """

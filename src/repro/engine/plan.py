@@ -21,12 +21,11 @@ plan's single seed through one of two documented stream layouts:
     :func:`repro.util.rng.derive_seed` from the chunk's starting trial
     index.  Kernels draw from the chunk stream in batch order, which
     unlocks the fast batched population kernels the model families
-    register through :mod:`repro.dynamics.batched`.  Results are
-    deterministic in
-    ``(seed, trials, chunk_size)`` and independent of the worker count
-    (the parallel executor distributes whole chunks), but are *different
-    realisations* from the replay layout — identical in distribution,
-    not draw-for-draw.
+    provide through :mod:`repro.dynamics.batched`.  Results are
+    deterministic in ``(seed, trials, chunk_size)`` and independent of
+    the worker count (the parallel executor distributes whole chunks),
+    but are *different realisations* from the replay layout — identical
+    in distribution, not draw-for-draw.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Assertions for validating engine backends and custom kernels.
 
-A model family registering its own
+A model family naming its own
 :class:`~repro.dynamics.batched.BatchedDynamics` provider signs up for
 the replay contract: for the same seed, every backend must reproduce
 the serial reference **bit for bit**.  Every backend runs replayed

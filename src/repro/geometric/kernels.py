@@ -29,21 +29,17 @@ protocol for :class:`~repro.geometric.meg.GeometricMEG`:
   sequence the replay contract pins; native promises only the same
   process law, so it takes the cheaper draw sequence.
 
-Subclass gating mirrors the edge family: the factory accepts any
-subclass that inherits ``snapshot`` (positions stay authoritative for
-the replay query) and requires un-overridden ``reset``/``step`` for the
-native kernels.
+Subclass gating (in ``GeometricMEG.batched_dynamics``) mirrors the
+edge family: the provider serves any subclass that inherits
+``snapshot`` (positions stay authoritative for the replay query), and
+the native kernels require un-overridden ``reset``/``step``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dynamics.batched import (
-    BatchedDynamics,
-    register_batched_dynamics,
-    uses_inherited,
-)
+from repro.dynamics.batched import BatchedDynamics
 from repro.geometric.meg import GeometricMEG
 from repro.geometric.neighbors import lattice_within_radius, within_radius_of_members
 
@@ -103,12 +99,3 @@ class GeometricBatchedDynamics(BatchedDynamics):
         state.ix[act] = moved_x.reshape(act.shape[0], self._n)
         state.iy[act] = moved_y.reshape(act.shape[0], self._n)
 
-
-def _geometric_factory(template: GeometricMEG) -> GeometricBatchedDynamics | None:
-    if not uses_inherited(template, GeometricMEG, "snapshot"):
-        return None
-    native = uses_inherited(template, GeometricMEG, "reset", "step")
-    return GeometricBatchedDynamics(template, native=native)
-
-
-register_batched_dynamics(GeometricMEG, _geometric_factory)

@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from repro.dynamics.base import EvolvingGraph, GraphSnapshot
+from repro.dynamics.batched import BatchedDynamics, uses_inherited
 from repro.geometric.cells import CellPartition
 from repro.geometric.lattice import Lattice
 from repro.geometric.neighbors import (
@@ -221,6 +222,14 @@ class GeometricMEG(EvolvingGraph):
 
     def snapshot(self) -> GeometricSnapshot:
         return GeometricSnapshot(self.walkers.positions(), self._radius)
+
+    def batched_dynamics(self) -> BatchedDynamics:
+        from repro.geometric.kernels import GeometricBatchedDynamics
+
+        if not uses_inherited(self, GeometricMEG, "snapshot"):
+            return super().batched_dynamics()
+        return GeometricBatchedDynamics(
+            self, native=uses_inherited(self, GeometricMEG, "reset", "step"))
 
     @property
     def time(self) -> int:

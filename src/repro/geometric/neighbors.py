@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from repro.util.validation import require, require_positive
@@ -41,8 +40,14 @@ __all__ = [
 
 
 def _prepare(positions: np.ndarray, boxsize: float | None) -> np.ndarray:
-    """Wrap positions into [0, boxsize) when a toroidal metric is requested."""
-    if boxsize is None:
+    """Wrap positions into [0, boxsize) when a toroidal metric is requested.
+
+    Positions already inside (the torus models keep theirs there) are
+    returned as they are: ``np.mod`` leaves them unchanged anyway, and
+    the min/max check costs a fraction of it.
+    """
+    if boxsize is None or (positions.min(initial=0.0) >= 0.0
+                           and positions.max(initial=0.0) < boxsize):
         return positions
     return np.mod(positions, boxsize)
 
@@ -108,33 +113,44 @@ _MAX_CELLS_PER_POINT = 8
 _CELLS_PER_RADIUS = 3.0
 
 
+def _pad_cells(cells: np.ndarray, halo: int, *, periodic: bool) -> np.ndarray:
+    """``(B, g, g)`` per-cell values with a *halo* of cells on each side
+    of both grid axes: wrapped around when *periodic*, zero otherwise
+    (what ``np.pad`` gives, at a fraction of its overhead)."""
+    g = cells.shape[1]
+    if periodic:
+        wrap = np.arange(-halo, g + halo) % g
+        return cells[:, wrap][:, :, wrap]
+    padded = np.zeros((cells.shape[0], g + 2 * halo, g + 2 * halo),
+                      dtype=cells.dtype)
+    padded[:, halo:halo + g, halo:halo + g] = cells
+    return padded
+
+
+def _stable_order(keys: np.ndarray, num_keys: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for keys in ``[0, num_keys)``;
+    keys that fit 16 bits take numpy's radix sort."""
+    if num_keys <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
 def _shifted_any(occupied: np.ndarray, offsets: list, *,
                  periodic: bool) -> np.ndarray:
     """Per cell: whether any *offsets*-shifted cell is occupied.
 
     ``result[b, x, y] = OR_(dx,dy) occupied[b, x+dx, y+dy]`` with
     toroidal wrap-around when *periodic* (out-of-range cells count as
-    empty otherwise).  One C-level dilation over the ``(B, g, g)``
-    stack; the offset set becomes the (symmetric) footprint.
+    empty otherwise).  The ``(B, g, g)`` stack is padded once by the
+    offsets' reach, and each offset ORs in one shifted window of it.
     """
     g = occupied.shape[1]
     reach = max(max(abs(dx), abs(dy)) for dx, dy in offsets)
-    if reach >= g and periodic:
-        # Footprint wraps onto itself; fall back to explicit rolls.
-        acc = np.zeros_like(occupied)
-        for dx, dy in offsets:
-            acc |= np.roll(occupied, (-dx, -dy), axis=(1, 2))
-        return acc
-    size = 2 * reach + 1
-    footprint = np.zeros((1, size, size), dtype=bool)
+    padded = _pad_cells(occupied, reach, periodic=periodic)
+    acc = np.zeros_like(occupied)
     for dx, dy in offsets:
-        # grey_dilation computes max over input[x - k], so reading
-        # occupied[x + dx] needs the footprint entry at -dx.
-        footprint[0, reach - dx, reach - dy] = True
-    dilated = ndimage.grey_dilation(
-        occupied.astype(np.uint8), footprint=footprint,
-        mode="wrap" if periodic else "constant", cval=0)
-    return dilated.astype(bool)
+        acc |= padded[:, reach + dx:reach + dx + g, reach + dy:reach + dy + g]
+    return acc
 
 
 def batched_within_radius(
@@ -204,11 +220,11 @@ def batched_within_radius(
 
     flat_pos = _prepare(positions.reshape(num_trials * n, 2), boxsize)
     if boxsize is not None:
-        origin = np.zeros(2)
+        offset_pos = flat_pos  # already inside [0, boxsize)
         span = float(boxsize)
     else:
-        origin = flat_pos.min(axis=0)
-        span = float((flat_pos - origin).max(initial=0.0))
+        offset_pos = flat_pos - flat_pos.min(axis=0)
+        span = float(offset_pos.max(initial=0.0))
     grid = max(1, math.ceil(span * _CELLS_PER_RADIUS / radius))
     if grid * grid > _MAX_CELLS_PER_POINT * n:
         for b in range(num_trials):
@@ -218,8 +234,7 @@ def batched_within_radius(
     cell = span / grid if span > 0 else 0.0
 
     if cell > 0:
-        coords = np.clip(((flat_pos - origin) / cell).astype(np.int64),
-                         0, grid - 1)
+        coords = np.clip((offset_pos / cell).astype(np.int64), 0, grid - 1)
         cx, cy = coords[:, 0], coords[:, 1]
     else:  # all points coincide per axis
         cx = np.zeros(num_trials * n, dtype=np.int64)
@@ -284,11 +299,11 @@ def batched_within_radius(
     pending_cells = cell_id[pending]
     pending_counts = np.bincount(pending_cells, minlength=num_cells)
     pending_starts = np.concatenate(([0], np.cumsum(pending_counts)))
-    pending_sorted = pending[np.argsort(pending_cells, kind="stable")]
+    pending_sorted = pending[_stable_order(pending_cells, num_cells)]
     pending_occ = (pending_counts > 0).reshape(num_trials, grid, grid)
     member_starts = np.concatenate(([0], np.cumsum(member_counts)))
-    members_sorted = member_idx[np.argsort(cell_id[member_idx],
-                                           kind="stable")]
+    members_sorted = member_idx[_stable_order(cell_id[member_idx],
+                                              num_cells)]
 
     drive_cells = np.flatnonzero(
         (member_counts > 0)
@@ -314,13 +329,11 @@ def batched_within_radius(
     # arithmetic or bounds handling.
     halo = dmax
     wide = grid + 2 * halo
-    pad_mode = "wrap" if periodic else "constant"
-    padded_counts = np.pad(
-        target_counts.reshape(num_trials, grid, grid),
-        ((0, 0), (halo, halo), (halo, halo)), mode=pad_mode).ravel()
-    padded_starts = np.pad(
+    padded_counts = _pad_cells(target_counts.reshape(num_trials, grid, grid),
+                               halo, periodic=periodic).ravel()
+    padded_starts = _pad_cells(
         target_starts[:-1].reshape(num_trials, grid, grid),
-        ((0, 0), (halo, halo), (halo, halo)), mode=pad_mode).ravel()
+        halo, periodic=periodic).ravel()
     d_counts = drive_counts[drive_cells]
     d_starts = drive_starts[drive_cells]
     d_trial = drive_cells // (grid * grid)
@@ -353,11 +366,11 @@ def batched_within_radius(
     pair_target = target_sorted[np.repeat(entry_t_start, entry_lb) + within_t]
     delta = flat_pos[pair_drive] - flat_pos[pair_target]
     if periodic:
-        # Cell coordinates sit within one period, so the wrap is a
-        # conditional +-boxsize — no division.
-        half = boxsize / 2.0
-        np.subtract(delta, boxsize, out=delta, where=delta > half)
-        np.add(delta, boxsize, out=delta, where=delta < -half)
+        # Coordinates sit within one period, so the toroidal distance per
+        # axis is min(|d|, boxsize - |d|) — no division, and its square
+        # equals that of the wrapped difference d -+ boxsize exactly.
+        np.abs(delta, out=delta)
+        np.minimum(delta, boxsize - delta, out=delta)
     hits = np.einsum("ij,ij->i", delta, delta) <= bound2
     out_flat[(pair_drive if pending_driven else pair_target)[hits]] = True
     return out

@@ -24,6 +24,7 @@ import abc
 import numpy as np
 
 from repro.dynamics.base import EvolvingGraph
+from repro.dynamics.batched import BatchedDynamics, uses_inherited
 from repro.geometric.meg import GeometricSnapshot
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import require, require_positive, require_positive_int
@@ -185,6 +186,16 @@ class MobilityMEG(EvolvingGraph):
     def snapshot(self) -> GeometricSnapshot:
         return GeometricSnapshot(self.model.positions(), self._radius,
                                  boxsize=self._boxsize)
+
+    def batched_dynamics(self) -> BatchedDynamics:
+        from repro.mobility.kernels import MobilityBatchedDynamics
+
+        if not uses_inherited(self, MobilityMEG, "snapshot"):
+            return super().batched_dynamics()
+        native = (uses_inherited(self, MobilityMEG, "reset", "step")
+                  and uses_inherited(self.model, MobilityModel,
+                                     "reset", "step", "positions"))
+        return MobilityBatchedDynamics(self, native)
 
     @property
     def time(self) -> int:

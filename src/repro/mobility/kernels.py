@@ -23,21 +23,19 @@ per-trial snapshot fallback.
   one-trial case of the same law, so there is nothing to keep in sync.
 
 Adding a mobility model to the native fast path = writing its law as a
-:class:`~repro.mobility.base.MobilityModel`; the registry entry for
-``MobilityMEG`` already covers it.
+:class:`~repro.mobility.base.MobilityModel`;
+``MobilityMEG.batched_dynamics`` already serves it while the model
+inherits ``reset``/``step``/``positions`` (the one-trial case of that
+law).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dynamics.batched import (
-    BatchedDynamics,
-    register_batched_dynamics,
-    uses_inherited,
-)
+from repro.dynamics.batched import BatchedDynamics
 from repro.geometric.neighbors import batched_within_radius, within_radius_of_members
-from repro.mobility.base import MobilityMEG, MobilityModel
+from repro.mobility.base import MobilityMEG
 
 __all__ = ["MobilityBatchedDynamics"]
 
@@ -79,14 +77,3 @@ class MobilityBatchedDynamics(BatchedDynamics):
                    active: np.ndarray) -> None:
         self._law.advance(state, rng, np.flatnonzero(active))
 
-
-def _mobility_factory(template: MobilityMEG) -> MobilityBatchedDynamics | None:
-    if not uses_inherited(template, MobilityMEG, "snapshot"):
-        return None
-    native = (uses_inherited(template, MobilityMEG, "reset", "step")
-              and uses_inherited(template.model, MobilityModel,
-                                 "reset", "step", "positions"))
-    return MobilityBatchedDynamics(template, native)
-
-
-register_batched_dynamics(MobilityMEG, _mobility_factory)

@@ -99,8 +99,8 @@ def spread(
     flooding semantics of Section 2: information crosses one edge per
     step).  Member-set protocols get ``N(I)`` from the model family's
     :meth:`~repro.dynamics.batched.BatchedDynamics.replay_neighborhood`
-    (bit-identical to the snapshot query; unregistered families answer
-    through the snapshot), and sampling protocols run ``transmit``
+    (bit-identical to the snapshot query; families without their own
+    provider answer through the snapshot), and sampling protocols run ``transmit``
     against ``graph.snapshot()``.
 
     The graph is ``reset`` with the protocol's graph seed first unless

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.bench import cli
-from repro.bench.case import _REGISTRY, BenchCase, register
+from repro.bench.case import _CASES, BenchCase, register
 from repro.bench.results import CaseResult, SuiteResult, load_result
 
 
@@ -29,7 +29,7 @@ def demo_suite():
     add("fast", ref="demo/serial")
     yield
     for name in registered:
-        _REGISTRY.pop(name, None)
+        _CASES.pop(name, None)
 
 
 def test_run_writes_schema_valid_artifact(tmp_path, capsys, demo_suite):
@@ -128,7 +128,7 @@ def test_run_fails_on_floor_violation(tmp_path):
         assert load_result(out).case("demof/fast") is not None
     finally:
         for name in names:
-            _REGISTRY.pop(name, None)
+            _CASES.pop(name, None)
 
 
 def _write(path, suite: SuiteResult) -> None:

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench import acceptance
 from repro.bench.case import BenchCase
-from repro.bench.timer import Measurement, MeasureConfig, measure_case
+from repro.bench.timer import (
+    Measurement,
+    MeasureConfig,
+    measure_case,
+    measure_interleaved,
+)
 
 
 def make_case(setup, **kwargs) -> BenchCase:
@@ -99,3 +105,35 @@ def test_setup_cost_is_not_measured():
     measurement, _ = measure_case(
         make_case(setup, rounds=2), MeasureConfig())
     assert measurement.median < 0.05
+
+
+def _logging_case(name, log, **kwargs) -> BenchCase:
+    def setup():
+        return lambda: log.append(name)
+    return BenchCase(name=f"demo/{name}", suite="demo", scale="",
+                     setup=setup, **kwargs)
+
+
+def test_interleaved_cases_alternate_rounds():
+    """Each case keeps its own round count; rounds alternate while both
+    still have some, so host load drifts land on every case."""
+    log: list[str] = []
+    measurements = measure_interleaved(
+        [_logging_case("ref", log, rounds=4),
+         _logging_case("fast", log, rounds=2)])
+    assert log == ["ref", "fast", "ref", "fast", "ref", "ref"]
+    assert [m.rounds for m in measurements] == [4, 2]
+
+
+def test_showdown_alternates_its_cases(monkeypatch):
+    log: list[str] = []
+    cases = {case.name: case for case in (
+        _logging_case("ref", log, rounds=3),
+        _logging_case("fast", log, rounds=3, ref="demo/ref", floor=1e-9),
+        _logging_case("other", log, rounds=2, ref="demo/ref"),
+    )}
+    monkeypatch.setattr(acceptance, "get_case", cases.__getitem__)
+    showdown = acceptance.run_showdown(list(cases))
+    assert log == ["ref", "fast", "other"] * 2 + ["ref", "fast"]
+    assert not showdown.failures
+    assert set(showdown.speedups) == {"demo/fast", "demo/other"}

@@ -186,12 +186,14 @@ class TestProtocolKeyStability:
     # stored campaign results silently recompute.  The two E14 keys
     # were re-pinned deliberately when E14 moved onto the registry
     # protocols and declared ``SPEC_REVISION = 2``: its gossip rows
-    # changed, so its old entries must not be fetched.
+    # changed, so its old entries must not be fetched.  The two E4 keys
+    # were re-pinned the same way when E4 declared ``SPEC_REVISION = 1``
+    # for its wider quick sweep.
     FLOODING_KEYS = {
         ("E4", "serial"):
-            "fa5880e164ccdc7bd71873273f542f6684c5d81a0e0674e2060c4c2999ef8d9c",
+            "be5dab846ccb7569995f29940f0fb7c33b76414132236dd6f9063ce522210deb",
         ("E4", "native"):
-            "0b97101dbab8ca715c5f9496ec1593bd21fefa58047eccec115515e0f6980457",
+            "3a8d9356056fb59c92a9b5cbeb114ccc95e7278e1dde04efdff597dbddb3abe8",
         ("E8", "serial"):
             "0880fb475638bffcd88bcf46831717b9c97bb79be7120959cc2593111655f33b",
         ("E8", "native"):

@@ -1,7 +1,8 @@
-"""The BatchedDynamics registry: dispatch, subclassing, capability gates.
+"""Kernel-provider lookup: dispatch, subclassing, capability gates.
 
-The engine must select kernels through the registry alone — in
-particular, plain model subclasses must inherit their family's kernels
+The engine must select kernels through each model's own
+``batched_dynamics()`` alone — in particular, plain model subclasses
+must inherit their family's kernels
 (the old exact-``type()`` dispatch silently dropped ``EdgeMEG``
 subclasses to the ``O(n^2)`` snapshot fallback), while subclasses that
 override the dynamics the kernels re-implement must lose exactly the
@@ -15,13 +16,10 @@ import inspect
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.flooding import flooding_trials
 from repro.dynamics import StaticEvolvingGraph, cycle_adjacency
-from repro.dynamics.batched import (
-    GenericBatchedDynamics,
-    batched_dynamics_for,
-    registered_families,
-)
+from repro.dynamics.batched import BatchedDynamics, batched_dynamics_for
 from repro.dynamics.snapshots import AdjacencySnapshot
 from repro.edgemeg.er import ErMEG
 from repro.edgemeg.independent import IndependentDynamicGraph, IndependentMEG
@@ -39,14 +37,10 @@ from repro.mobility import (
     TorusGridWalk,
 )
 from repro.mobility.kernels import MobilityBatchedDynamics
+from repro.obs.sinks import MemorySink
 
 
 class TestDispatch:
-    def test_registered_families(self):
-        families = registered_families()
-        for cls in (EdgeMEG, SparseEdgeMEG, GeometricMEG, MobilityMEG):
-            assert cls in families
-
     def test_edge_family(self):
         kernel = batched_dynamics_for(EdgeMEG(16, 0.3, 0.3))
         assert type(kernel) is EdgeBatchedDynamics
@@ -79,9 +73,9 @@ class TestDispatch:
 
     def test_unregistered_families_fall_back(self):
         graph = StaticEvolvingGraph(AdjacencySnapshot(cycle_adjacency(8)))
-        assert type(batched_dynamics_for(graph)) is GenericBatchedDynamics
+        assert type(batched_dynamics_for(graph)) is BatchedDynamics
         independent = IndependentDynamicGraph(8, 0.3)
-        assert type(batched_dynamics_for(independent)) is GenericBatchedDynamics
+        assert type(batched_dynamics_for(independent)) is BatchedDynamics
 
 
 class TestSubclassDispatch:
@@ -93,7 +87,7 @@ class TestSubclassDispatch:
     ])
     def test_edge_subclasses_inherit_the_edge_kernel(self, model):
         kernel = batched_dynamics_for(model)
-        assert not isinstance(kernel, GenericBatchedDynamics), (
+        assert type(kernel) is not BatchedDynamics, (
             f"{type(model).__name__} fell off the edge fast path")
         assert type(kernel) is EdgeBatchedDynamics
         assert kernel.native_capable
@@ -127,7 +121,7 @@ class TestSubclassDispatch:
                 return super().snapshot()
 
         kernel = batched_dynamics_for(OddSnapshotEdgeMEG(12, 0.3, 0.3))
-        assert type(kernel) is GenericBatchedDynamics
+        assert type(kernel) is BatchedDynamics
 
     def test_frozen_subclass_still_replays_bit_identically(self):
         class FrozenEdgeMEG(EdgeMEG):
@@ -138,6 +132,58 @@ class TestSubclassDispatch:
         engine = flooding_trials(FrozenEdgeMEG(18, 0.45, 0.2), trials=3, seed=7,
                                  backend="batched")
         assert_bit_identical(serial, engine)
+
+
+class _StaticKernel(BatchedDynamics):
+    """Native kernels of a static graph: the state never moves."""
+
+    native_capable = True
+
+    def __init__(self, template):
+        super().__init__(template)
+        self._adj = template.snapshot().adjacency.astype(np.int64)
+
+    def batch_init(self, count, rng):
+        return None
+
+    def batch_neighborhood(self, state, informed, act):
+        rows = informed[act]
+        return (rows.astype(np.int64) @ self._adj > 0) & ~rows
+
+    def batch_step(self, state, rng, active):
+        pass
+
+
+class OwnKernelGraph(StaticEvolvingGraph):
+    """A family that is never registered anywhere: it only names its
+    provider by overriding ``batched_dynamics``."""
+
+    def batched_dynamics(self):
+        return _StaticKernel(self)
+
+
+class TestMethodOverride:
+    def test_lookup_returns_the_models_own_provider(self):
+        graph = OwnKernelGraph(AdjacencySnapshot(cycle_adjacency(8)))
+        assert type(batched_dynamics_for(graph)) is _StaticKernel
+
+    def test_native_runs_the_override_on_the_kernel_tier(self):
+        graph = OwnKernelGraph(AdjacencySnapshot(cycle_adjacency(8)))
+        sink = MemorySink()
+        previous = obs.configure(sink)
+        try:
+            results = flooding_trials(graph, trials=5, seed=2, source=0,
+                                      backend="batched", rng_mode="native")
+        finally:
+            obs.configure(previous if previous.live else None)
+        chunks = [ev["attrs"] for ev in sink.events
+                  if ev["kind"] == "span" and ev["name"] == "engine.chunk"]
+        assert chunks and {a["tier"] for a in chunks} == {"kernel"}
+        assert {a["kernel"] for a in chunks} == {"_StaticKernel"}
+        # The cycle's eccentricity, as the serial loop measures it.
+        assert [r.time for r in results] == [4] * 5
+        assert [r.time for r in flooding_trials(graph, trials=5, seed=2,
+                                                source=0)] == [4] * 5
 
 
 class TestSubclassConstructors:
@@ -164,8 +210,8 @@ class TestSubclassConstructors:
 
 class TestEngineIsModelAgnostic:
     def test_batch_module_imports_no_model_families(self):
-        """The acceptance criterion: kernel selection goes through the
-        registry; engine/batch.py knows no concrete model classes."""
+        """Kernel selection goes through the model's provider;
+        engine/batch.py knows no concrete model classes."""
         import repro.engine.batch as batch
 
         source = inspect.getsource(batch)
