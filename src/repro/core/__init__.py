@@ -22,6 +22,7 @@ from repro.core.expansion import (
     neighborhood_size,
     trajectory_expansion,
     worst_expansion_exact,
+    worst_expansion_ladder_exact,
 )
 from repro.core.journeys import (
     ArrivalTimes,
@@ -70,6 +71,7 @@ __all__ = [
     "neighborhood_size",
     "trajectory_expansion",
     "worst_expansion_exact",
+    "worst_expansion_ladder_exact",
     # bounds
     "ExpansionLadder",
     "ladder_bound",

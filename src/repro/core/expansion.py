@@ -8,8 +8,9 @@ Computing the *worst* expansion ``min_{|I| = s} |N(I)|`` exactly is
 exponential in ``s`` (it is a vertex-isoperimetry problem), so this
 module offers three levels:
 
-1. :func:`worst_expansion_exact` / :func:`is_expander_exact` — exhaustive
-   subset enumeration, for graphs small enough to certify in tests.
+1. :func:`worst_expansion_exact` / :func:`worst_expansion_ladder_exact` /
+   :func:`is_expander_exact` — exhaustive subset enumeration over
+   packed neighborhood words, for graphs small enough to certify.
 2. :func:`estimate_worst_expansion` — randomized lower-bound search:
    random subsets, BFS-ball subsets (the extremal sets in geometric
    graphs are balls), and greedy local descent.  This gives an *upper
@@ -23,7 +24,7 @@ module offers three levels:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Sequence
 
@@ -37,6 +38,7 @@ __all__ = [
     "neighborhood_size",
     "expansion_of_set",
     "worst_expansion_exact",
+    "worst_expansion_ladder_exact",
     "is_expander_exact",
     "estimate_worst_expansion",
     "ExpansionEstimate",
@@ -67,10 +69,75 @@ def _mask_from_nodes(nodes: Sequence[int], n: int) -> np.ndarray:
     return mask
 
 
+#: Subsets scored per enumeration chunk.  A chunk holds its index rows
+#: and one packed union row per subset, so memory stays bounded by the
+#: chunk whatever ``C(n, size)`` is.
+_CHUNK_SUBSETS = 1 << 14
+
+#: Set bits of every byte value: the popcount table of the packed unions.
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _check_budget(n: int, size: int) -> None:
+    count = comb(n, size)
+    if count > _EXACT_SUBSET_BUDGET:
+        raise ValueError(
+            f"C({n}, {size}) = {count} subsets exceeds the exact-enumeration "
+            f"budget ({_EXACT_SUBSET_BUDGET}); use estimate_worst_expansion"
+        )
+
+
+def _closed_neighborhood_words(snapshot: GraphSnapshot) -> np.ndarray:
+    """Each node's closed neighborhood ``N({v}) | {v}`` packed into
+    ``(n, ceil(n / 64))`` ``uint64`` words.
+
+    The snapshot contract makes ``N(I)`` the union of the members'
+    single-node neighborhoods minus ``I``, so with closed rows
+    ``|N(I)| = |OR of the rows of I| - |I|`` and no member mask is needed.
+    """
+    n = snapshot.num_nodes
+    closed = np.zeros((n, -(-n // 64) * 64), dtype=bool)
+    closed[:, :n] = snapshot.neighborhood_masks(np.eye(n, dtype=bool))
+    closed[np.arange(n), np.arange(n)] = True
+    return np.packbits(closed, axis=1, bitorder="little").view(np.uint64)
+
+
+def _worst_union(words: np.ndarray, size: int) -> tuple[int, np.ndarray]:
+    """``min_{|I| = size} |N(I)|`` over the packed closed rows *words*,
+    and the first minimising ``I`` (node indices) in ``combinations``
+    order.
+
+    Enumerates ``combinations(range(n), size)`` in chunks of
+    :data:`_CHUNK_SUBSETS` index rows: OR the gathered rows column by
+    column, popcount the union bytes, and keep a chunk's first minimum
+    only when it is strictly below the best so far.
+    """
+    n = words.shape[0]
+    subsets = combinations(range(n), size)
+    best, witness = n + 1, None  # every closed union has at most n nodes
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(subsets, _CHUNK_SUBSETS)),
+                           dtype=np.intp)
+        if flat.size == 0:
+            break
+        nodes = flat.reshape(-1, size)
+        union = words[nodes[:, 0]]
+        for col in range(1, size):
+            union |= words[nodes[:, col]]
+        counts = _BYTE_POPCOUNT[union.view(np.uint8)].sum(axis=1)
+        i = int(counts.argmin())
+        if counts[i] < best:
+            best, witness = int(counts[i]), nodes[i]
+            if best == size:  # N(I) is empty: nothing can beat it
+                break
+    return best - size, witness
+
+
 def worst_expansion_exact(snapshot: GraphSnapshot, size: int) -> tuple[float, np.ndarray]:
     """Exact ``min_{|I| = size} |N(I)|`` by exhaustive enumeration.
 
-    Returns ``(min_neighborhood_size, argmin_mask)``.
+    Returns ``(min_neighborhood_size, argmin_mask)``; the witness is the
+    first minimising set in ``itertools.combinations`` order.
 
     Raises
     ------
@@ -81,38 +148,50 @@ def worst_expansion_exact(snapshot: GraphSnapshot, size: int) -> tuple[float, np
     n = snapshot.num_nodes
     size = require_positive_int(size, "size")
     require(size <= n, "size must be <= n")
-    count = comb(n, size)
-    if count > _EXACT_SUBSET_BUDGET:
-        raise ValueError(
-            f"C({n}, {size}) = {count} subsets exceeds the exact-enumeration "
-            f"budget ({_EXACT_SUBSET_BUDGET}); use estimate_worst_expansion"
-        )
-    best = np.inf
-    best_mask = _mask_from_nodes(range(size), n)
-    for nodes in combinations(range(n), size):
-        mask = _mask_from_nodes(nodes, n)
-        value = neighborhood_size(snapshot, mask)
-        if value < best:
-            best = value
-            best_mask = mask
-            if best == 0:
-                break
-    return float(best), best_mask
+    _check_budget(n, size)
+    best, witness = _worst_union(_closed_neighborhood_words(snapshot), size)
+    return float(best), _mask_from_nodes(witness, n)
+
+
+def worst_expansion_ladder_exact(snapshot: GraphSnapshot, top: int) -> np.ndarray:
+    """Exact ``min_{|I| = i} |N(I)|`` for every ``i = 1 .. top``.
+
+    Returns an ``int64`` array of length *top*.  The neighborhoods are
+    packed once and every size is enumerated as in
+    :func:`worst_expansion_exact`.
+
+    Raises
+    ------
+    ValueError
+        If any ``C(n, i)`` with ``i <= top`` exceeds the enumeration
+        budget; the check runs before any enumeration.
+    """
+    n = snapshot.num_nodes
+    top = require_positive_int(top, "top")
+    require(top <= n, "top must be <= n")
+    for size in range(1, top + 1):
+        _check_budget(n, size)
+    words = _closed_neighborhood_words(snapshot)
+    return np.array([_worst_union(words, size)[0] for size in range(1, top + 1)],
+                    dtype=np.int64)
 
 
 def is_expander_exact(snapshot: GraphSnapshot, h: int, k: float) -> bool:
     """Exact check of Definition 2.2: is the graph an ``(h, k)``-expander?
 
-    Enumerates all sets of size ``1 .. min(h, n)``; only feasible for
-    small graphs (used by unit tests to certify the estimators).
+    Enumerates all sets of size ``1 .. min(h, n)`` through
+    :func:`worst_expansion_ladder_exact`; only feasible for small graphs
+    (used by unit tests to certify the estimators).
+
+    Raises
+    ------
+    ValueError
+        If any of those sizes exceeds the enumeration budget.
     """
-    n = snapshot.num_nodes
     h = require_positive_int(h, "h")
-    for size in range(1, min(h, n) + 1):
-        worst, _ = worst_expansion_exact(snapshot, size)
-        if worst < k * size:
-            return False
-    return True
+    top = min(h, snapshot.num_nodes)
+    ladder = worst_expansion_ladder_exact(snapshot, top)
+    return not (ladder < k * np.arange(1, top + 1)).any()
 
 
 @dataclass(frozen=True)

@@ -54,22 +54,23 @@ def moving_hub_star(n: int) -> EvolvingGraph:
 
 
 def snapshot_diameter(snapshot) -> int:
-    """Exact diameter of a snapshot via per-source BFS (mask-based).
+    """Exact diameter of a snapshot: BFS from every source at once.
 
-    Returns ``n`` (an impossible eccentricity, standing in for infinity)
-    when the snapshot is disconnected.
+    Row ``s`` of an ``(n, n)`` boolean matrix is the ball around source
+    ``s``; one batched :meth:`~repro.dynamics.base.GraphSnapshot.neighborhood_masks`
+    query per round grows every incomplete ball, and the diameter is the
+    round in which the last ball covers the graph.  Returns ``n`` (an
+    impossible eccentricity, standing in for infinity) when the
+    snapshot is disconnected.
     """
     n = snapshot.num_nodes
-    worst = 0
-    for source in range(n):
-        mask = np.zeros(n, dtype=bool)
-        mask[source] = True
-        dist = 0
-        while not mask.all():
-            fresh = snapshot.neighborhood_mask(mask)
-            if not fresh.any():
-                return n  # disconnected
-            mask |= fresh
-            dist += 1
-        worst = max(worst, dist)
-    return worst
+    reached = np.eye(n, dtype=bool)
+    dist = 0
+    while not reached.all():
+        open_rows = np.flatnonzero(~reached.all(axis=1))
+        fresh = snapshot.neighborhood_masks(reached[open_rows])
+        if not fresh.any(axis=1).all():
+            return n  # some ball stopped growing short of the graph
+        reached[open_rows] |= fresh
+        dist += 1
+    return dist

@@ -53,13 +53,22 @@ class SequenceEvolvingGraph(EvolvingGraph):
         n = snapshots[0].num_nodes
         require(all(s.num_nodes == n for s in snapshots),
                 "all snapshots must have the same number of nodes")
-        self._snapshots = list(snapshots)
+        self._snapshots = tuple(snapshots)
         self._cycle = cycle
         self._t = 0
 
     @property
     def num_nodes(self) -> int:
         return self._snapshots[0].num_nodes
+
+    @property
+    def sequence(self) -> tuple[GraphSnapshot, ...]:
+        """The snapshots of one period, in replay order (read-only).
+
+        Named apart from :meth:`EvolvingGraph.snapshots`, which steps
+        the process while it yields.
+        """
+        return self._snapshots
 
     @property
     def period(self) -> int:

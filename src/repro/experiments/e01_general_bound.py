@@ -14,12 +14,15 @@ the experiment traces the realised constant).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.analysis.records import ExperimentResult
 from repro.core.bounds import unit_ladder_bound
-from repro.core.expansion import worst_expansion_exact
-from repro.core.flooding import flooding_time
+from repro.core.expansion import worst_expansion_ladder_exact
+from repro.core.flooding import resolve_max_steps
+from repro.dynamics.base import GraphSnapshot
 from repro.dynamics.sequence import (
     SequenceEvolvingGraph,
     StaticEvolvingGraph,
@@ -30,6 +33,7 @@ from repro.dynamics.sequence import (
     star_adjacency,
 )
 from repro.dynamics.snapshots import AdjacencySnapshot
+from repro.engine.batch import run_multisource_replay
 from repro.experiments.common import ExperimentConfig
 
 EXPERIMENT_ID = "E1"
@@ -39,7 +43,7 @@ TITLE = "Lemma 2.4: deterministic expansion ladder bounds flooding"
 SHAPE_CONSTANT = 6.0
 
 
-def _exact_unit_ladder(snapshots: list[AdjacencySnapshot]) -> np.ndarray:
+def _exact_unit_ladder(snapshots: Sequence[GraphSnapshot]) -> np.ndarray:
     """Exact ``k_i`` for ``i = 1..n/2``: the min over sizes *and* snapshots.
 
     The monotone (non-increasing) envelope is applied afterwards so the
@@ -47,58 +51,54 @@ def _exact_unit_ladder(snapshots: list[AdjacencySnapshot]) -> np.ndarray:
     """
     n = snapshots[0].num_nodes
     top = max(1, n // 2)
-    ks = np.empty(top, dtype=float)
-    for size in range(1, top + 1):
-        worst = min(worst_expansion_exact(snap, size)[0] for snap in snapshots)
-        ks[size - 1] = worst / size
+    worst = np.minimum.reduce([worst_expansion_ladder_exact(snap, top)
+                               for snap in snapshots])
+    ks = worst / np.arange(1, top + 1)
     # Monotone envelope (suffix-min keeps validity: replacing k_i by
     # min_{j >= i} k_j only weakens the claimed expansion).
     return np.flip(np.minimum.accumulate(np.flip(ks)))
 
 
-def _max_flooding_all_sources(graph, n: int, phases: int = 1) -> int:
-    worst = 0
-    for phase in range(phases):
-        for s in range(n):
-            graph.reset()
-            for _ in range(phase):
-                graph.step()
-            t = flooding_time(graph, s, reset=False)
-            worst = max(worst, t)
-    return worst
+def _max_flooding_all_sources(snapshots: Sequence[GraphSnapshot]) -> int:
+    """``max T(s)`` over every source and every phase shift of the
+    cycling sequence: one all-sources pass per rotation."""
+    n = snapshots[0].num_nodes
+    budget = resolve_max_steps(n)
+    return max(
+        run_multisource_replay(
+            SequenceEvolvingGraph(snapshots[phase:] + snapshots[:phase]),
+            range(n), 0, budget)
+        for phase in range(len(snapshots))
+    )
 
 
 def _instances(config: ExperimentConfig):
     small = config.pick(8, 12, 14)
-    yield "complete", StaticEvolvingGraph(AdjacencySnapshot(complete_adjacency(small))), 1
-    yield "star", StaticEvolvingGraph(AdjacencySnapshot(star_adjacency(small))), 1
-    yield "cycle", StaticEvolvingGraph(AdjacencySnapshot(cycle_adjacency(small))), 1
-    yield "hypercube-3", StaticEvolvingGraph(AdjacencySnapshot(hypercube_adjacency(3))), 1
+    yield "complete", StaticEvolvingGraph(AdjacencySnapshot(complete_adjacency(small)))
+    yield "star", StaticEvolvingGraph(AdjacencySnapshot(star_adjacency(small)))
+    yield "cycle", StaticEvolvingGraph(AdjacencySnapshot(cycle_adjacency(small)))
+    yield "hypercube-3", StaticEvolvingGraph(AdjacencySnapshot(hypercube_adjacency(3)))
     if config.scale != "quick":
         yield ("hypercube-4",
-               StaticEvolvingGraph(AdjacencySnapshot(hypercube_adjacency(4))), 1)
+               StaticEvolvingGraph(AdjacencySnapshot(hypercube_adjacency(4))))
         yield ("ring-of-cliques",
-               StaticEvolvingGraph(AdjacencySnapshot(ring_of_cliques_adjacency(4, 3))), 1)
+               StaticEvolvingGraph(AdjacencySnapshot(ring_of_cliques_adjacency(4, 3))))
     # A genuinely evolving sequence: cycle alternating with a star —
     # the ladder must hold for *every* snapshot, so it is the min.
     n = small
     seq = SequenceEvolvingGraph(
         [AdjacencySnapshot(cycle_adjacency(n)), AdjacencySnapshot(star_adjacency(n))]
     )
-    yield "cycle/star alternating", seq, 2
+    yield "cycle/star alternating", seq
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Run E1; see the module docstring."""
     result = ExperimentResult(EXPERIMENT_ID, TITLE)
     worst_constant = 0.0
-    for name, graph, phases in _instances(config):
+    for name, graph in _instances(config):
         n = graph.num_nodes
-        if isinstance(graph, SequenceEvolvingGraph) and graph.period > 1:
-            snaps = [graph._snapshots[i] for i in range(graph.period)]  # noqa: SLF001
-        else:
-            snaps = [graph.snapshot()]
-        ks = _exact_unit_ladder(snaps)
+        ks = _exact_unit_ladder(graph.sequence)
         if (ks <= 0).any():
             # Not even a (1, k)-expander for positive k at some size —
             # the lemma does not apply (disconnected); skip.
@@ -106,7 +106,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             continue
         bound = unit_ladder_bound(n, lambda i, ks=ks: ks[np.clip(i.astype(int) - 1,
                                                                  0, len(ks) - 1)])
-        t_max = _max_flooding_all_sources(graph, n, phases)
+        t_max = _max_flooding_all_sources(graph.sequence)
         constant = t_max / (1.0 + bound)
         worst_constant = max(worst_constant, constant)
         result.add_row(

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import expansion
 from repro.core.expansion import (
     estimate_worst_expansion,
     expansion_of_set,
@@ -15,6 +19,7 @@ from repro.core.expansion import (
     neighborhood_size,
     trajectory_expansion,
     worst_expansion_exact,
+    worst_expansion_ladder_exact,
 )
 from repro.dynamics.sequence import (
     complete_adjacency,
@@ -22,7 +27,7 @@ from repro.dynamics.sequence import (
     ring_of_cliques_adjacency,
     star_adjacency,
 )
-from repro.dynamics.snapshots import AdjacencySnapshot
+from repro.dynamics.snapshots import AdjacencySnapshot, EdgeListSnapshot
 
 
 def snap(adj) -> AdjacencySnapshot:
@@ -76,6 +81,113 @@ class TestExactWorstExpansion:
         s = snap(complete_adjacency(60))
         with pytest.raises(ValueError, match="budget"):
             worst_expansion_exact(s, 30)
+        with pytest.raises(ValueError, match="budget"):
+            worst_expansion_ladder_exact(s, 30)
+        with pytest.raises(ValueError, match="budget"):
+            is_expander_exact(s, 30, 1.0)
+
+    def test_near_budget_call_stays_within_one_chunk(self):
+        # C(24, 8) = 735471 subsets: materialising every index row would
+        # take ~47 MB; the enumeration holds one chunk's arrays at a time.
+        rng = np.random.default_rng(5)
+        s = snap(random_adjacency(rng, 24, 0.3))
+        size = 8
+        chunk_rows = expansion._CHUNK_SUBSETS * size * np.dtype(np.intp).itemsize
+        tracemalloc.start()
+        try:
+            worst, witness = worst_expansion_exact(s, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * chunk_rows
+        assert witness.sum() == size
+        assert neighborhood_size(s, witness) == worst
+
+
+def random_adjacency(rng, n, density):
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return upper | upper.T
+
+
+def per_subset_worst(snapshot, size):
+    """The reference: one ``N(I)`` query per subset in ``combinations``
+    order, keeping the first strict minimum."""
+    n = snapshot.num_nodes
+    best, best_mask = np.inf, None
+    for nodes in combinations(range(n), size):
+        value = neighborhood_size(snapshot, mask(nodes, n))
+        if value < best:
+            best, best_mask = value, mask(nodes, n)
+            if best == 0:
+                break
+    return float(best), best_mask
+
+
+def as_edge_list(adj):
+    return EdgeListSnapshot(len(adj), np.argwhere(np.triu(adj, 1)))
+
+
+class TestPackedEnumerationMatchesPerSubsetLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 14),
+           density=st.sampled_from([0.0, 0.15, 0.3, 0.6, 1.0]),
+           edge_list=st.booleans())
+    def test_value_witness_ladder_and_verdict(self, seed, n, density, edge_list):
+        adj = random_adjacency(np.random.default_rng(seed), n, density)
+        s = as_edge_list(adj) if edge_list else snap(adj)
+        top = min(n, 5)
+        reference = [per_subset_worst(s, size) for size in range(1, top + 1)]
+        for size, (value, witness) in enumerate(reference, start=1):
+            got_value, got_witness = worst_expansion_exact(s, size)
+            assert got_value == value
+            np.testing.assert_array_equal(got_witness, witness)
+        ladder = worst_expansion_ladder_exact(s, top)
+        assert ladder.dtype == np.int64
+        assert ladder.tolist() == [value for value, _ in reference]
+        for k in (0.5, 1.0, 2.0):
+            expected = all(value >= k * size
+                           for size, (value, _) in enumerate(reference, start=1))
+            assert is_expander_exact(s, top, k) is expected
+
+    @pytest.mark.parametrize("edge_list", [False, True])
+    def test_many_chunks(self, monkeypatch, edge_list):
+        # C(12, 5) = 792 subsets in chunks of 7: the minimum and the
+        # first minimiser must survive the chunk boundaries.
+        monkeypatch.setattr(expansion, "_CHUNK_SUBSETS", 7)
+        rng = np.random.default_rng(11)
+        adj = random_adjacency(rng, 12, 0.3)
+        s = as_edge_list(adj) if edge_list else snap(adj)
+        for size in range(1, 7):
+            value, witness = worst_expansion_exact(s, size)
+            ref_value, ref_witness = per_subset_worst(s, size)
+            assert value == ref_value
+            np.testing.assert_array_equal(witness, ref_witness)
+        assert worst_expansion_ladder_exact(s, 6).tolist() == [
+            per_subset_worst(s, size)[0] for size in range(1, 7)]
+
+    def test_zero_in_a_later_chunk_beats_one_in_the_first(self, monkeypatch):
+        # A path 0-1-...-8 with nodes 9, 10 isolated: the first chunks
+        # reach |N(I)| = 1 at the path's end, and only a later chunk
+        # holds the empty neighborhood.
+        monkeypatch.setattr(expansion, "_CHUNK_SUBSETS", 3)
+        adj = np.zeros((11, 11), dtype=bool)
+        for v in range(8):
+            adj[v, v + 1] = adj[v + 1, v] = True
+        s = snap(adj)
+        for size in (1, 2, 3):
+            value, witness = worst_expansion_exact(s, size)
+            ref_value, ref_witness = per_subset_worst(s, size)
+            assert value == ref_value
+            np.testing.assert_array_equal(witness, ref_witness)
+        assert worst_expansion_ladder_exact(s, 3).tolist() == [0, 0, 1]
+
+    def test_isolated_node_stops_at_zero(self):
+        # Node 3 is isolated; {3} is the first empty-neighborhood set.
+        adj = complete_adjacency(6)
+        adj[3, :] = adj[:, 3] = False
+        value, witness = worst_expansion_exact(snap(adj), 1)
+        assert value == 0
+        assert np.flatnonzero(witness).tolist() == [3]
 
 
 class TestIsExpanderExact:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.flooding import flood, flooding_time
 from repro.dynamics.adversarial import moving_hub_star, snapshot_diameter
 from repro.dynamics.sequence import complete_adjacency, cycle_adjacency, star_adjacency
-from repro.dynamics.snapshots import AdjacencySnapshot
+from repro.dynamics.snapshots import AdjacencySnapshot, snapshot_from_networkx
 
 
 class TestSnapshotDiameter:
@@ -26,6 +29,29 @@ class TestSnapshotDiameter:
         adj = np.zeros((5, 5), dtype=bool)
         adj[0, 1] = adj[1, 0] = True
         assert snapshot_diameter(AdjacencySnapshot(adj)) == 5
+
+    def test_single_node_has_diameter_zero(self):
+        assert snapshot_diameter(AdjacencySnapshot(np.zeros((1, 1), dtype=bool))) == 0
+
+    def test_isolated_node_is_disconnected(self):
+        adj = complete_adjacency(4)
+        adj[2, :] = adj[:, 2] = False
+        assert snapshot_diameter(AdjacencySnapshot(adj)) == 4
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 40),
+           p=st.sampled_from([0.05, 0.15, 0.4]), edge_list=st.booleans())
+    def test_matches_networkx_on_connected_graphs(self, seed, n, p, edge_list):
+        # A random spanning tree plus G(n, p) edges: connected, with
+        # diameters from 1 up to long paths.
+        rng = np.random.default_rng(seed)
+        g = nx.gnp_random_graph(n, p, seed=seed)
+        order = rng.permutation(n)
+        for i in range(1, n):
+            g.add_edge(int(order[i]), int(order[rng.integers(i)]))
+        snapshot = (snapshot_from_networkx(g) if edge_list
+                    else AdjacencySnapshot(nx.to_numpy_array(g, nodelist=range(n)) > 0))
+        assert snapshot_diameter(snapshot) == nx.diameter(g)
 
 
 class TestMovingHubStar:

@@ -89,6 +89,18 @@ class TestSequenceEvolvingGraph:
         with pytest.raises(ValueError):
             SequenceEvolvingGraph([])
 
+    def test_sequence_is_one_period_read_only(self):
+        snaps = [AdjacencySnapshot(cycle_adjacency(4)),
+                 AdjacencySnapshot(complete_adjacency(4))]
+        seq = SequenceEvolvingGraph(snaps)
+        seq.step()
+        assert seq.sequence == tuple(snaps)
+        assert seq.time == 1  # reading it does not step
+        with pytest.raises(AttributeError):
+            seq.sequence = ()
+        snaps.append(snaps[0])  # the caller's list is copied
+        assert seq.period == 2
+
     def test_snapshots_iterator(self):
         seq = sequence_from_adjacencies([cycle_adjacency(4), complete_adjacency(4)])
         seq.reset()
