@@ -35,8 +35,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         store = ResultStore(Path(tmp) / "results")
         # port=0: let the OS pick — server.url reports the bound port.
-        with serve(store, port=0) as server:
-            client = ServiceClient(server.url)
+        with serve(store, port=0) as server, \
+                ServiceClient(server.url) as client:
             print(f"service up at {server.url} "
                   f"(store schema v{client.health()['store_schema_version']})")
 

@@ -178,8 +178,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         print("--worker needs no --results-dir: results live on the "
               "service side", file=sys.stderr)
         return CONFIG
-    client = ServiceClient(args.worker)
-    with session_from_args(args):
+    with ServiceClient(args.worker) as client, session_from_args(args):
         stats = run_worker(client, campaign_id=args.campaign,
                            lease_ttl=args.lease_ttl,
                            max_units=args.max_units)

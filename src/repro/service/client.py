@@ -1,4 +1,4 @@
-"""Python client for the campaign service (urllib, no dependencies).
+"""Python client for the campaign service (stdlib ``http.client``).
 
 :class:`ServiceClient` speaks the JSON protocol of
 :mod:`repro.service.api` and exposes two faces:
@@ -12,6 +12,23 @@
   :func:`repro.service.worker.run_worker` drives an HTTP queue and a
   local SQLite queue through identical code.
 
+Each thread keeps one persistent (keep-alive) connection per process:
+it lives in a :class:`threading.local` tagged with the pid that opened
+it, so a worker's heartbeat thread never shares a socket with the main
+thread, and a forked child opens its own connection instead of writing
+into its parent's.  A thread's connection closes when the thread ends,
+on :meth:`ServiceClient.close`, or when the client is used as a
+context manager and the block exits.
+
+A request is retried exactly once, and only when it was sent on a
+*reused* connection that turns out dropped (``RemoteDisconnected``,
+``ConnectionResetError``, ``BrokenPipeError``): that is a server that
+closed an idle connection.  A failure on a fresh connection raises.
+The retry is safe for every verb: submission is content-addressed,
+heartbeat/complete/fail are fenced on the lease holder, the GETs are
+read-only, and a repeated lease at worst orphans one lease until its
+TTL, exactly like a dead worker.
+
 Transient transport failures on the *renewal* path are the lease
 holder's problem by design (a missed heartbeat just shortens the
 lease); everything else raises :class:`ServiceError` with the server's
@@ -20,11 +37,14 @@ error envelope attached.
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import Any, Mapping, Sequence
+from urllib.parse import urlsplit
 
 from repro.campaign.jobs import DEFAULT_LEASE_TTL, Job
 from repro.campaign.plan import CampaignPlan
@@ -40,6 +60,12 @@ _log = get_logger("service.client")
 #: *unit execution* happens between requests, never inside one.
 DEFAULT_TIMEOUT_S = 30.0
 
+#: How a reused connection fails when the server closed it while idle.
+_DROPPED = (http.client.RemoteDisconnected, ConnectionResetError,
+            BrokenPipeError)
+
+_HEADERS = {"Content-Type": "application/json"}
+
 
 class ServiceError(RuntimeError):
     """A non-2xx service response (carries status + server message)."""
@@ -47,6 +73,22 @@ class ServiceError(RuntimeError):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(f"HTTP {status}: {message}")
         self.status = status
+
+
+class _Held:
+    """One thread's connection and the pid that opened it.
+
+    Dropping it closes the connection, so a thread's socket goes when
+    the thread ends (a finalizer, not ``__del__``: it runs before the
+    socket's own, even when a reference cycle holds the client).  In a
+    forked child the inherited copy is closed unused: that releases
+    only the child's descriptor, and the parent's connection stays open.
+    """
+
+    def __init__(self, conn: http.client.HTTPConnection) -> None:
+        self.conn = conn
+        self.pid = os.getpid()
+        weakref.finalize(self, conn.close)
 
 
 class ServiceClient:
@@ -58,33 +100,76 @@ class ServiceClient:
                 f"service URL must be http(s), got {base_url!r}")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urlsplit(self.base_url)
+        self._connection_class = (http.client.HTTPSConnection
+                                  if parts.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._netloc = parts.netloc
+        self._prefix = parts.path
+        self._local = threading.local()
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A connection never travels: an unpickled copy opens its own.
+        return {"base_url": self.base_url, "timeout": self.timeout}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__init__(state["base_url"], timeout=state["timeout"])
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next call opens a
+        new one)."""
+        held, self._local.held = getattr(self._local, "held", None), None
+        if held is not None:
+            held.conn.close()
 
     # -- transport ----------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        held = getattr(self._local, "held", None)
+        if held is None or held.pid != os.getpid():
+            held = self._local.held = _Held(self._connection_class(
+                self._netloc, timeout=self.timeout))
+        return held.conn
+
+    def _exchange(self, method: str, path: str,
+                  data: bytes | None) -> tuple[int, bytes]:
+        """One request/response on the thread's connection."""
+        while True:
+            conn = self._connection()
+            reused = conn.sock is not None
+            try:
+                conn.request(method, self._prefix + path, body=data,
+                             headers=_HEADERS)
+                response = conn.getresponse()
+                return response.status, response.read()
+            except BaseException as exc:
+                # Whatever broke, the socket's state is unknown now.
+                self.close()
+                if not (reused and isinstance(exc, _DROPPED)):
+                    raise
+                # A dropped idle connection: the loop retries once, on
+                # a fresh connection, whose failure raises.
 
     def _request(self, method: str, path: str,
                  body: Mapping[str, Any] | None = None
                  ) -> tuple[int, dict[str, Any]]:
-        url = f"{self.base_url}{path}"
         data = None if body is None else json.dumps(
             body, default=str).encode("utf-8")
-        request = urllib.request.Request(
-            url, data=data, method=method,
-            headers={"Content-Type": "application/json"})
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                raw = response.read()
-                status = response.status
-        except urllib.error.HTTPError as exc:
-            raw = exc.read()
-            status = exc.code
+        status, raw = self._exchange(method, path, data)
         if status == 204:
             return status, {}
         try:
             payload = json.loads(raw) if raw else {}
         except json.JSONDecodeError as exc:
-            raise ServiceError(status,
-                               f"non-JSON response from {url}") from exc
+            raise ServiceError(
+                status, f"non-JSON response from {self.base_url}{path}"
+            ) from exc
         if status >= 400:
             raise ServiceError(status, str(payload.get("error", raw[:200])))
         return status, payload
@@ -181,7 +266,7 @@ class ServiceClient:
             return bool(self._request(
                 "POST", f"/v1/campaigns/{campaign_id}/heartbeat",
                 {"worker": worker, "key": key, "ttl": ttl})[1].get("ok"))
-        except (ServiceError, urllib.error.URLError, OSError) as exc:
+        except (ServiceError, http.client.HTTPException, OSError) as exc:
             # A failed renewal is not fatal — the lease just isn't
             # extended this beat (see module docstring).
             _log.warning("heartbeat for %s failed: %s", key[:12], exc)
