@@ -22,5 +22,5 @@ setup(
     package_data={"repro.campaign.migrations": ["*.sql"]},
     include_package_data=True,
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=["numpy>=2.0", "scipy", "networkx"],
 )

@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.dynamics.base import GraphSnapshot
+from repro.util import bits
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import require, require_positive_int
 
@@ -74,9 +75,6 @@ def _mask_from_nodes(nodes: Sequence[int], n: int) -> np.ndarray:
 #: chunk whatever ``C(n, size)`` is.
 _CHUNK_SUBSETS = 1 << 14
 
-#: Set bits of every byte value: the popcount table of the packed unions.
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
 
 def _check_budget(n: int, size: int) -> None:
     count = comb(n, size)
@@ -88,18 +86,15 @@ def _check_budget(n: int, size: int) -> None:
 
 
 def _closed_neighborhood_words(snapshot: GraphSnapshot) -> np.ndarray:
-    """Each node's closed neighborhood ``N({v}) | {v}`` packed into
-    ``(n, ceil(n / 64))`` ``uint64`` words.
+    """Each node's closed neighborhood ``N({v}) | {v}`` as packed bit
+    rows (:mod:`repro.util.bits`).
 
     The snapshot contract makes ``N(I)`` the union of the members'
     single-node neighborhoods minus ``I``, so with closed rows
     ``|N(I)| = |OR of the rows of I| - |I|`` and no member mask is needed.
     """
-    n = snapshot.num_nodes
-    closed = np.zeros((n, -(-n // 64) * 64), dtype=bool)
-    closed[:, :n] = snapshot.neighborhood_masks(np.eye(n, dtype=bool))
-    closed[np.arange(n), np.arange(n)] = True
-    return np.packbits(closed, axis=1, bitorder="little").view(np.uint64)
+    eye = np.eye(snapshot.num_nodes, dtype=bool)
+    return bits.pack(snapshot.neighborhood_masks(eye) | eye)
 
 
 def _worst_union(words: np.ndarray, size: int) -> tuple[int, np.ndarray]:
@@ -108,9 +103,9 @@ def _worst_union(words: np.ndarray, size: int) -> tuple[int, np.ndarray]:
     order.
 
     Enumerates ``combinations(range(n), size)`` in chunks of
-    :data:`_CHUNK_SUBSETS` index rows: OR the gathered rows column by
-    column, popcount the union bytes, and keep a chunk's first minimum
-    only when it is strictly below the best so far.
+    :data:`_CHUNK_SUBSETS` index rows: OR each subset's gathered rows
+    with one ``reduceat``, popcount the unions, and keep a chunk's first
+    minimum only when it is strictly below the best so far.
     """
     n = words.shape[0]
     subsets = combinations(range(n), size)
@@ -120,14 +115,11 @@ def _worst_union(words: np.ndarray, size: int) -> tuple[int, np.ndarray]:
                            dtype=np.intp)
         if flat.size == 0:
             break
-        nodes = flat.reshape(-1, size)
-        union = words[nodes[:, 0]]
-        for col in range(1, size):
-            union |= words[nodes[:, col]]
-        counts = _BYTE_POPCOUNT[union.view(np.uint8)].sum(axis=1)
+        union = np.bitwise_or.reduceat(words[flat], np.arange(0, flat.size, size))
+        counts = np.bitwise_count(union).sum(axis=1)
         i = int(counts.argmin())
         if counts[i] < best:
-            best, witness = int(counts[i]), nodes[i]
+            best, witness = int(counts[i]), flat[i * size:(i + 1) * size]
             if best == size:  # N(I) is empty: nothing can beat it
                 break
     return best - size, witness

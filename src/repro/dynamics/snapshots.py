@@ -5,7 +5,7 @@ Two general-purpose snapshot types:
 * :class:`AdjacencySnapshot` — dense boolean adjacency matrix; the
   workhorse for edge-MEGs and for small deterministic graphs.  The
   ``N(I)`` query is a vectorised any-reduction over the informed
-  columns.
+  columns; the batched query ORs packed rows (:mod:`repro.util.bits`).
 * :class:`EdgeListSnapshot` — CSR-style adjacency built from an edge
   list; used by the deterministic-sequence evolving graphs and the
   networkx bridge.
@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dynamics.base import GraphSnapshot
+from repro.util import bits
 from repro.util.validation import require, require_positive_int
 
 __all__ = ["AdjacencySnapshot", "EdgeListSnapshot", "snapshot_from_networkx"]
@@ -69,14 +70,12 @@ class AdjacencySnapshot(GraphSnapshot):
         require(members.ndim == 2 and members.shape[1] == self.num_nodes,
                 "members must be (S, n)")
         out = np.zeros_like(members)
-        # One boolean row-gather + any-reduction per set: exact (pure
-        # boolean arithmetic, same result as the float32 matmul it
-        # replaces) and O(S * |I| * n) without materialising any float
-        # copy of the adjacency.  Symmetry makes row and column gathers
-        # interchangeable.
-        for i, row in enumerate(members):
-            if row.any():
-                out[i] = self._adj[row].any(axis=0)
+        # The members' packed rows (row = column by symmetry), OR-reduced
+        # over each set's run of np.nonzero's row-major output.
+        sets, nodes = np.nonzero(members)
+        starts = np.flatnonzero(np.diff(sets, prepend=-1))
+        unions = np.bitwise_or.reduceat(bits.pack(self._adj)[nodes], starts)
+        out[sets[starts]] = bits.unpack(unions, self.num_nodes)
         out &= ~members
         return out
 

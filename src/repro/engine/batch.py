@@ -366,8 +366,8 @@ def run_multisource_replay(graph: EvolvingGraph, sources: Sequence[int],
     serial replay: same graph sequence, same per-row update rule.  The
     shared snapshot answers all rows through its batched
     :meth:`~repro.dynamics.base.GraphSnapshot.neighborhood_masks` query
-    (a boolean row-gather for adjacency snapshots — no per-row float
-    re-materialisation).
+    (one OR-reduction of packed rows for adjacency snapshots, see
+    :mod:`repro.util.bits`).
 
     Raises
     ------

@@ -11,8 +11,8 @@ protocol for :class:`~repro.geometric.meg.GeometricMEG`:
   ``(B, n)`` lattice-index array: the stationary initialisation and
   every move step are single vectorised lattice calls, and the ``N(I)``
   query runs on the lattice indices themselves — a disc dilation of
-  the trials' members packed as bit rows, one ``uint64`` word per 64
-  lattice columns, by word shifts and ORs
+  the trials' members packed as bit rows (:mod:`repro.util.bits`) by
+  word shifts and ORs
   (:func:`~repro.geometric.neighbors.lattice_within_radius`), with no
   Euclidean coordinates built.  Its output equals the cell-grid query
   on the coordinates, so realisations do not depend on which of the

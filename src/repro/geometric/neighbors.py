@@ -15,9 +15,9 @@ The batched kernels answer ``B`` trials at once: the mobility models
 (arbitrary float positions) through the shared cell grid of
 :func:`batched_within_radius`, and the native geometric-MEG (walkers on
 the lattice ``L_{n,eps}``) through :func:`lattice_within_radius`, which
-dilates bit rows (one ``uint64`` word per 64 lattice columns) by the
-disc of admissible lattice offsets with shifts and ORs and never
-computes a distance.
+dilates packed bit rows (:mod:`repro.util.bits`) by the disc of
+admissible lattice offsets with shifts and ORs and never computes a
+distance.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
+from repro.util import bits
 from repro.util.validation import require, require_positive
 
 __all__ = [
@@ -376,32 +377,6 @@ def batched_within_radius(
     return out
 
 
-def _or_shifted(into: np.ndarray, rows: np.ndarray, shift: int) -> None:
-    """OR *rows* moved by *shift* columns into *into*, in place.
-
-    Both are ``(..., W)`` bit rows of little-endian ``uint64`` words
-    (column ``y`` is bit ``y % 64`` of word ``y // 64``): bit ``y`` of
-    *into* gains bit ``y - shift`` of *rows*.  Whole words move by
-    ``|shift| // 64``; the remaining bits carry into the neighbouring
-    word, and bits moved past either end of a row drop.
-    """
-    whole, part = divmod(abs(shift), 64)
-    keep = rows.shape[-1] - whole
-    if keep <= 0:
-        return
-    carry = part and keep > 1
-    if shift >= 0:
-        src, dst = rows[..., :keep], into[..., whole:]
-        dst |= src << part
-        if carry:
-            dst[..., 1:] |= src[..., :-1] >> (64 - part)
-    else:
-        src, dst = rows[..., whole:], into[..., :keep]
-        dst |= src >> part
-        if carry:
-            dst[..., :-1] |= src[..., 1:] << (64 - part)
-
-
 def lattice_within_radius(
     ix: np.ndarray,
     iy: np.ndarray,
@@ -416,12 +391,10 @@ def lattice_within_radius(
 
     On the lattice, adjacency depends only on the integer offset:
     ``(di eps)^2 + (dj eps)^2 <= (R (1 + 1e-12))^2``.  So the query needs
-    no coordinates and no pair checks.  It works on bit rows: lattice
-    row ``x`` of a trial is ``W = ceil(g / 64)`` little-endian ``uint64``
-    words, bit ``y % 64`` of word ``y // 64`` marking a member at
-    ``(x, y)``.
+    no coordinates and no pair checks:
 
-    1. pack each trial's members into its ``(g, W)`` bit rows;
+    1. pack each trial's ``(g, g)`` member grid into bit rows
+       (:mod:`repro.util.bits`, ``W = ceil(g / 64)`` words a row);
     2. build the disc's horizontal run of every half-width ``w`` by
        shift-OR, ``run_w = run_{w-1} | rows << w | rows >> w``;
     3. OR ``run_{half(di)}`` into the dilated rows at row offsets
@@ -479,19 +452,17 @@ def lattice_within_radius(
     half = ((offsets[:, None] ** 2 + offsets[None, :] ** 2 <= limit ** 2)
             .sum(axis=1) - 1)
 
-    words = -(-g // 64)
-    cols = 64 * words
-    cell = ix * cols
+    cell = ix * g
     cell += iy
-    cell += (np.arange(num_trials, dtype=np.int64) * (g * cols))[:, None]
-    grid = np.zeros((num_trials, g, cols), dtype=bool)
+    cell += (np.arange(num_trials, dtype=np.int64) * (g * g))[:, None]
+    grid = np.zeros((num_trials, g, g), dtype=bool)
     grid.ravel()[np.compress(members.ravel(), cell)] = True
-    rows = np.packbits(grid, axis=2, bitorder="little").view("<u8")
+    rows = bits.pack(grid)
     runs = [rows]
     for width in range(1, int(half.max()) + 1):
         run = runs[-1].copy()
-        _or_shifted(run, rows, width)
-        _or_shifted(run, rows, -width)
+        bits.or_shifted(run, rows, width)
+        bits.or_shifted(run, rows, -width)
         runs.append(run)
     dilated = np.zeros_like(rows)
     for di in np.flatnonzero(half >= 0):
@@ -499,11 +470,7 @@ def lattice_within_radius(
         dilated[:, di:] |= run[:, :g - di]
         if di:
             dilated[:, :g - di] |= run[:, di:]
-    # Clear the tail bits that runs shifted past column g - 1, so the
-    # words hold exactly the dilated lattice rows.
-    dilated[..., -1] &= np.uint64((1 << (g - 64 * (words - 1))) - 1)
-    grid = np.unpackbits(dilated.view(np.uint8), axis=2, bitorder="little")
-    return grid.view(bool).ravel()[cell] & ~members
+    return bits.unpack(dilated, g).ravel()[cell] & ~members
 
 
 def radius_edges(positions: np.ndarray, radius: float, *,

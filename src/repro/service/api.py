@@ -439,12 +439,16 @@ class ServiceServer:
     :meth:`stop`.
     """
 
+    #: Seconds between the serve loop's checks for :meth:`stop` (stdlib 0.5).
+    _POLL_INTERVAL = 0.05
+
     def __init__(self, service: CampaignService, *,
                  host: str = DEFAULT_HOST, port: int = DEFAULT_PORT) -> None:
         self.service = service
         handler = type("BoundHandler", (_Handler,), {"service": service})
         self.httpd = _Server((host, port), handler)
         self._thread: threading.Thread | None = None
+        self._serving = False  # has a serve loop begun?
 
     @property
     def host(self) -> str:
@@ -460,7 +464,9 @@ class ServiceServer:
 
     def start(self) -> "ServiceServer":
         """Serve on a background thread; returns immediately."""
+        self._serving = True
         self._thread = threading.Thread(target=self.httpd.serve_forever,
+                                        args=(self._POLL_INTERVAL,),
                                         name="repro-service", daemon=True)
         self._thread.start()
         _log.info("campaign service listening on %s (store %s)", self.url,
@@ -471,12 +477,14 @@ class ServiceServer:
         """Serve on the calling thread (the ``--serve`` CLI path)."""
         _log.info("campaign service listening on %s (store %s)", self.url,
                   self.service.store.root)
-        self.httpd.serve_forever()
+        self._serving = True
+        self.httpd.serve_forever(self._POLL_INTERVAL)
 
     def stop(self) -> None:
         """Stop accepting, then cut every open connection: a stopped
         server answers no further request."""
-        self.httpd.shutdown()
+        if self._serving:  # else shutdown() waits forever for a loop
+            self.httpd.shutdown()
         self.httpd.server_close()
         self.httpd.close_connections()
         if self._thread is not None:

@@ -129,13 +129,14 @@ def as_edge_list(adj):
 
 class TestPackedEnumerationMatchesPerSubsetLoop:
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(1, 14),
+    @given(seed=st.integers(0, 10_000),
+           n=st.one_of(st.integers(1, 14), st.integers(65, 75)),
            density=st.sampled_from([0.0, 0.15, 0.3, 0.6, 1.0]),
            edge_list=st.booleans())
     def test_value_witness_ladder_and_verdict(self, seed, n, density, edge_list):
         adj = random_adjacency(np.random.default_rng(seed), n, density)
         s = as_edge_list(adj) if edge_list else snap(adj)
-        top = min(n, 5)
+        top = min(n, 5) if n < 64 else 2  # rows past one word: sizes <= 2
         reference = [per_subset_worst(s, size) for size in range(1, top + 1)]
         for size, (value, witness) in enumerate(reference, start=1):
             got_value, got_witness = worst_expansion_exact(s, size)

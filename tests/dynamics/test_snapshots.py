@@ -147,12 +147,13 @@ class TestEdgeListSnapshot:
 class TestNeighborhoodMasks:
     """The batched row-wise query every snapshot answers."""
 
+    @pytest.mark.parametrize("n", [30, 64, 65, 130])
     @pytest.mark.parametrize("seed", [0, 3, 9])
-    def test_adjacency_gather_matches_per_row(self, seed):
-        adj = random_adjacency(30, 0.15, seed)
+    def test_adjacency_gather_matches_per_row(self, seed, n):
+        adj = random_adjacency(n, 0.15, seed)
         snap = AdjacencySnapshot(adj)
         rng = np.random.default_rng(seed)
-        members = rng.random((6, 30)) < 0.3
+        members = rng.random((6, n)) < 0.3
         batched = snap.neighborhood_masks(members)
         for i in range(members.shape[0]):
             np.testing.assert_array_equal(

@@ -238,6 +238,20 @@ class TestShutdown:
         assert JobQueue(store.backend).campaigns() == []
         assert len(store) == 0
 
+    def test_never_started_server_stops(self, store):
+        server = serve(store, port=0)
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive(), "stop() hung on a server never started"
+
+    def test_started_server_stops_well_under_the_default_poll(self, store):
+        server = serve(store, port=0).start()
+        assert ServiceClient(server.url).health()["status"] == "ok"
+        began = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - began < 0.25
+
     def test_heartbeat_connections_close_when_their_threads_end(
             self, server, accepted, monkeypatch):
         """Each unit's heartbeat thread opens its own connection; once
