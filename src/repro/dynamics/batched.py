@@ -49,10 +49,12 @@ __all__ = [
 class BatchedDynamics:
     """Batched flooding-kernel provider for one model family.
 
-    A provider is constructed from a *template* model (the engine's
-    deep-copied plan model) and serves one chunk of trials at a time.
-    It carries the family's static configuration (``n``, rates, lattice,
-    radius, ...); per-chunk mutable state lives in the opaque object
+    A provider is constructed from a *template* model (the plan's own
+    model, which the engine does not copy for the native tiers) and
+    serves one chunk of trials at a time.  It carries the family's
+    static configuration (``n``, rates, lattice, radius, ...) and may
+    read its template but must never mutate it: the caller's model is
+    the template.  Per-chunk mutable state lives in the opaque object
     returned by :meth:`batch_init` and threaded back through the other
     native hooks.
 

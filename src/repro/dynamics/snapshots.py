@@ -24,6 +24,12 @@ from repro.util.validation import require, require_positive_int
 
 __all__ = ["AdjacencySnapshot", "EdgeListSnapshot", "snapshot_from_networkx"]
 
+#: Byte budget of the packed rows one block of the batched ``N(I)``
+#: query gathers: past the cache, the gather costs more than the OR it
+#: feeds.  Every member set of an ``n <= 256`` graph fits one block
+#: (``n^2`` members of 32-byte rows is 2 MiB).
+_GATHER_BYTES = 2 << 20
+
 
 class AdjacencySnapshot(GraphSnapshot):
     """Snapshot backed by a dense symmetric boolean adjacency matrix.
@@ -71,11 +77,20 @@ class AdjacencySnapshot(GraphSnapshot):
                 "members must be (S, n)")
         out = np.zeros_like(members)
         # The members' packed rows (row = column by symmetry), OR-reduced
-        # over each set's run of np.nonzero's row-major output.
+        # over each set's run of np.nonzero's row-major output; past the
+        # byte budget, in blocks of whole sets.
+        rows = bits.pack(self._adj)
         sets, nodes = np.nonzero(members)
-        starts = np.flatnonzero(np.diff(sets, prepend=-1))
-        unions = np.bitwise_or.reduceat(bits.pack(self._adj)[nodes], starts)
-        out[sets[starts]] = bits.unpack(unions, self.num_nodes)
+        per_block = max(1, _GATHER_BYTES // rows[0].nbytes)
+        blocks = [(sets, nodes)]
+        if nodes.size > per_block:
+            starts = np.flatnonzero(np.diff(sets, prepend=-1))
+            cuts = starts[np.flatnonzero(np.diff(starts // per_block)) + 1]
+            blocks = zip(np.split(sets, cuts), np.split(nodes, cuts))
+        for block_sets, block_nodes in blocks:
+            starts = np.flatnonzero(np.diff(block_sets, prepend=-1))
+            unions = np.bitwise_or.reduceat(rows[block_nodes], starts)
+            out[block_sets[starts]] = bits.unpack(unions, self.num_nodes)
         out &= ~members
         return out
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dynamics.batched import BatchedDynamics
-from repro.edgemeg.meg import EdgeMEG
+from repro.edgemeg.meg import EdgeMEG, _triu_cache
 from repro.edgemeg.sparse import SparseEdgeMEG, decode_pairs
 from repro.util.validation import require
 
@@ -56,50 +56,8 @@ _SPARSE_DENSITY_LIMIT = 0.25
 
 
 # ---------------------------------------------------------------------------
-# triangle geometry cache + batched neighborhood query
+# batched neighborhood query
 # ---------------------------------------------------------------------------
-
-class _TriuCache:
-    """Segment offsets of the strict upper triangle of an ``n``-node graph,
-    row-major (pairs grouped by ``u``) and column-grouped (by ``v``)."""
-
-    __slots__ = ("n", "num_pairs", "iu0", "iu1", "row_starts", "col_perm",
-                 "col_starts")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        iu0, iu1 = np.triu_indices(n, k=1)
-        self.iu0 = iu0.astype(np.int64)
-        self.iu1 = iu1.astype(np.int64)
-        self.num_pairs = self.iu0.shape[0]
-        # Row u holds the n-1-u pairs (u, u+1..n-1); the last row (u=n-1)
-        # is empty and its start index equals P, which the padded-column
-        # trick in batched_triu_neighborhood resolves to False.
-        counts_u = (n - 1) - np.arange(n, dtype=np.int64)
-        self.row_starts = np.concatenate(([0], np.cumsum(counts_u)))[:n]
-        # Column v holds the v pairs (0..v-1, v); v=0 is empty (fixed up
-        # explicitly after the reduceat).
-        self.col_perm = np.argsort(self.iu1, kind="stable")
-        counts_v = np.bincount(self.iu1, minlength=n)
-        self.col_starts = np.concatenate(([0], np.cumsum(counts_v)))[:n]
-
-
-_TRIU_CACHES: dict[int, _TriuCache] = {}
-
-#: Each cache entry holds three int64 arrays of length n(n-1)/2; a small
-#: LRU bound keeps a size sweep from pinning gigabytes after it finishes.
-_TRIU_CACHE_LIMIT = 8
-
-
-def _triu_cache(n: int) -> _TriuCache:
-    cache = _TRIU_CACHES.pop(n, None)
-    if cache is None:
-        cache = _TriuCache(n)
-        while len(_TRIU_CACHES) >= _TRIU_CACHE_LIMIT:
-            _TRIU_CACHES.pop(next(iter(_TRIU_CACHES)))
-    _TRIU_CACHES[n] = cache  # reinsert: dict order doubles as LRU order
-    return cache
-
 
 def batched_triu_neighborhood(states: np.ndarray, informed: np.ndarray,
                               ) -> np.ndarray:
@@ -125,12 +83,13 @@ def batched_triu_neighborhood(states: np.ndarray, informed: np.ndarray,
     n = informed.shape[1]
     cache = _triu_cache(n)
     require(num_pairs == cache.num_pairs, "states width must be n(n-1)/2")
+    iu0, iu1 = cache.iu
     pad = np.zeros((b, 1), dtype=bool)
     # Node u is reached through a present pair (u, v) with v informed.
-    edge_hits = np.concatenate([states & informed[:, cache.iu1], pad], axis=1)
+    edge_hits = np.concatenate([states & informed[:, iu1], pad], axis=1)
     reach = np.logical_or.reduceat(edge_hits, cache.row_starts, axis=1)
     # Node v is reached through a present pair (u, v) with u informed.
-    edge_hits = states & informed[:, cache.iu0]
+    edge_hits = states & informed[:, iu0]
     edge_hits = np.concatenate([edge_hits[:, cache.col_perm], pad], axis=1)
     reach_v = np.logical_or.reduceat(edge_hits, cache.col_starts, axis=1)
     reach_v[:, 0] = False  # column group v=0 is empty; reduceat can't see that
@@ -143,13 +102,18 @@ def batched_triu_neighborhood(states: np.ndarray, informed: np.ndarray,
 # count law of flooding
 # ---------------------------------------------------------------------------
 
-def _times_log1m(k: np.ndarray, x: float) -> np.ndarray:
-    """``k * log(1 - x)`` with the exact ``x = 1`` limit: ``0`` where
-    ``k = 0`` (an empty product), ``-inf`` elsewhere."""
+def _log1m(x: float) -> float:
+    """``log(1 - x)``, with ``-inf`` at ``x = 1``."""
+    return -np.inf if x >= 1.0 else np.log1p(-x)
+
+
+def _times_log(k: np.ndarray, log1m: float) -> np.ndarray:
+    """``k * log1m`` for ``log1m = log(1 - x)``, with the exact ``x = 1``
+    limit: ``0`` where ``k = 0`` (an empty product), ``-inf`` elsewhere."""
     k = np.asarray(k, dtype=np.float64)
-    if x >= 1.0:
+    if log1m == -np.inf:
         return np.where(k > 0, -np.inf, 0.0)
-    return k * np.log1p(-x)
+    return k * log1m
 
 
 def edge_count_stay_log(older: np.ndarray, fresh: np.ndarray,
@@ -163,7 +127,7 @@ def edge_count_stay_log(older: np.ndarray, fresh: np.ndarray,
     to the newly informed nodes were never observed, so each is present
     with the stationary ``p_hat``.  Exact at ``p = 1`` or ``p_hat = 1``.
     """
-    return _times_log1m(older, p) + _times_log1m(fresh, p_hat)
+    return _times_log(older, _log1m(p)) + _times_log(fresh, _log1m(p_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +201,14 @@ class _EdgeFamilyKernel(BatchedDynamics):
         self._q = template.q
         self._p_hat = template.p_hat
         self._num_pairs = self._n * (self._n - 1) // 2
+        self._log1m_p = _log1m(self._p)
+        self._log1m_p_hat = _log1m(self._p_hat)
 
     def count_stay_log(self, older: np.ndarray,
                        fresh: np.ndarray) -> np.ndarray:
-        return edge_count_stay_log(older, fresh, self._p, self._p_hat)
+        # edge_count_stay_log with both logarithms taken once per chunk.
+        return (_times_log(older, self._log1m_p)
+                + _times_log(fresh, self._log1m_p_hat))
 
     # -- native kernels -----------------------------------------------------
 

@@ -17,7 +17,7 @@ fast path in :mod:`repro.edgemeg.independent`).
 
 from __future__ import annotations
 
-import copy
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +29,55 @@ from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import require, require_positive_int
 
 __all__ = ["EdgeMEG"]
+
+
+class _TriuCache:
+    """The strict upper triangle of an ``n``-node graph: its pair index
+    ``numpy.triu_indices(n, 1)`` (row-major, the :class:`EdgeMEG`
+    edge-state layout) and, built on first use by the batched ``N(I)``
+    query of :mod:`repro.edgemeg.kernels`, its segment offsets grouped
+    by row ``u`` and by column ``v``."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.iu = np.triu_indices(n, k=1)
+        self.num_pairs = self.iu[0].shape[0]
+
+    @cached_property
+    def row_starts(self) -> np.ndarray:
+        # Row u holds the n-1-u pairs (u, u+1..n-1); the last row (u=n-1)
+        # is empty and its start index equals P, which the padded-column
+        # trick in batched_triu_neighborhood resolves to False.
+        counts_u = (self.n - 1) - np.arange(self.n, dtype=np.int64)
+        return np.concatenate(([0], np.cumsum(counts_u)))[:self.n]
+
+    @cached_property
+    def col_perm(self) -> np.ndarray:
+        return np.argsort(self.iu[1], kind="stable")
+
+    @cached_property
+    def col_starts(self) -> np.ndarray:
+        # Column v holds the v pairs (0..v-1, v); v=0 is empty (fixed up
+        # explicitly after the reduceat).
+        counts_v = np.bincount(self.iu[1], minlength=self.n)
+        return np.concatenate(([0], np.cumsum(counts_v)))[:self.n]
+
+
+_TRIU_CACHES: dict[int, _TriuCache] = {}
+
+#: Each entry holds up to four int64 arrays of length n(n-1)/2; a small
+#: LRU bound keeps a size sweep from pinning gigabytes after it finishes.
+_TRIU_CACHE_LIMIT = 8
+
+
+def _triu_cache(n: int) -> _TriuCache:
+    cache = _TRIU_CACHES.pop(n, None)
+    if cache is None:
+        cache = _TriuCache(n)
+        while len(_TRIU_CACHES) >= _TRIU_CACHE_LIMIT:
+            _TRIU_CACHES.pop(next(iter(_TRIU_CACHES)))
+    _TRIU_CACHES[n] = cache  # reinsert: dict order doubles as LRU order
+    return cache
 
 
 class EdgeMEG(EvolvingGraph):
@@ -57,23 +106,19 @@ class EdgeMEG(EvolvingGraph):
         self._n = require_positive_int(n, "n")
         require(self._n >= 2, "an edge-MEG needs n >= 2")
         self.chain = TwoStateChain(p=p, q=q)
-        self._iu = np.triu_indices(self._n, k=1)
-        self._num_pairs = self._iu[0].shape[0]
-        self._states = np.zeros(self._num_pairs, dtype=bool)
+        self._num_pairs = self._n * (self._n - 1) // 2
+        self._states = np.zeros(0, dtype=bool)  # sized by the first reset
         self._rng = as_generator(None)
         self._t = 0
         self._initialized = False
 
-    def __deepcopy__(self, memo: dict) -> "EdgeMEG":
-        # The upper-triangle index pair is a function of n alone and is
-        # never mutated; sharing it keeps per-trial model cloning in the
-        # batch engine O(num_pairs) instead of O(3 * num_pairs).
-        clone = self.__class__.__new__(self.__class__)
-        memo[id(self)] = clone
-        memo[id(self._iu)] = self._iu
-        for key, value in self.__dict__.items():
-            setattr(clone, key, copy.deepcopy(value, memo))
-        return clone
+    @property
+    def _iu(self) -> tuple[np.ndarray, np.ndarray]:
+        # The upper-triangle index pair is a function of n alone: one
+        # shared, LRU-bounded copy per n, built on first use, so
+        # construction, deep copies and the engine's count tier never
+        # pay its O(num_pairs) memory.
+        return _triu_cache(self._n).iu
 
     # -- basic properties ---------------------------------------------------
 

@@ -110,7 +110,7 @@ def _chunk_sources(plan, rng: np.random.Generator, count: int,
                    n: int) -> list[tuple[int, ...]]:
     if plan.source is None:
         drawn = rng.integers(n, size=count)
-        return [(int(s),) for s in drawn]
+        return [(s,) for s in drawn.tolist()]
     fixed = _resolve_sources(plan.source, n)
     return [fixed] * count
 
@@ -120,7 +120,8 @@ def _finish_native(n, sources, times, completed, count_log, informed,
     histories: tuple[np.ndarray, ...] = ()
     if record_history:
         log = np.stack(count_log, axis=1)  # (B, steps+1)
-        histories = tuple(log[i, :int(times[i]) + 1] for i in range(len(sources)))
+        histories = tuple(row[:time + 1]
+                          for row, time in zip(log, times.tolist()))
     return TrialEnsemble(
         num_nodes=n,
         sources=tuple(sources),
@@ -208,32 +209,29 @@ def count_chain(stay_log, n: int, start: np.ndarray,
 
     ``stay_log(older, fresh)`` is a provider's
     :meth:`~repro.dynamics.batched.BatchedDynamics.count_stay_log`; every
-    round draws one binomial vector over the active trials.  Returns
+    round draws one binomial vector over all trials.  A finished trial
+    draws ``binomial(0, .) = 0``, for which numpy consumes no
+    randomness, so the draws are those of the unfinished trials alone
+    and no row is gathered or scattered.  Returns
     ``(times, completed, count_log)`` in the layout of
     :func:`_finish_native` (``count_log[t]`` holds every trial's count
     at time ``t``).
     """
     counts = np.array(start, dtype=np.int64)
     older = np.zeros_like(counts)
-    times = np.zeros(counts.shape[0], dtype=np.int64)
-    completed = counts == n
-    active = ~completed
-    count_log = [counts.copy()]
+    times = np.zeros_like(counts)  # rounds begun while unfinished
+    count_log = [counts]
     t = 0
-    while active.any() and t < budget:
-        act = np.flatnonzero(active)
-        m = counts[act]
-        hit = -np.expm1(stay_log(older[act], m - older[act]))
-        older[act] = m
-        counts[act] = m + rng.binomial(n - m, hit)
+    while t < budget:
+        unfinished = counts < n
+        if not unfinished.any():
+            break
+        times += unfinished
+        hit = -np.expm1(stay_log(older, counts - older))
+        older, counts = counts, counts + rng.binomial(n - counts, hit)
         t += 1
-        count_log.append(counts.copy())
-        done = act[counts[act] == n]
-        times[done] = t
-        completed[done] = True
-        active[done] = False
-    times[active] = t
-    return times, completed, count_log
+        count_log.append(counts)
+    return times, counts == n, count_log
 
 
 def _count_masks(rng: np.random.Generator, n: int,
@@ -325,7 +323,11 @@ def run_chunk(payload: dict) -> TrialEnsemble:
                                          budget)
         else:
             rng = np.random.default_rng(payload["chunk_seed"])
-            template = plan.make_model()
+            # Providers read their template and never mutate it, so the
+            # plan's own model serves without a copy; only the generic
+            # tier, which resets a model per trial, makes one.
+            template = (plan.model if plan.model is not None
+                        else plan.model_factory())
             kernel = batched_dynamics_for(template)
             native = kernel.native_capable and member_set(plan.protocol)
             if plan.is_flooding and kernel.count_law:

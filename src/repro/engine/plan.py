@@ -62,10 +62,13 @@ class SimulationPlan:
     Parameters
     ----------
     model:
-        Template :class:`~repro.dynamics.base.EvolvingGraph`; the engine
-        deep-copies it per chunk, so the instance you pass is never
-        mutated by any backend.  Exactly one of
-        *model* and *model_factory* must be given.
+        Template :class:`~repro.dynamics.base.EvolvingGraph`, never
+        mutated by any backend: per-trial chunks (replay, and the
+        generic native tier) reset a deep copy made per chunk
+        (:meth:`make_model`), and the native count and kernel tiers
+        only read the template through its
+        :class:`~repro.dynamics.batched.BatchedDynamics` provider.
+        Exactly one of *model* and *model_factory* must be given.
     model_factory:
         Zero-argument callable building a fresh model.  Must be
         picklable (a module-level function or :func:`functools.partial`)

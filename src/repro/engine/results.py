@@ -14,6 +14,7 @@ route through the engine without changing its downstream code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -127,20 +128,13 @@ class TrialEnsemble:
         when recording was disabled (legacy callers that need them
         should keep recording enabled, the default).
         """
-        results = []
-        for i in range(self.num_trials):
-            history = (self.histories[i] if self.histories
-                       else np.empty(0, dtype=np.int64))
-            informed = (self.informed[i] if self.informed is not None
-                        else np.empty(0, dtype=bool))
-            results.append(FloodingResult(
-                source=self.sources[i],
-                time=int(self.times[i]),
-                completed=bool(self.completed[i]),
-                informed_history=history,
-                informed=informed,
-            ))
-        return results
+        b = self.num_trials
+        histories = self.histories or [np.empty(0, dtype=np.int64)] * b
+        informed = (self.informed if self.informed is not None
+                    else [np.empty(0, dtype=bool)] * b)
+        return list(starmap(FloodingResult, zip(
+            self.sources, self.times.tolist(), self.completed.tolist(),
+            histories, informed)))
 
     @classmethod
     def from_results(cls, results: Sequence[FloodingResult],
@@ -163,6 +157,8 @@ class TrialEnsemble:
         """Merge chunk ensembles (in the given order) into one."""
         parts = list(parts)
         require(len(parts) > 0, "at least one chunk is required")
+        if len(parts) == 1:
+            return parts[0]
         n = parts[0].num_nodes
         require(all(p.num_nodes == n for p in parts),
                 "all chunks must simulate the same model size")

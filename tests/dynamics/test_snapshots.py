@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dynamics import snapshots
 from repro.dynamics.sequence import complete_adjacency, cycle_adjacency, star_adjacency
 from repro.dynamics.snapshots import AdjacencySnapshot, EdgeListSnapshot, snapshot_from_networkx
 
@@ -159,6 +160,36 @@ class TestNeighborhoodMasks:
             np.testing.assert_array_equal(
                 batched[i], snap.neighborhood_mask(members[i]),
                 err_msg=f"row {i} diverges from the single-set query")
+
+    @pytest.mark.parametrize("n", [65, 130])
+    @pytest.mark.parametrize("budget_rows", [1, 5, 40])
+    def test_blocked_gather_matches_per_set(self, n, budget_rows,
+                                            monkeypatch):
+        """Blocks of whole sets, cut by the gather's byte budget (here a
+        few packed rows), answer exactly what one set at a time does."""
+        row_bytes = 8 * -(-n // 64)
+        monkeypatch.setattr(snapshots, "_GATHER_BYTES",
+                            budget_rows * row_bytes)
+        adj = random_adjacency(n, 0.1, n)
+        snap = AdjacencySnapshot(adj)
+        rng = np.random.default_rng(budget_rows)
+        members = rng.random((40, n)) < rng.random((40, 1)) * 0.5
+        members[::7] = False  # empty sets between the blocks
+        batched = snap.neighborhood_masks(members)
+        for i in range(members.shape[0]):
+            np.testing.assert_array_equal(
+                batched[i], snap.neighborhood_mask(members[i]),
+                err_msg=f"set {i} diverges from the single-set query")
+
+    def test_gather_stays_one_block_up_to_n_256(self, monkeypatch):
+        """Every member set of a 256-node graph fits one block."""
+        calls = []
+        unpack = snapshots.bits.unpack
+        monkeypatch.setattr(snapshots.bits, "unpack",
+                            lambda *a: calls.append(1) or unpack(*a))
+        snap = AdjacencySnapshot(random_adjacency(256, 0.05, 1))
+        snap.neighborhood_masks(~np.eye(256, dtype=bool))
+        assert len(calls) == 1
 
     def test_adjacency_handles_empty_and_full_rows(self):
         snap = AdjacencySnapshot(cycle_adjacency(8))

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core.flooding import flood
+from repro.core.flooding import flood, flooding_trials
 from repro.edgemeg.meg import EdgeMEG
 
 
@@ -141,3 +143,36 @@ class TestFloodingOnEdgeMEG:
         worst = flood(meg, 0, reset=False, max_steps=2000)
         assert stationary.completed
         assert worst.time > stationary.time
+
+
+def _peak_traced_bytes(run) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated while *run()* runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLazyPairIndex:
+    """The ``n(n-1)/2`` pair index and edge states are built on first
+    use: construction and the native count tier never pay for them."""
+
+    BUDGET = 2 << 20  # bytes
+
+    def test_construction_allocates_no_pair_arrays(self):
+        assert _peak_traced_bytes(lambda: EdgeMEG(4096, 0.01, 0.5)) \
+            < self.BUDGET  # one pair array at n = 4096 is 8.4 MB
+
+    def test_native_flooding_allocates_no_pair_arrays(self):
+        n = 1024
+        p_hat = 2 * np.log(n) / n
+
+        def run():
+            flooding_trials(EdgeMEG(n, p_hat / 2, (1 - p_hat) / 2),
+                            trials=32, seed=1, backend="batched",
+                            rng_mode="native")
+
+        run()  # warm: imports and first-call caches are not the model's
+        assert _peak_traced_bytes(run) < self.BUDGET

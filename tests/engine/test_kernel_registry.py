@@ -26,6 +26,7 @@ from repro.edgemeg.independent import IndependentDynamicGraph, IndependentMEG
 from repro.edgemeg.kernels import EdgeBatchedDynamics, SparseEdgeBatchedDynamics
 from repro.edgemeg.meg import EdgeMEG
 from repro.edgemeg.sparse import SparseEdgeMEG
+from repro.engine import SimulationPlan
 from repro.engine.testing import assert_results_bit_identical as assert_bit_identical
 from repro.geometric.kernels import GeometricBatchedDynamics
 from repro.geometric.meg import GeometricMEG
@@ -38,6 +39,7 @@ from repro.mobility import (
 )
 from repro.mobility.kernels import MobilityBatchedDynamics
 from repro.obs.sinks import MemorySink
+from repro.protocols.runner import spreading_trials
 
 
 class TestDispatch:
@@ -184,6 +186,96 @@ class TestMethodOverride:
         assert [r.time for r in results] == [4] * 5
         assert [r.time for r in flooding_trials(graph, trials=5, seed=2,
                                                 source=0)] == [4] * 5
+
+
+def _chunk_tiers(run) -> set[str]:
+    """The ``tier`` attributes of the ``engine.chunk`` spans of *run()*."""
+    sink = MemorySink()
+    previous = obs.configure(sink)
+    try:
+        run()
+    finally:
+        obs.configure(previous if previous.live else None)
+    return {ev["attrs"]["tier"] for ev in sink.events
+            if ev["kind"] == "span" and ev["name"] == "engine.chunk"}
+
+
+def _live_state(model) -> tuple:
+    """What a run could change on the caller's model: its time, its edge
+    states or walker positions, and its generator's state."""
+    if isinstance(model, EdgeMEG):
+        live, rng = model.edge_states, model._rng
+    elif isinstance(model, SparseEdgeMEG):
+        live, rng = model._alive.copy(), model._rng
+    elif isinstance(model, GeometricMEG):
+        live, rng = model.walkers.positions(), model.walkers._rng
+    elif isinstance(model, MobilityMEG):
+        live, rng = model.model.positions(), model.model._rng
+    else:
+        return model.time, model.snapshot().adjacency.tobytes()
+    return model.time, live.tobytes(), rng.bit_generator.state
+
+
+class TestNativeTemplateIsNotCloned:
+    """Native count and kernel chunks build their provider from the
+    plan's own model, with no copy, and leave that model as it was;
+    the per-trial tiers (replay, generic native) reset a model, so they
+    still make one fresh copy per chunk."""
+
+    @pytest.mark.parametrize("make, tier", [
+        pytest.param(lambda: EdgeMEG(24, 0.1, 0.4), "counts",
+                     id="edge-counts"),
+        pytest.param(lambda: SparseEdgeMEG(24, 0.05, 0.4), "counts",
+                     id="sparse-counts"),
+        pytest.param(lambda: GeometricMEG(24, move_radius=1.0, radius=3.0),
+                     "kernel", id="geometric-kernel"),
+        pytest.param(lambda: MobilityMEG(RandomWaypoint(24, side=5.0,
+                                                        speed=1.0), 1.5),
+                     "kernel", id="mobility-kernel"),
+        pytest.param(lambda: OwnKernelGraph(
+            AdjacencySnapshot(cycle_adjacency(8))), "kernel",
+            id="own-kernel"),
+    ])
+    def test_native_tiers_never_copy_the_model(self, make, tier,
+                                               monkeypatch):
+        model = make()
+        model.reset(seed=3)
+        model.step()
+        before = _live_state(model)
+
+        def refuse(plan):
+            raise AssertionError("a native chunk copied the plan's model")
+
+        monkeypatch.setattr(SimulationPlan, "make_model", refuse)
+        tiers = _chunk_tiers(lambda: flooding_trials(
+            model, trials=70, seed=1, backend="batched", rng_mode="native"))
+        assert tiers == {tier}
+        assert _live_state(model) == before
+
+    @pytest.mark.parametrize("rng_mode, protocol, tier", [
+        ("replay", "flooding", "replay"),
+        ("native", "push-pull", "generic"),
+    ])
+    def test_per_trial_tiers_copy_once_per_chunk(self, rng_mode, protocol,
+                                                 tier, monkeypatch):
+        model = EdgeMEG(24, 0.1, 0.4)
+        model.reset(seed=3)
+        before = _live_state(model)
+        copies = []
+        make_model = SimulationPlan.make_model
+
+        def counted(plan):
+            copies.append(make_model(plan))
+            return copies[-1]
+
+        monkeypatch.setattr(SimulationPlan, "make_model", counted)
+        tiers = _chunk_tiers(lambda: spreading_trials(
+            protocol, model, trials=70, seed=1, backend="batched",
+            rng_mode=rng_mode))
+        assert tiers == {tier}
+        assert len(copies) == 2  # 70 trials: two chunks of at most 64
+        assert all(copy is not model for copy in copies)
+        assert _live_state(model) == before
 
 
 class TestSubclassConstructors:
