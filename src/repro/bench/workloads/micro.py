@@ -4,7 +4,8 @@ Ports of ``benchmarks/test_bench_micro_flooding.py``,
 ``test_bench_micro_kernels.py`` and ``test_bench_micro_sparse.py``: one
 model step / stationary reset / snapshot / ``N(I)`` query per model
 family, plus complete flooding runs at representative sizes, and the
-native geometric-MEG's lattice radius query at perfbench
+native geometric-MEG's lattice radius query and its batched kernel
+hooks (one move step, one ``N(I)`` query of all trials) at perfbench
 flood-geometric's shape.
 """
 
@@ -103,6 +104,26 @@ def _lattice_radius_query():
     return lambda: lattice_within_radius(ix, iy, members, meg.radius,
                                          eps=lattice.eps,
                                          grid_size=lattice.grid_size)
+
+
+def _geometric_batch(hook: str):
+    """One native kernel hook over 32 stationary walker stacks at the
+    perfbench flood-geometric shape: a move step of every trial, or an
+    ``N(I)`` query of every trial at 10% members."""
+    def setup():
+        from repro.geometric.meg import GeometricMEG
+        trials, n = 32, 1024
+        meg = GeometricMEG(n, 1.0, 2 * math.sqrt(math.log(n)))
+        kernel = meg.batched_dynamics()
+        rng = np.random.default_rng(0)
+        state = kernel.batch_init(trials, rng)
+        if hook == "step":
+            active = np.ones(trials, dtype=bool)
+            return lambda: kernel.batch_step(state, rng, active)
+        members = rng.random((trials, n)) < 0.1
+        act = np.arange(trials)
+        return lambda: kernel.batch_neighborhood(state, members, act)
+    return setup
 
 
 def _dense_adjacency_query():
@@ -205,6 +226,14 @@ register(BenchCase(
     name="micro/lattice_radius_query", suite=SUITE,
     scale="32 trials, n=1024, g=33, R=2sqrt(ln n), |I|~10%",
     setup=_lattice_radius_query))
+register(BenchCase(
+    name="micro/geometric_batch_step", suite=SUITE,
+    scale="32 trials, n=1024, g=33, r=1",
+    setup=_geometric_batch("step")))
+register(BenchCase(
+    name="micro/geometric_batch_neighborhood", suite=SUITE,
+    scale="32 trials, n=1024, g=33, R=2sqrt(ln n), |I|~10%",
+    setup=_geometric_batch("neighborhood")))
 register(BenchCase(
     name="micro/dense_adjacency_query", suite=SUITE, scale="n=2048, |I|~10%",
     setup=_dense_adjacency_query))

@@ -273,16 +273,16 @@ def _run_chunk_counts(plan, kernel: BatchedDynamics,
                           plan.record_history, plan.record_informed)
 
 
-def _run_chunk_native_generic(plan, rng: np.random.Generator,
-                              count: int, budget: int) -> TrialEnsemble:
+def _run_chunk_native_generic(plan, model: EvolvingGraph,
+                              rng: np.random.Generator, count: int,
+                              budget: int) -> TrialEnsemble:
     """Native fallback for protocol/model pairs without composed batched
     kernels: :func:`~repro.protocols.runner.spread`'s loop trial by
-    trial on one model, reset per trial with a generator spawned from
-    the chunk stream.  Flooding spawns one stream per trial — the
-    pre-protocol layout, kept byte-stable — while protocols drawing
-    per-round randomness spawn a second block of per-trial protocol
-    streams."""
-    model = plan.make_model()
+    trial on *model* (the chunk's own instance), reset per trial with a
+    generator spawned from the chunk stream.  Flooding spawns one stream
+    per trial — the pre-protocol layout, kept byte-stable — while
+    protocols drawing per-round randomness spawn a second block of
+    per-trial protocol streams."""
     n = model.num_nodes
     sources = _chunk_sources(plan, rng, count, n)
     graph_streams = rng.spawn(count)
@@ -325,7 +325,8 @@ def run_chunk(payload: dict) -> TrialEnsemble:
             rng = np.random.default_rng(payload["chunk_seed"])
             # Providers read their template and never mutate it, so the
             # plan's own model serves without a copy; only the generic
-            # tier, which resets a model per trial, makes one.
+            # tier, which resets a model per trial, copies it (a factory
+            # model is fresh already).
             template = (plan.model if plan.model is not None
                         else plan.model_factory())
             kernel = batched_dynamics_for(template)
@@ -342,7 +343,10 @@ def run_chunk(payload: dict) -> TrialEnsemble:
                 ensemble = _run_chunk_native(plan, kernel, pk, rng, count,
                                              budget)
             else:
-                ensemble = _run_chunk_native_generic(plan, rng, count, budget)
+                model = (template if plan.model is None
+                         else plan.make_model())
+                ensemble = _run_chunk_native_generic(plan, model, rng, count,
+                                                     budget)
         if obs.enabled():
             times = np.asarray(ensemble.times)
             obs.counter("engine.trials", count)

@@ -8,23 +8,29 @@ protocol for :class:`~repro.geometric.meg.GeometricMEG`:
   :func:`~repro.geometric.neighbors.within_radius_of_members` call the
   snapshot would make, minus the snapshot object).
 * **native** — the walker populations of all ``B`` trials share one
-  ``(B, n)`` lattice-index array: the stationary initialisation and
-  every move step are single vectorised lattice calls, and the ``N(I)``
-  query runs on the lattice indices themselves — a disc dilation of
-  the trials' members packed as bit rows (:mod:`repro.util.bits`) by
-  word shifts and ORs
-  (:func:`~repro.geometric.neighbors.lattice_within_radius`), with no
-  Euclidean coordinates built.  Its output equals the cell-grid query
-  on the coordinates, so realisations do not depend on which of the
-  two answers.
+  ``(B, n)`` array of padded cell ids
+  (:class:`~repro.geometric.lattice.CellLayout`: one block per trial,
+  whole 64-bit words a row, a ring of the move's reach around the
+  lattice).  The stationary initialisation is one vectorised lattice
+  call; a move step adds one cell offset per walker
+  (:meth:`~repro.geometric.lattice.Lattice.disc_step_cells`) and finds
+  the walkers that left the lattice with one gather into the chunk's
+  ``inside`` table; the ``N(I)`` query scatters the members' ids into
+  the padded bit grid, dilates it by the radius disc with word shifts
+  and ORs (:mod:`repro.util.bits`) and reads the answer back at the
+  same ids, with no Euclidean coordinates built.  Its output equals the
+  cell-grid query on the coordinates, so realisations do not depend on
+  which of the two answers.
 
   The stationary initialisation is the serial walkers' own sampler
-  (:meth:`~repro.geometric.lattice.Lattice.sample_stationary_indices`,
-  a guide-table inversion of ``pi``'s CDF).  The move step is
-  :meth:`~repro.geometric.lattice.Lattice.disc_step_indices`: one draw
-  into the move disc per walker, redrawn only off the lattice, which is
-  exactly uniform over ``Gamma(x)``.  The serial walkers (and so
-  replay) keep the box rejection sampler
+  (:meth:`~repro.geometric.lattice.Lattice.sample_stationary_flat`, a
+  guide-table inversion of ``pi``'s CDF), its flat indices mapped to
+  cell ids by one table gather.  The move step draws one
+  index into the move disc per walker, redrawn only off the lattice,
+  which is exactly uniform over ``Gamma(x)``; its draws are those of
+  :meth:`~repro.geometric.lattice.Lattice.disc_step_indices`, the same
+  step on index arrays.  The serial walkers (and so replay) keep the
+  box rejection sampler
   :meth:`~repro.geometric.lattice.Lattice.step_indices`, whose draw
   sequence the replay contract pins; native promises only the same
   process law, so it takes the cheaper draw sequence.
@@ -41,15 +47,17 @@ import numpy as np
 
 from repro.dynamics.batched import BatchedDynamics
 from repro.geometric.meg import GeometricMEG
-from repro.geometric.neighbors import lattice_within_radius, within_radius_of_members
+from repro.geometric.neighbors import (_cells_within_radius, _disc_runs,
+                                       within_radius_of_members)
 
 __all__ = ["GeometricBatchedDynamics"]
 
 
 class _WalkerState:
-    """Lattice indices of all trial populations, shape ``(B, n)`` each."""
+    """Padded cell ids of all trial populations, shape ``(B, n)``, and
+    the chunk's ``inside`` table over its ``B`` blocks."""
 
-    __slots__ = ("ix", "iy")
+    __slots__ = ("cells", "inside")
 
 
 class GeometricBatchedDynamics(BatchedDynamics):
@@ -59,7 +67,10 @@ class GeometricBatchedDynamics(BatchedDynamics):
         super().__init__(template)
         self.native_capable = native
         self._lattice = template.lattice
+        self._layout = template.lattice.cell_layout
         self._radius = template.radius
+        self._half = _disc_runs(template.radius, template.lattice.eps,
+                                template.lattice.grid_size)
         self._n = template.num_nodes
 
     # -- replay -------------------------------------------------------------
@@ -72,30 +83,28 @@ class GeometricBatchedDynamics(BatchedDynamics):
     # -- native -------------------------------------------------------------
 
     def batch_init(self, count: int, rng: np.random.Generator) -> _WalkerState:
-        ix, iy = self._lattice.sample_stationary_indices(count * self._n,
-                                                         seed=rng)
+        flat = self._lattice.sample_stationary_flat(count * self._n, seed=rng)
         state = _WalkerState()
-        state.ix = ix.reshape(count, self._n)
-        state.iy = iy.reshape(count, self._n)
+        state.cells = self._layout.flat_ids(flat.reshape(count, self._n))
+        state.inside = self._layout.inside(count)
         return state
 
     def batch_neighborhood(self, state: _WalkerState, informed: np.ndarray,
                            act: np.ndarray) -> np.ndarray:
-        return lattice_within_radius(
-            state.ix[act], state.iy[act], informed[act], self._radius,
-            eps=self._lattice.eps, grid_size=self._lattice.grid_size)
+        cells, members = state.cells, informed
+        if act.size < cells.shape[0]:
+            cells, members = cells[act], informed[act]
+        return _cells_within_radius(
+            cells, members, self._radius, eps=self._lattice.eps,
+            layout=self._layout, blocks=state.cells.shape[0], half=self._half)
 
     def batch_step(self, state: _WalkerState, rng: np.random.Generator,
                    active: np.ndarray) -> None:
-        step = self._lattice.disc_step_indices
+        step = self._lattice.disc_step_cells
         if active.all():
-            moved_x, moved_y = step(state.ix.ravel(), state.iy.ravel(), rng=rng)
-            state.ix = moved_x.reshape(state.ix.shape)
-            state.iy = moved_y.reshape(state.iy.shape)
+            state.cells = step(state.cells.ravel(), state.inside,
+                               rng=rng).reshape(state.cells.shape)
             return
         act = np.flatnonzero(active)
-        moved_x, moved_y = step(state.ix[act].ravel(), state.iy[act].ravel(),
-                                rng=rng)
-        state.ix[act] = moved_x.reshape(act.shape[0], self._n)
-        state.iy[act] = moved_y.reshape(act.shape[0], self._n)
-
+        state.cells[act] = step(state.cells[act].ravel(), state.inside,
+                                rng=rng).reshape(act.shape[0], self._n)

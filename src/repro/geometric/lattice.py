@@ -24,7 +24,8 @@ number of admissible horizontal offsets factorises into a clipped
 
 Samplers:
 
-* :meth:`Lattice.sample_stationary_indices` inverts the cached CDF of
+* :meth:`Lattice.sample_stationary_flat` (and its index-array form
+  :meth:`Lattice.sample_stationary_indices`) inverts the cached CDF of
   ``pi`` through a *guide table*: bucket ``k`` of ``m = g^2`` equal
   buckets of ``[0, 1)`` stores the answer for the bucket's left edge,
   and a short upward walk finishes the lookup.  Its output is, index
@@ -33,9 +34,11 @@ Samplers:
 * :meth:`Lattice.step_indices` rejection-samples each move from the
   ``(2 dmax + 1)^2`` offset box.  The serial walkers (and so the replay
   contract and its frozen cache keys) are pinned to its draw sequence.
-* :meth:`Lattice.disc_step_indices` draws one index into the disc of
+* :meth:`Lattice.disc_step_cells` draws one index into the disc of
   admissible offsets per walker and redraws only walkers that left the
-  lattice.  Same law, fewer draws; the native batched kernels use it.
+  lattice.  Same law, fewer draws.  It moves walkers held as padded
+  cell ids (:class:`CellLayout`), the native batched kernels' layout;
+  :meth:`Lattice.disc_step_indices` is the same step on index arrays.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import require, require_nonnegative, require_positive
 
-__all__ = ["Lattice", "disc_offsets"]
+__all__ = ["CellLayout", "Lattice", "disc_offsets"]
 
 
 def disc_offsets(r_over_eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -63,6 +66,79 @@ def disc_offsets(r_over_eps: float) -> tuple[np.ndarray, np.ndarray]:
     di, dj = np.meshgrid(rng_, rng_, indexing="ij")
     keep = di * di + dj * dj <= r2 + 1e-9
     return di[keep].astype(np.int64), dj[keep].astype(np.int64)
+
+
+@dataclass(frozen=True)
+class CellLayout:
+    """Padded cell ids of walkers on a ``g x g`` lattice, ``B`` trials.
+
+    Each trial owns a block of ``rows = g + 2 ring`` rows of ``stride``
+    columns, ``stride`` the least multiple of 64 that is at least
+    ``rows``; lattice point ``(i, j)`` of trial ``b`` has the id
+    ``b * block + (i + ring) * stride + (j + ring)``.  So a lattice
+    offset ``(di, dj)`` is the id offset ``di * stride + dj``, every
+    offset up to *ring* per axis stays inside the walker's own block
+    (in the ring when it leaves the lattice), and a block's rows are
+    whole 64-bit words, which :func:`repro.util.bits.pack` packs with no
+    copy.  DESIGN.md ("Padded cell ids") gives the reasons.
+    """
+
+    grid_size: int
+    ring: int
+    rows: int = field(init=False)
+    stride: int = field(init=False)
+    block: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        rows = self.grid_size + 2 * self.ring
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "stride", -(-rows // 64) * 64)
+        object.__setattr__(self, "block", rows * self.stride)
+
+    def ids(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+        """Cell ids of the lattice indices *ix*, *iy*: one block for
+        1-D arrays, block ``b`` for row ``b`` of ``(B, n)`` arrays."""
+        cells = np.asarray(ix, dtype=np.int64) * self.stride
+        cells += iy
+        origin = self.ring * (self.stride + 1)
+        if cells.ndim == 2:
+            origin = (np.arange(cells.shape[0], dtype=np.int64) * self.block
+                      + origin)[:, None]
+        cells += origin
+        return cells
+
+    @cached_property
+    def _lattice_ids(self) -> np.ndarray:
+        """Block-0 ids of the lattice points in row-major order
+        (read-only)."""
+        ix, iy = np.divmod(np.arange(self.grid_size ** 2, dtype=np.int64),
+                           self.grid_size)
+        cells = self.ids(ix, iy)
+        cells.flags.writeable = False
+        return cells
+
+    def flat_ids(self, flat: np.ndarray) -> np.ndarray:
+        """Cell ids of the row-major lattice indices ``i g + j`` in
+        *flat*, blocks as in :meth:`ids` (one gather, no division)."""
+        cells = self._lattice_ids[flat]
+        if cells.ndim == 2:
+            cells += (np.arange(cells.shape[0], dtype=np.int64)
+                      * self.block)[:, None]
+        return cells
+
+    def indices(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The lattice indices ``(ix, iy)`` of *cells* (inverse of
+        :meth:`ids`, trial blocks dropped)."""
+        row, col = np.divmod(cells, self.stride)
+        return row % self.rows - self.ring, col - self.ring
+
+    def inside(self, blocks: int) -> np.ndarray:
+        """Flat boolean table over *blocks* blocks: true on lattice cells,
+        false on the ring and the padding columns."""
+        table = np.zeros((blocks, self.rows, self.stride), dtype=bool)
+        lattice = slice(self.ring, self.ring + self.grid_size)
+        table[:, lattice, lattice] = True
+        return table.ravel()
 
 
 @dataclass(frozen=True)
@@ -212,9 +288,10 @@ class Lattice:
         deg = self.degree_table()
         return float(deg.max() / deg.min())
 
-    def sample_stationary_indices(self, count: int, *, seed: SeedLike = None,
-                                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw *count* i.i.d. stationary positions as index arrays ``(ix, iy)``.
+    def sample_stationary_flat(self, count: int, *, seed: SeedLike = None,
+                               ) -> np.ndarray:
+        """Draw *count* i.i.d. stationary positions as row-major flat
+        indices ``ix * g + iy``.
 
         Exact sampling from ``pi`` — the *perfect simulation* required
         for a stationary geometric-MEG.  One uniform per draw, inverted
@@ -222,8 +299,12 @@ class Lattice:
         ``rng.choice(num_points, size=count, p=pi)``.
         """
         require(count >= 1, "count must be >= 1")
-        rng = as_generator(seed)
-        flat = self._invert_stationary_cdf(rng.random(count))
+        return self._invert_stationary_cdf(as_generator(seed).random(count))
+
+    def sample_stationary_indices(self, count: int, *, seed: SeedLike = None,
+                                  ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`sample_stationary_flat` as index arrays ``(ix, iy)``."""
+        flat = self.sample_stationary_flat(count, seed=seed)
         ix, iy = np.divmod(flat, self.grid_size)
         return ix.astype(np.int64, copy=False), iy.astype(np.int64, copy=False)
 
@@ -281,42 +362,62 @@ class Lattice:
         dj.flags.writeable = False
         return di, dj
 
-    def disc_step_indices(self, ix: np.ndarray, iy: np.ndarray, *,
-                          rng: np.random.Generator,
-                          ) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def cell_layout(self) -> CellLayout:
+        """The padded cell ids of walkers on this lattice: a ring of
+        :attr:`dmax`, so no move leaves a walker's block."""
+        return CellLayout(self.grid_size, self.dmax)
+
+    @cached_property
+    def _cell_disc(self) -> np.ndarray:
+        """The move disc as cell-id offsets ``di * stride + dj``, built
+        once (read-only)."""
+        di, dj = self._disc
+        offsets = di * self.cell_layout.stride + dj
+        offsets.flags.writeable = False
+        return offsets
+
+    def disc_step_cells(self, cells: np.ndarray, inside: np.ndarray, *,
+                        rng: np.random.Generator) -> np.ndarray:
         """Advance walkers one step: uniform over ``Gamma(x)`` per walker.
 
-        Each walker draws one index into the ``K`` offsets of the move
-        disc (``rng.integers(0, K)``, exactly uniform); only walkers
-        whose candidate falls off the lattice redraw.  The accepted move
-        is uniform over the disc conditioned on landing on the lattice,
-        which is uniform over ``Gamma(x)`` — the law of
+        *cells* is a flat array of :attr:`cell_layout` ids and *inside*
+        that layout's :meth:`CellLayout.inside` table over at least the
+        blocks the ids use.  Each walker draws one index into the ``K``
+        offsets of the move disc (``rng.integers(0, K)``, exactly
+        uniform); only walkers whose candidate falls off the lattice (an
+        id in the ring, by one gather into *inside*) redraw.  The
+        accepted move is uniform over the disc conditioned on landing on
+        the lattice, which is uniform over ``Gamma(x)`` — the law of
         :meth:`step_indices` with a different draw sequence.  A walker
         accepts each draw with probability ``|Gamma(x)| / K``: 1 in the
         interior, about 1/4 in a corner for large ``r / eps``.  Memory is
-        ``O(K)``.  Arrays are not modified; new arrays are returned.
+        ``O(K)``.  *cells* is not modified; a new array is returned.
         """
-        di, dj = self._disc
-        if di.size == 1:
-            return ix.copy(), iy.copy()
-        g = self.grid_size
-        pick = rng.integers(0, di.size, size=ix.shape[0])
-        new_ix = ix + di[pick]
-        new_iy = iy + dj[pick]
-        # Negative candidates wrap to huge unsigned values, so one
-        # unsigned comparison per axis checks both lattice borders.
-        pending = np.flatnonzero((new_ix.view(np.uint64) >= g)
-                                 | (new_iy.view(np.uint64) >= g))
+        offsets = self._cell_disc
+        if offsets.size == 1:
+            return cells.copy()
+        moved = offsets[rng.integers(0, offsets.size, size=cells.shape[0])]
+        moved += cells
+        pending = np.flatnonzero(~inside[moved])
         while pending.size:
-            pick = rng.integers(0, di.size, size=pending.size)
-            cand_i = ix[pending] + di[pick]
-            cand_j = iy[pending] + dj[pick]
-            ok = (cand_i.view(np.uint64) < g) & (cand_j.view(np.uint64) < g)
-            accepted = pending[ok]
-            new_ix[accepted] = cand_i[ok]
-            new_iy[accepted] = cand_j[ok]
+            pick = rng.integers(0, offsets.size, size=pending.size)
+            cand = cells[pending] + offsets[pick]
+            ok = inside[cand]
+            moved[pending[ok]] = cand[ok]
             pending = pending[~ok]
-        return new_ix, new_iy
+        return moved
+
+    def disc_step_indices(self, ix: np.ndarray, iy: np.ndarray, *,
+                          rng: np.random.Generator,
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`disc_step_cells` on index arrays, draw for draw: the
+        walkers go to one block of :attr:`cell_layout` and back.  Arrays
+        are not modified; new arrays are returned."""
+        layout = self.cell_layout
+        moved = self.disc_step_cells(layout.ids(ix, iy), layout.inside(1),
+                                     rng=rng)
+        return layout.indices(moved)
 
     def gamma_size(self, ix: int, iy: int) -> int:
         """``|Gamma(x)|`` of a single lattice point (reference implementation).

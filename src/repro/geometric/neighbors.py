@@ -14,10 +14,14 @@ scipy details and the patterns are unit-testable against brute force.
 The batched kernels answer ``B`` trials at once: the mobility models
 (arbitrary float positions) through the shared cell grid of
 :func:`batched_within_radius`, and the native geometric-MEG (walkers on
-the lattice ``L_{n,eps}``) through :func:`lattice_within_radius`, which
-dilates packed bit rows (:mod:`repro.util.bits`) by the disc of
-admissible lattice offsets with shifts and ORs and never computes a
-distance.
+the lattice ``L_{n,eps}``) through a disc dilation of packed bit rows
+(:mod:`repro.util.bits`) by shifts and ORs that never computes a
+distance.  The dilation works on padded cell ids
+(:class:`~repro.geometric.lattice.CellLayout`): the members' ids
+scatter straight into the bit grid and the answer is read back at the
+same ids.  The native kernel holds its walkers as such ids and calls
+that core directly; :func:`lattice_within_radius` is its wrapper for
+lattice index arrays.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
+from repro.geometric.lattice import CellLayout
 from repro.util import bits
 from repro.util.validation import require, require_positive
 
@@ -391,23 +396,10 @@ def lattice_within_radius(
 
     On the lattice, adjacency depends only on the integer offset:
     ``(di eps)^2 + (dj eps)^2 <= (R (1 + 1e-12))^2``.  So the query needs
-    no coordinates and no pair checks:
-
-    1. pack each trial's ``(g, g)`` member grid into bit rows
-       (:mod:`repro.util.bits`, ``W = ceil(g / 64)`` words a row);
-    2. build the disc's horizontal run of every half-width ``w`` by
-       shift-OR, ``run_w = run_{w-1} | rows << w | rows >> w``;
-    3. OR ``run_{half(di)}`` into the dilated rows at row offsets
-       ``+-di`` for every row offset ``di`` of the disc;
-    4. unpack the dilated rows, read them at every point and drop the
-       members.
-
-    Work per call is ``O(B g W (2R/eps + 1))`` word operations, 64
-    lattice columns to the word.  When the lattice has more than
-    :data:`_MAX_CELLS_PER_POINT` points per trial point (``g^2 > 8 n``,
-    fine resolutions) that grid work would outgrow the point count, so
-    the points go to :func:`batched_within_radius` as Euclidean
-    coordinates instead.
+    no coordinates and no pair checks: the points become cell ids of a
+    ring-free :class:`~repro.geometric.lattice.CellLayout` and go to the
+    padded-grid dilation of :func:`_cells_within_radius`, the native
+    geometric kernel's query.
 
     Parameters
     ----------
@@ -436,28 +428,63 @@ def lattice_within_radius(
     require(members.shape == ix.shape, "members mask must be (B, n)")
     radius = require_positive(radius, "radius")
     eps = require_positive(eps, "eps")
+    layout = CellLayout(int(grid_size), 0)
+    return _cells_within_radius(
+        layout.ids(ix, iy), members, radius, eps=eps, layout=layout,
+        blocks=ix.shape[0], half=_disc_runs(radius, eps, layout.grid_size))
 
-    num_trials, n = ix.shape
-    g = int(grid_size)
-    if g * g > _MAX_CELLS_PER_POINT * n:
+
+def _disc_runs(radius: float, eps: float, grid_size: int) -> np.ndarray:
+    """Half-width of the radius disc's horizontal run at each row offset
+    ``|di|`` of a lattice with resolution *eps* (``-1``: no run).
+
+    Offsets beyond ``grid_size - 1`` reach no lattice point; the ``+1``
+    covers a quotient that rounds just below an integer
+    (``0.3 / 0.1 < 3``).
+    """
+    limit = radius * (1 + 1e-12)
+    reach = min(int(limit // eps) + 1, grid_size - 1)
+    offsets = np.arange(reach + 1) * eps
+    return ((offsets[:, None] ** 2 + offsets[None, :] ** 2 <= limit ** 2)
+            .sum(axis=1) - 1)
+
+
+def _cells_within_radius(cells: np.ndarray, members: np.ndarray,
+                         radius: float, *, eps: float, layout: CellLayout,
+                         blocks: int, half: np.ndarray) -> np.ndarray:
+    """:func:`lattice_within_radius` on cell ids of *layout*.
+
+    *cells* and *members* are ``(A, n)``: rows of some of the *blocks*
+    trials, each id carrying its trial's block offset.  *half* is
+    :func:`_disc_runs` of the radius.  The query
+
+    1. scatters the members' ids into a ``(blocks, rows, stride)`` bit
+       grid and packs it (:mod:`repro.util.bits`, ``W = stride / 64``
+       words a row, no copy);
+    2. builds the disc's horizontal run of every half-width ``w`` by
+       shift-OR, ``run_w = run_{w-1} | rows << w | rows >> w``;
+    3. ORs ``run_{half(di)}`` into the dilated rows at row offsets
+       ``+-di`` for every row offset ``di`` of the disc;
+    4. unpacks the dilated rows, reads them at *cells* and drops the
+       members.
+
+    Bits that runs carry into the ring and the padding columns are
+    never read, and no row offset crosses a trial's block.  Work per
+    call is ``O(blocks rows W (2R/eps + 1))`` word operations.  When the
+    lattice has more than :data:`_MAX_CELLS_PER_POINT` points per trial
+    point (``g^2 > 8 n``, fine resolutions) that grid work would
+    outgrow the point count, so the points go to
+    :func:`batched_within_radius` as Euclidean coordinates instead.
+    """
+    g = layout.grid_size
+    if g * g > _MAX_CELLS_PER_POINT * cells.shape[1]:
+        ix, iy = layout.indices(cells)
         positions = np.stack((ix * eps, iy * eps), axis=-1)
         return batched_within_radius(positions, members, radius)
 
-    # Half-width of the disc's run at each row offset |di| (-1: empty).
-    # Offsets beyond g - 1 reach no lattice point; the +1 covers a
-    # quotient that rounds just below an integer (0.3 / 0.1 < 3).
-    limit = radius * (1 + 1e-12)
-    reach = min(int(limit // eps) + 1, g - 1)
-    offsets = np.arange(reach + 1) * eps
-    half = ((offsets[:, None] ** 2 + offsets[None, :] ** 2 <= limit ** 2)
-            .sum(axis=1) - 1)
-
-    cell = ix * g
-    cell += iy
-    cell += (np.arange(num_trials, dtype=np.int64) * (g * g))[:, None]
-    grid = np.zeros((num_trials, g, g), dtype=bool)
-    grid.ravel()[np.compress(members.ravel(), cell)] = True
-    rows = bits.pack(grid)
+    grid = np.zeros(blocks * layout.block, dtype=bool)
+    grid[np.compress(members.ravel(), cells)] = True
+    rows = bits.pack(grid.reshape(blocks, layout.rows, layout.stride))
     runs = [rows]
     for width in range(1, int(half.max()) + 1):
         run = runs[-1].copy()
@@ -465,12 +492,13 @@ def lattice_within_radius(
         bits.or_shifted(run, rows, -width)
         runs.append(run)
     dilated = np.zeros_like(rows)
+    height = layout.rows
     for di in np.flatnonzero(half >= 0):
         run = runs[half[di]]
-        dilated[:, di:] |= run[:, :g - di]
+        dilated[:, di:] |= run[:, :height - di]
         if di:
-            dilated[:, :g - di] |= run[:, di:]
-    return bits.unpack(dilated, g).ravel()[cell] & ~members
+            dilated[:, :height - di] |= run[:, di:]
+    return bits.unpack(dilated, layout.stride).ravel()[cells] & ~members
 
 
 def radius_edges(positions: np.ndarray, radius: float, *,

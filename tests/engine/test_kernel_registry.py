@@ -26,7 +26,7 @@ from repro.edgemeg.independent import IndependentDynamicGraph, IndependentMEG
 from repro.edgemeg.kernels import EdgeBatchedDynamics, SparseEdgeBatchedDynamics
 from repro.edgemeg.meg import EdgeMEG
 from repro.edgemeg.sparse import SparseEdgeMEG
-from repro.engine import SimulationPlan
+from repro.engine import SimulationPlan, run_plan
 from repro.engine.testing import assert_results_bit_identical as assert_bit_identical
 from repro.geometric.kernels import GeometricBatchedDynamics
 from repro.geometric.meg import GeometricMEG
@@ -276,6 +276,29 @@ class TestNativeTemplateIsNotCloned:
         assert len(copies) == 2  # 70 trials: two chunks of at most 64
         assert all(copy is not model for copy in copies)
         assert _live_state(model) == before
+
+    @pytest.mark.parametrize("rng_mode, protocol, tier", [
+        ("native", "flooding", "counts"),
+        ("native", "push-pull", "generic"),
+        ("replay", "flooding", "replay"),
+    ])
+    def test_factory_plans_build_one_model_per_chunk(self, rng_mode,
+                                                     protocol, tier):
+        """A ``model_factory`` plan calls its factory once to read ``n``
+        and once per chunk, whichever tier runs the chunk: the generic
+        tier resets the chunk's fresh model rather than building a
+        third."""
+        built = []
+
+        def factory():
+            built.append(EdgeMEG(24, 0.1, 0.4))
+            return built[-1]
+
+        plan = SimulationPlan(model_factory=factory, trials=8, seed=1,
+                              rng_mode=rng_mode, protocol=protocol)
+        tiers = _chunk_tiers(lambda: run_plan(plan, backend="batched"))
+        assert tiers == {tier}
+        assert len(built) == 2
 
 
 class TestSubclassConstructors:
