@@ -17,9 +17,11 @@ setup(
                  "Markovian evolving graphs (IPDPS 2009)"),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    # The store's schema is data, not code: an installed wheel must
-    # carry the migration chain or every ResultStore open fails.
-    package_data={"repro.campaign.migrations": ["*.sql"]},
+    # The schemas are data, not code: an installed wheel must carry
+    # both migration chains or every ResultStore/HistoryStore open
+    # fails.
+    package_data={"repro.campaign.migrations": ["*.sql"],
+                  "repro.obs.migrations": ["*.sql"]},
     include_package_data=True,
     python_requires=">=3.10",
     install_requires=["numpy>=2.0", "scipy", "networkx"],

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.util.validation import require
 
@@ -139,14 +139,18 @@ def get_case(name: str) -> BenchCase:
 
 
 def iter_cases(suite: str | None = None,
-               pattern: str | None = None) -> Iterator[BenchCase]:
+               pattern: str | Sequence[str] | None = None
+               ) -> Iterator[BenchCase]:
     """Registered cases in registration order, optionally filtered by
-    suite and an ``fnmatch`` pattern on the full name."""
+    suite and by ``fnmatch`` patterns on the full name: one glob, or
+    several, of which a case must match at least one."""
     load_workloads()
+    patterns = [pattern] if isinstance(pattern, str) else pattern
     for case in _CASES.values():
         if suite is not None and case.suite != suite:
             continue
-        if pattern is not None and not fnmatch(case.name, pattern):
+        if patterns is not None and not any(fnmatch(case.name, glob)
+                                            for glob in patterns):
             continue
         yield case
 

@@ -68,8 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="suite to run (see 'list')")
     run.add_argument("--out", type=Path, default=None,
                      help="artifact path (default: BENCH_<suite>.json)")
-    run.add_argument("--case", default=None, metavar="GLOB",
-                     help="only cases matching this fnmatch pattern")
+    run.add_argument("--case", action="append", default=None,
+                     metavar="GLOB",
+                     help="only cases matching this fnmatch pattern; "
+                          "repeat to run the cases matching any of them")
     run.add_argument("--target-seconds", type=float, default=0.4,
                      help="per-case calibration budget (default 0.4)")
     run.add_argument("--min-rounds", type=int, default=3,

@@ -2,30 +2,34 @@
 
 The runner is deliberately dumb: measure cases in registration order,
 attach speedups against each case's declared serial reference, and hand
-back a :class:`~repro.bench.results.SuiteResult`.  Floor violations are
-reported as strings (not exceptions) so the CLI can still write the
-artifact — a failing perf gate with no evidence attached would be the
-worst of both worlds.
+back a :class:`~repro.bench.results.SuiteResult`.  A floored case and
+its reference are measured together in alternating rounds
+(:func:`~repro.bench.timer.measure_interleaved`), so a drift in host
+load lands on both sides of the ratio the floor gates.  Floor
+violations are reported as strings (not exceptions) so the CLI can
+still write the artifact — a failing perf gate with no evidence
+attached would be the worst of both worlds.
 
 With *trace_dir* set, every case is measured under its own JSONL
-telemetry sink (``TRACE_<suite>_<case>.jsonl``), wrapped in one
-``bench.case`` span.  Spans opened by the workload itself (an engine
-case's plan / fan-out / chunk spans) then land in the per-case trace,
-so a tripped regression gate can be profiled and diffed
-(``python -m repro.obs diff``) instead of eyeballed.  The sink wraps
-the *whole* measurement — calibration included — never the inside of a
+telemetry sink (``TRACE_<suite>_<case>.jsonl``), one ``bench.case``
+span per round (its set-up included).  Spans opened by the workload
+itself (an engine case's plan / fan-out / chunk spans) then land in
+the per-case trace, so a tripped regression gate can be profiled and
+diffed (``python -m repro.obs diff``) instead of eyeballed.  The sink
+wraps whole rounds — calibration included — never the inside of a
 timed region; the per-span cost inside traced workloads is what the
 generous compare tolerances absorb.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.bench.case import BenchCase, iter_cases, suite_names
 from repro.bench.results import CaseResult, SuiteResult
-from repro.bench.timer import Measurement, MeasureConfig, measure_case
+from repro.bench.timer import Measurement, MeasureConfig, measure_interleaved
 from repro.util.validation import require
 
 __all__ = ["run_suite", "floor_failures", "trace_filename"]
@@ -38,33 +42,63 @@ def trace_filename(case_name: str) -> str:
     return "TRACE_" + case_name.replace("/", "_") + ".jsonl"
 
 
-def _measure_traced(case: BenchCase, config: MeasureConfig,
-                    trace_dir: Path, suite: str) -> Measurement:
-    from repro import obs
-    from repro.obs.sinks import JsonlSink
+class _CaseTraces:
+    """One JSONL trace per case, written round by round.
 
-    sink = JsonlSink(trace_dir / trace_filename(case.name),
-                     argv=["repro.bench", "run", "--suite", suite,
-                           "--case", case.name])
-    previous = obs.configure(sink)
-    try:
-        with obs.span("bench.case", case=case.name, suite=suite):
-            measurement, _ = measure_case(case, config)
-    finally:
-        # Restore whatever was installed before — and guard against
-        # cases that reconfigure the global sink themselves (the
-        # micro/obs_* cases do, deliberately).
-        obs.configure(previous if previous.live else None)
-        sink.close()
-    return measurement
+    Each round runs in a ``bench.case`` span with its own case's sink
+    installed, so rounds of another case interleaved between them never
+    land in this trace.  A case keeps, between its rounds, whatever
+    sink it last installed (the micro/obs_* cases swap it,
+    deliberately).
+    """
+
+    def __init__(self, trace_dir: str | Path, suite: str) -> None:
+        self.trace_dir, self.suite = Path(trace_dir), suite
+        self.trace_dir.mkdir(parents=True, exist_ok=True)
+        self.files: dict[str, Any] = {}      # case -> its JsonlSink
+        self.installed: dict[str, Any] = {}  # case -> sink it last left
+
+    @contextmanager
+    def round(self, case: BenchCase) -> Iterator[None]:
+        from repro import obs
+        from repro.obs.sinks import JsonlSink
+
+        if case.name not in self.files:
+            self.files[case.name] = self.installed[case.name] = JsonlSink(
+                self.trace_dir / trace_filename(case.name),
+                argv=["repro.bench", "run", "--suite", self.suite,
+                      "--case", case.name])
+        outer = obs.configure(self.installed[case.name])
+        try:
+            with obs.span("bench.case", case=case.name, suite=self.suite):
+                yield
+        finally:
+            self.installed[case.name] = obs.configure(outer)
+
+    def close(self) -> None:
+        for sink in self.files.values():
+            sink.close()
+
+
+def _groups(cases: Sequence[BenchCase]) -> list[list[BenchCase]]:
+    """Cases measured together: a floored case joins its reference's
+    group when the reference runs too; every other case is alone."""
+    names = {case.name for case in cases}
+    groups: dict[str, list[BenchCase]] = {}
+    for case in cases:
+        key = case.ref if case.floor is not None and case.ref in names \
+            else case.name
+        groups.setdefault(key, []).append(case)
+    return list(groups.values())
 
 
 def run_suite(suite: str, *,
               config: MeasureConfig | None = None,
-              pattern: str | None = None,
+              pattern: str | Sequence[str] | None = None,
               progress: Progress | None = None,
               trace_dir: str | Path | None = None) -> SuiteResult:
-    """Measure every case of *suite* (optionally fnmatch-filtered).
+    """Measure every case of *suite* (optionally filtered by one or
+    several fnmatch globs).
 
     Speedups are computed from best-of-round times against each case's
     ``ref``; a reference excluded by *pattern* yields ``speedup=None``
@@ -77,19 +111,19 @@ def run_suite(suite: str, *,
     require(suite in suite_names(), f"unknown suite {suite!r} "
             f"(known: {', '.join(suite_names())})")
     require(len(cases) > 0, f"no cases match {pattern!r} in suite {suite!r}")
-    if trace_dir is not None:
-        trace_dir = Path(trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-
+    traces = _CaseTraces(trace_dir, suite) if trace_dir is not None \
+        else None
     measured: dict[str, Measurement] = {}
-    for case in cases:
-        if trace_dir is None:
-            measurement, _ = measure_case(case, config)
-        else:
-            measurement = _measure_traced(case, config, trace_dir, suite)
-        measured[case.name] = measurement
-        if progress is not None:
-            progress(case, measurement)
+    try:
+        for group in _groups(cases):
+            for case, measurement in zip(group, measure_interleaved(
+                    group, config, around=traces and traces.round)):
+                measured[case.name] = measurement
+                if progress is not None:
+                    progress(case, measurement)
+    finally:
+        if traces is not None:
+            traces.close()
 
     results = []
     for case in cases:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import statistics
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, ContextManager, Iterator, Sequence
 
 from repro.bench.case import BenchCase
 from repro.util.timing import Timer
@@ -22,6 +23,9 @@ from repro.util.validation import require
 
 __all__ = ["Measurement", "MeasureConfig", "measure_case",
            "measure_interleaved"]
+
+#: A context to run each of a case's rounds in.
+Around = Callable[[BenchCase], ContextManager[Any]]
 
 
 @dataclass(frozen=True)
@@ -82,21 +86,24 @@ class MeasureConfig:
 
 
 def _timed_rounds(case: BenchCase, config: MeasureConfig,
+                  around: Around | None = None,
                   ) -> Iterator[tuple[float, Any]]:
     """Yield ``(seconds, result)`` per measured round of *case*.
 
     The first round's elapsed time calibrates the round count (a case's
     fixed ``rounds`` wins).  The case's ``check`` runs on every round,
     so an invalid result aborts the measurement instead of polluting
-    the artifact.
+    the artifact.  Each round, with the set-up before it, runs inside
+    ``around(case)`` when given.
     """
-    workload, done, total = case.setup(), 0, 1
+    done, total = 0, 1
     while done < total:
-        if done and case.fresh_state:
-            workload = case.setup()
-        with Timer() as timer:
-            result = workload()
-        case.check_result(result)
+        with around(case) if around is not None else nullcontext():
+            if not done or case.fresh_state:
+                workload = case.setup()
+            with Timer() as timer:
+                result = workload()
+            case.check_result(result)
         yield timer.elapsed, result
         if not done:
             total = case.rounds or config.calibrated_rounds(timer.elapsed)
@@ -115,14 +122,16 @@ def measure_case(case: BenchCase,
 
 
 def measure_interleaved(cases: Sequence[BenchCase],
-                        config: MeasureConfig | None = None,
-                        ) -> list[Measurement]:
+                        config: MeasureConfig | None = None, *,
+                        around: Around | None = None) -> list[Measurement]:
     """Measure *cases* in alternating rounds (one round of each in turn,
     until each has run its own round count), so a drift in host load
-    hits every case alike instead of whichever happened to run then."""
+    hits every case alike instead of whichever happened to run then.
+    Each round runs inside ``around(case)`` when given (the runner
+    traces each case into its own file this way)."""
     config = config or MeasureConfig()
     times: list[list[float]] = [[] for _ in cases]
-    streams = (_timed_rounds(case, config) for case in cases)
+    streams = (_timed_rounds(case, config, around) for case in cases)
     for turn in zip_longest(*streams):
         for case_times, timed in zip(times, turn):
             if timed is not None:

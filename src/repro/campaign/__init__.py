@@ -11,9 +11,9 @@ scripts into incremental, cacheable, restartable jobs:
   ``parameter_grid`` sweeps into independent :class:`WorkUnit`\\ s with
   the derive-seed discipline.
 * :mod:`~repro.campaign.backend` / :mod:`~repro.campaign.migrations` —
-  the pluggable SQL backend behind the store (WAL-mode SQLite with a
-  busy timeout) and the versioned migration chain that manages its
-  schema.
+  the SQLite backend behind the store (WAL mode, a busy timeout) and
+  the versioned migration chains that manage its schema and the perf
+  history's.
 * :mod:`~repro.campaign.jobs` — the worker-pull job queue (submit /
   lease / heartbeat / complete) that the scheduler, the forked local
   workers, and the HTTP service (:mod:`repro.service`) all share.
@@ -34,7 +34,7 @@ experiment runner's ``--results-dir/--resume/--force`` flags and
 and ``run --worker URL`` stretch the same campaign across machines.
 """
 
-from repro.campaign.backend import SqliteWalBackend, StoreBackend, open_backend
+from repro.campaign.backend import SqliteWalBackend
 from repro.campaign.jobs import (
     DEFAULT_LEASE_TTL,
     Job,
@@ -70,7 +70,6 @@ __all__ = [
     "ResultStore",
     "SCHEMA_VERSION",
     "SqliteWalBackend",
-    "StoreBackend",
     "SubmitReceipt",
     "WorkUnit",
     "campaign_rows",
@@ -79,7 +78,6 @@ __all__ = [
     "execute_unit",
     "fetch_result",
     "fetch_row",
-    "open_backend",
     "plan_experiments",
     "plan_sweep",
     "read_manifest",

@@ -1,36 +1,18 @@
-"""Pluggable SQL backends for the campaign store index and job queue.
+"""The one way this repo opens SQLite.
 
-The :class:`StoreBackend` contract is deliberately small — *open a
-migrated database, hand out transactions* — so the store, the job
-queue, and the HTTP service all speak to the same interface and a
-concurrent backend (client/server SQL, a hosted queue) can drop in
-without touching them.
+:class:`SqliteWalBackend` holds the campaign store's index and job
+queue (the default chain, :mod:`repro.campaign.migrations`) and the
+perf history (:data:`repro.obs.history.HISTORY_CHAIN`):
 
-Contract
---------
-* :meth:`~StoreBackend.transaction` yields a DB-API connection inside
-  one transaction: commit on clean exit, rollback on exception.  With
+* :meth:`~SqliteWalBackend.transaction` yields a connection inside one
+  transaction: commit on clean exit, rollback on exception.  With
   ``immediate=True`` the write lock is taken *up front*, so
-  read-modify-write sequences (the queue's lease claim) are atomic
-  against every other writer.
-* The backend applies the migration chain
-  (:mod:`repro.campaign.migrations`) before the first transaction and
-  reports the result via :meth:`~StoreBackend.schema_version`.
-* Backends must be **multi-process safe**: many readers and writers on
-  the same database, from different processes, at once.  Blocking
-  briefly is fine; corrupting or erroring on contention is not.
-* Backends must be cheap to construct and **fork-safe**: state
-  inherited over ``fork`` (pooled connections) is never used or closed
-  by the child, and worker processes build their own instance from
-  :attr:`~StoreBackend.location`.
-
-:class:`SqliteWalBackend` is the first concurrent implementation:
-WAL-mode SQLite with a busy timeout.  WAL gives snapshot-isolated
-readers that never block the single writer; the busy timeout makes
-writer contention a wait, not an error.  It pools its connections, so
-a transaction costs a checkout instead of an open, and a close (which
-checkpoints and deletes the WAL when it is the file's last connection)
-happens once per backend instead of once per transaction.
+  read-modify-write sequences (the queue's lease claim, a history
+  record) are atomic against every other writer.
+* Opening applies the chain; a database newer than it is refused.
+* WAL gives snapshot-isolated readers that never block the single
+  writer, and the busy timeout makes writer contention a wait, not an
+  error, so many processes can share one file.
 """
 
 from __future__ import annotations
@@ -39,52 +21,19 @@ import os
 import sqlite3
 import threading
 import weakref
-from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
-from repro.campaign.migrations import SCHEMA_VERSION, apply_migrations
+from repro.campaign.migrations import CAMPAIGN_CHAIN, apply_migrations
 from repro.util.validation import require
 
-__all__ = ["StoreBackend", "SqliteWalBackend", "open_backend",
-           "DEFAULT_BUSY_TIMEOUT_S", "SCHEMA_VERSION"]
+__all__ = ["SqliteWalBackend", "DEFAULT_BUSY_TIMEOUT_S"]
 
 #: How long a writer waits on a locked database before failing.  Large
 #: enough to ride out another process's checkpoint burst; finite so a
 #: genuinely wedged holder surfaces as an error instead of a hang.
 DEFAULT_BUSY_TIMEOUT_S = 30.0
-
-
-class StoreBackend(ABC):
-    """Where the store index and job queue keep their tables."""
-
-    #: URL-ish scheme naming the implementation (diagnostics only).
-    scheme: str = "abstract"
-
-    @property
-    @abstractmethod
-    def location(self) -> str:
-        """A string a *different process* can reopen the backend from."""
-
-    @abstractmethod
-    @contextmanager
-    def transaction(self, *, immediate: bool = False
-                    ) -> Iterator[sqlite3.Connection]:
-        """One transaction: commit on exit, rollback on exception.
-
-        ``immediate=True`` acquires the write lock before yielding, so
-        the caller's read-then-update sequence cannot interleave with
-        another writer's.
-        """
-
-    @abstractmethod
-    def schema_version(self) -> int:
-        """The migration version the open database is at."""
-
-    def close(self) -> None:
-        """Release held resources (idle pooled connections); the backend
-        stays usable and reconnects on its next transaction."""
 
 
 #: Connections a forked child inherited from its parent's pools.  The
@@ -132,8 +81,8 @@ class _Pool:
             connection.close()
 
 
-class SqliteWalBackend(StoreBackend):
-    """SQLite in WAL mode with a busy timeout — the concurrent default.
+class SqliteWalBackend:
+    """SQLite in WAL mode with a busy timeout, migrated by *chain*.
 
     Connections are pooled per backend and per process: a transaction
     checks one out (opening it only when none is idle, e.g. for a
@@ -150,10 +99,9 @@ class SqliteWalBackend(StoreBackend):
     connection.
     """
 
-    scheme = "sqlite+wal"
-
     def __init__(self, path: str | Path, *,
-                 busy_timeout_s: float = DEFAULT_BUSY_TIMEOUT_S) -> None:
+                 busy_timeout_s: float = DEFAULT_BUSY_TIMEOUT_S,
+                 chain: Path = CAMPAIGN_CHAIN) -> None:
         require(busy_timeout_s > 0, "busy_timeout_s must be > 0")
         self.path = Path(path)
         self.busy_timeout_s = float(busy_timeout_s)
@@ -166,16 +114,12 @@ class SqliteWalBackend(StoreBackend):
             # WAL persists in the file; an existing rollback-journal
             # store is converted in place on first open.
             connection.execute("PRAGMA journal_mode=WAL")
-            apply_migrations(connection)
+            apply_migrations(connection, chain)
             connection.commit()
         except BaseException:
             connection.close()
             raise
         self._pool.checkin(connection)
-
-    @property
-    def location(self) -> str:
-        return str(self.path)
 
     def _connect(self) -> sqlite3.Connection:
         connection = sqlite3.connect(self.path, timeout=self.busy_timeout_s,
@@ -187,6 +131,12 @@ class SqliteWalBackend(StoreBackend):
     @contextmanager
     def transaction(self, *, immediate: bool = False
                     ) -> Iterator[sqlite3.Connection]:
+        """One transaction: commit on exit, rollback on exception.
+
+        ``immediate=True`` acquires the write lock before yielding, so
+        the caller's read-then-update sequence cannot interleave with
+        another writer's.
+        """
         connection = self._pool.checkout() or self._connect()
         try:
             if immediate:
@@ -200,20 +150,15 @@ class SqliteWalBackend(StoreBackend):
             self._pool.checkin(connection)
 
     def schema_version(self) -> int:
+        """The migration version the open database is at."""
         with self.transaction() as db:
             return int(db.execute("PRAGMA user_version").fetchone()[0])
 
     def close(self) -> None:
+        """Close the idle pooled connections; the backend stays usable
+        and reconnects on its next transaction."""
         self._pool.close()
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics
         return f"SqliteWalBackend({str(self.path)!r})"
 
-
-def open_backend(location: str | Path) -> StoreBackend:
-    """Open the backend for *location* (today: always SQLite-WAL).
-
-    The single seam a second implementation plugs into; callers that
-    persist ``backend.location`` can reopen it here from any process.
-    """
-    return SqliteWalBackend(location)

@@ -40,10 +40,10 @@ import os
 import sqlite3
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro import obs
-from repro.campaign.backend import StoreBackend
+from repro.campaign.backend import SqliteWalBackend
 from repro.campaign.store import (ResultStore, _register, canonical_json,
                                   unit_key)
 from repro.util.logging import get_logger
@@ -191,22 +191,28 @@ def _counts(db: sqlite3.Connection,
 
 
 def _mark_done(db: sqlite3.Connection, campaign_id: str, key: str,
-               worker: str) -> bool:
+               worker: str, now: float) -> bool:
     """Flip one job to ``done`` inside the caller's transaction;
     ``False`` when it already was."""
     cursor = db.execute(
         "UPDATE jobs SET state = 'done', worker = ?, "
         "lease_expires = NULL, error = NULL, updated_at = ? "
         "WHERE campaign_id = ? AND key = ? AND state != 'done'",
-        (worker, time.time(), campaign_id, key))
+        (worker, now, campaign_id, key))
     return cursor.rowcount > 0
 
 
 class JobQueue:
-    """The jobs/campaigns tables behind one :class:`StoreBackend`."""
+    """The jobs/campaigns tables in one :class:`SqliteWalBackend`.
 
-    def __init__(self, backend: StoreBackend) -> None:
+    *clock* (seconds since the epoch) stamps every row and decides
+    which leases have expired; tests pass a fake one to step time.
+    """
+
+    def __init__(self, backend: SqliteWalBackend, *,
+                 clock: Callable[[], float] = time.time) -> None:
         self.backend = backend
+        self.clock = clock
 
     # -- submission ---------------------------------------------------------
 
@@ -226,7 +232,7 @@ class JobQueue:
         """
         require(len(units) > 0, "a campaign needs at least one unit")
         cid = campaign_id_for([unit.key for unit in units])
-        now = time.time()
+        now = self.clock()
         planned: list[Any] = []
         with self.backend.transaction(immediate=True) as db:
             db.execute(
@@ -286,8 +292,7 @@ class JobQueue:
 
     def lease(self, worker: str, *, campaign_id: str | None = None,
               ttl: float = DEFAULT_LEASE_TTL,
-              codecs: Sequence[str] = PAYLOAD_CODECS,
-              now: float | None = None) -> Job | None:
+              codecs: Sequence[str] = PAYLOAD_CODECS) -> Job | None:
         """Atomically claim one claimable job for *worker*, or ``None``.
 
         Claimable means ``pending`` or ``leased`` with an expired
@@ -297,7 +302,7 @@ class JobQueue:
         budget are flipped to ``failed`` instead of handed out.
         """
         require(ttl > 0, "lease ttl must be > 0")
-        now = time.time() if now is None else now
+        now = self.clock()
         placeholders = ", ".join("?" * len(codecs))
         claimable = ("state = 'pending' OR "
                      "(state = 'leased' AND lease_expires < ?)")
@@ -343,7 +348,7 @@ class JobQueue:
                   ttl: float = DEFAULT_LEASE_TTL) -> bool:
         """Extend *worker*'s lease; ``False`` means the lease was lost
         (expired and re-claimed, or the job already completed)."""
-        now = time.time()
+        now = self.clock()
         with self.backend.transaction(immediate=True) as db:
             cursor = db.execute(
                 "UPDATE jobs SET lease_expires = ?, updated_at = ? "
@@ -361,7 +366,7 @@ class JobQueue:
         harmless no-ops (``False``).
         """
         with self.backend.transaction(immediate=True) as db:
-            return _mark_done(db, campaign_id, key, worker)
+            return _mark_done(db, campaign_id, key, worker, self.clock())
 
     def fail(self, campaign_id: str, key: str, worker: str,
              error: str) -> bool:
@@ -372,7 +377,7 @@ class JobQueue:
         means *worker* no longer holds the lease (it expired and was
         re-claimed, or the job already finished), so a stale worker
         cannot fail a unit its successor is still running."""
-        now = time.time()
+        now = self.clock()
         with self.backend.transaction(immediate=True) as db:
             row = db.execute(
                 "SELECT label FROM jobs WHERE campaign_id = ? AND key = ?",
@@ -389,7 +394,7 @@ class JobQueue:
                       key=key, worker=worker, error=error)
         return cursor.rowcount > 0
 
-    def reap(self, *, now: float | None = None) -> list[Job]:
+    def reap(self) -> list[Job]:
         """Flip expired leases back to ``pending``; returns what moved.
 
         ``lease`` already treats expired leases as claimable, so
@@ -397,7 +402,7 @@ class JobQueue:
         (the scheduler's parent loop, the service) can surface dead
         workers promptly instead of at the next lease attempt.
         """
-        now = time.time() if now is None else now
+        now = self.clock()
         with self.backend.transaction(immediate=True) as db:
             rows = db.execute(
                 f"{_JOB_SELECT} WHERE state = 'leased' AND lease_expires < ?",
@@ -533,7 +538,8 @@ class LocalQueueClient:
                                       elapsed=elapsed, resources=resources)
             with self.queue.backend.transaction(immediate=True) as db:
                 _register(db, row)
-                completed = _mark_done(db, campaign_id, key, worker)
+                completed = _mark_done(db, campaign_id, key, worker,
+                                       self.queue.clock())
         obs.counter("campaign.cache.miss")
         obs.event("campaign.unit", status="checkpointed", label=label,
                   key=key)

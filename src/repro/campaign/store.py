@@ -21,11 +21,11 @@ into a spec).  Identical work is therefore fetched, never recomputed,
 no matter which CLI, sweep, scheduler, or HTTP service produced it
 first.
 
-The index lives behind a :class:`~repro.campaign.backend.StoreBackend`
-(default: WAL-mode SQLite with a busy timeout), schema-managed by the
-versioned migration chain in :mod:`repro.campaign.migrations`, so many
-reader and writer processes — campaign schedulers, pull workers, the
-HTTP service's request threads — can hit one store at once.
+The index lives in a :class:`~repro.campaign.backend.SqliteWalBackend`
+(WAL-mode SQLite with a busy timeout), schema-managed by the versioned
+migration chain in :mod:`repro.campaign.migrations`, so many reader
+and writer processes — campaign schedulers, pull workers, the HTTP
+service's request threads — can hit one store at once.
 """
 
 from __future__ import annotations
@@ -36,13 +36,12 @@ import os
 import sqlite3
 import tempfile
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro import obs
 from repro.analysis.records import _jsonable
-from repro.campaign.backend import StoreBackend, open_backend
+from repro.campaign.backend import SqliteWalBackend
 from repro.util.logging import get_logger
 from repro.util.validation import require
 
@@ -85,35 +84,21 @@ def _register(db: sqlite3.Connection, row: tuple) -> None:
 class ResultStore:
     """Durable, content-addressed storage for completed work units.
 
-    Parameters
-    ----------
-    root:
-        The results directory (created on first use).
-    backend:
-        The SQL backend holding the index (and the job queue's tables);
-        defaults to :class:`~repro.campaign.backend.SqliteWalBackend`
-        over ``root/index.sqlite``.  Opening applies the migration
-        chain, so stores written by older builds upgrade in place.
+    *root* is the results directory (created on first use).  Its
+    ``index.sqlite`` holds the index and the job queue's tables in a
+    :class:`~repro.campaign.backend.SqliteWalBackend`; opening applies
+    the migration chain, so stores written by older builds upgrade in
+    place before the first query.
     """
 
-    def __init__(self, root: str | Path, *,
-                 backend: StoreBackend | None = None) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.objects_dir = self.root / "objects"
         self.objects_dir.mkdir(exist_ok=True)
-        self._index_path = self.root / "index.sqlite"
-        # Opening the backend migrates eagerly: empty stores are valid,
-        # and pre-chain stores upgrade before the first query.
-        self.backend = backend if backend is not None \
-            else open_backend(self._index_path)
+        self.backend = SqliteWalBackend(self.root / "index.sqlite")
 
     # -- low-level plumbing -------------------------------------------------
-
-    @contextmanager
-    def _db(self) -> Iterator[sqlite3.Connection]:
-        with self.backend.transaction() as connection:
-            yield connection
 
     def object_path(self, key: str) -> Path:
         """Where the payload object for *key* lives (two-level fan-out)."""
@@ -139,7 +124,7 @@ class ResultStore:
         with obs.span("store.put", key=key[:12], label=label):
             row = self._publish(key, spec, result, label=label,
                                 elapsed=elapsed, resources=resources)
-            with self._db() as db:
+            with self.backend.transaction() as db:
                 _register(db, row)
             return key
 
@@ -183,7 +168,7 @@ class ResultStore:
         existed = path.exists()
         if existed:
             path.unlink()
-        with self._db() as db:
+        with self.backend.transaction() as db:
             db.execute("DELETE FROM units WHERE key = ?", (key,))
         return existed
 
@@ -223,7 +208,7 @@ class ResultStore:
 
     def rows(self) -> list[dict[str, Any]]:
         """Index rows (key, kind, label, created_at, elapsed), newest last."""
-        with self._db() as db:
+        with self.backend.transaction() as db:
             cursor = db.execute(
                 "SELECT key, kind, label, created_at, elapsed FROM units "
                 "ORDER BY created_at")
@@ -240,7 +225,7 @@ class ResultStore:
         re-registered, and rows whose object vanished are removed.
         """
         on_disk = self.keys()
-        with self._db() as db:
+        with self.backend.transaction() as db:
             indexed = {row[0] for row in
                        db.execute("SELECT key FROM units").fetchall()}
             recovered = on_disk - indexed

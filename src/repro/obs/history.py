@@ -6,9 +6,11 @@ demands it).  That gate is blind to slow drift: ten consecutive +10%
 regressions all pass individually while the case quietly doubles.
 This module is the longitudinal memory that catches exactly that.
 
-:class:`HistoryStore` is an SQLite database ingesting every
-``BENCH_<suite>.json`` artifact, keyed by **(git SHA, machine
-fingerprint, suite, case)**.  It is append-only by design: rows are
+:class:`HistoryStore` is an SQLite database (a
+:class:`~repro.campaign.backend.SqliteWalBackend` migrated by
+:data:`HISTORY_CHAIN`) ingesting every ``BENCH_<suite>.json``
+artifact, keyed by **(git SHA, machine fingerprint, suite, case)**.
+It is append-only by design: rows are
 never updated or deleted, and re-recording an artifact the store has
 already seen (same suite/SHA/machine/timestamp) is a no-op, so CI can
 re-run idempotently.  Machines are identified by
@@ -42,16 +44,17 @@ import sqlite3
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
-from repro.util.validation import require
+from repro.campaign.backend import SqliteWalBackend
 
-__all__ = ["HISTORY_SCHEMA_VERSION", "HistoryStore", "machine_id",
+__all__ = ["HISTORY_CHAIN", "HistoryStore", "machine_id",
            "check_drift", "DriftReport", "CaseDrift", "render_trend",
            "MAD_CONSISTENCY", "DEFAULT_WINDOW", "DEFAULT_MIN_RUNS",
            "DEFAULT_Z_THRESHOLD", "DEFAULT_MIN_REL"]
 
-HISTORY_SCHEMA_VERSION = 1
+#: The history database's migration chain (``obs/migrations/``).
+HISTORY_CHAIN = Path(__file__).resolve().parent / "migrations"
 
 #: Gaussian consistency constant: MAD * 1.4826 estimates sigma.
 MAD_CONSISTENCY = 1.4826
@@ -63,38 +66,6 @@ DEFAULT_MIN_REL = 0.15
 #: Robust-scale floor, as a fraction of the rolling median: a dead-flat
 #: history (MAD 0) must not turn measurement noise into infinite z.
 DEFAULT_SCALE_FLOOR = 0.02
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS meta (
-    key TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS runs (
-    id INTEGER PRIMARY KEY AUTOINCREMENT,
-    suite TEXT NOT NULL,
-    git_sha TEXT,
-    machine_id TEXT NOT NULL,
-    machine TEXT NOT NULL,
-    created_at TEXT NOT NULL,
-    schema_version INTEGER NOT NULL,
-    UNIQUE (suite, git_sha, machine_id, created_at)
-);
-CREATE TABLE IF NOT EXISTS cases (
-    run_id INTEGER NOT NULL REFERENCES runs(id),
-    name TEXT NOT NULL,
-    scale TEXT,
-    rounds INTEGER,
-    best_s REAL NOT NULL,
-    median_s REAL NOT NULL,
-    iqr_s REAL,
-    speedup REAL,
-    floor REAL,
-    tolerance REAL,
-    PRIMARY KEY (run_id, name)
-);
-CREATE INDEX IF NOT EXISTS idx_cases_name ON cases (name);
-"""
-
 
 def machine_id(fingerprint: Mapping[str, Any]) -> str:
     """Short stable id of one machine fingerprint dict."""
@@ -108,30 +79,23 @@ class HistoryStore:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        if self.path.parent != Path(""):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = sqlite3.connect(self.path)
-        self._conn.row_factory = sqlite3.Row
-        with self._conn:
-            self._conn.executescript(_SCHEMA)
-            self._conn.execute(
-                "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                ("history_schema_version", str(HISTORY_SCHEMA_VERSION)))
-        recorded = int(self._conn.execute(
-            "SELECT value FROM meta WHERE key = ?",
-            ("history_schema_version",)).fetchone()["value"])
-        require(recorded == HISTORY_SCHEMA_VERSION,
-                f"history db {self.path} is schema v{recorded}; this "
-                f"build writes v{HISTORY_SCHEMA_VERSION}")
+        self.backend = SqliteWalBackend(self.path, chain=HISTORY_CHAIN)
 
     def close(self) -> None:
-        self._conn.close()
+        """Close the connections; the last close removes the WAL."""
+        self.backend.close()
 
     def __enter__(self) -> "HistoryStore":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def _query(self, sql: str, args: Sequence[Any] = ()
+               ) -> list[dict[str, Any]]:
+        with self.backend.transaction() as db:
+            db.row_factory = sqlite3.Row
+            return [dict(row) for row in db.execute(sql, args)]
 
     # -- ingest -------------------------------------------------------
 
@@ -140,18 +104,20 @@ class HistoryStore:
 
         Append-only and idempotent: an artifact the store has already
         seen (same suite / git SHA / machine / created_at) returns its
-        existing run id with ``inserted=False``.
+        existing run id with ``inserted=False``.  The lookup and the
+        insert share one immediate transaction, so two concurrent
+        records of one artifact cannot both insert it.
         """
         mid = machine_id(result.machine)
-        row = self._conn.execute(
-            "SELECT id FROM runs WHERE suite = ? AND git_sha IS ? "
-            "AND machine_id = ? AND created_at = ?",
-            (result.suite, result.git_sha, mid,
-             result.created_at)).fetchone()
-        if row is not None:
-            return int(row["id"]), False
-        with self._conn:
-            cursor = self._conn.execute(
+        with self.backend.transaction(immediate=True) as db:
+            row = db.execute(
+                "SELECT id FROM runs WHERE suite = ? AND git_sha IS ? "
+                "AND machine_id = ? AND created_at = ?",
+                (result.suite, result.git_sha, mid,
+                 result.created_at)).fetchone()
+            if row is not None:
+                return int(row[0]), False
+            cursor = db.execute(
                 "INSERT INTO runs (suite, git_sha, machine_id, machine, "
                 "created_at, schema_version) VALUES (?, ?, ?, ?, ?, ?)",
                 (result.suite, result.git_sha, mid,
@@ -159,7 +125,7 @@ class HistoryStore:
                             default=str),
                  result.created_at, result.schema_version))
             run_id = int(cursor.lastrowid)
-            self._conn.executemany(
+            db.executemany(
                 "INSERT INTO cases (run_id, name, scale, rounds, best_s, "
                 "median_s, iqr_s, speedup, floor, tolerance) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
@@ -176,7 +142,7 @@ class HistoryStore:
         if suite is not None:
             sql += " WHERE suite = ?"
             args = (suite,)
-        return [r["machine_id"] for r in self._conn.execute(sql, args)]
+        return [r["machine_id"] for r in self._query(sql, args)]
 
     def runs(self, suite: str, *, machine_id: str | None = None
              ) -> list[dict[str, Any]]:
@@ -188,10 +154,10 @@ class HistoryStore:
             sql += " AND machine_id = ?"
             args.append(machine_id)
         sql += " ORDER BY id"
-        return [dict(r) for r in self._conn.execute(sql, args)]
+        return self._query(sql, args)
 
     def case_names(self, suite: str) -> list[str]:
-        rows = self._conn.execute(
+        rows = self._query(
             "SELECT DISTINCT c.name FROM cases c JOIN runs r "
             "ON c.run_id = r.id WHERE r.suite = ? ORDER BY c.name",
             (suite,))
@@ -221,7 +187,7 @@ class HistoryStore:
                     + ",".join("?" * len(excluded)) + ")")
             args.extend(excluded)
         sql += " ORDER BY r.id"
-        points = [dict(r) for r in self._conn.execute(sql, args)]
+        points = self._query(sql, args)
         if limit is not None and len(points) > limit:
             points = points[-limit:]
         return points

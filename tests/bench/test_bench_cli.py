@@ -59,10 +59,12 @@ def test_run_trace_writes_per_case_traces(tmp_path, demo_suite):
         assert path.exists(), path
         manifest, events = read_trace(path)
         assert manifest is not None
-        [span] = [e for e in events if e["kind"] == "span"]
-        assert span["name"] == "bench.case"
-        assert span["attrs"]["case"] == case_name
-        assert "cpu_s" in span["res"]
+        spans = [e for e in events if e["kind"] == "span"]
+        assert len(spans) == 2  # one bench.case span per round
+        for span in spans:
+            assert span["name"] == "bench.case"
+            assert span["attrs"]["case"] == case_name
+            assert "cpu_s" in span["res"]
 
 
 def test_compare_failure_prints_trace_diff(tmp_path, demo_suite, capsys):
@@ -95,6 +97,75 @@ def test_run_case_filter(tmp_path, demo_suite):
                      "--case", "*serial", "--quiet"]) == 0
     result = load_result(out)
     assert [case.name for case in result.cases] == ["demo/serial"]
+
+
+def test_run_case_filter_takes_several_globs(tmp_path, demo_suite):
+    """Each ``--case`` adds a glob; a case runs when it matches any."""
+    out = tmp_path / "BENCH_demo.json"
+    assert cli.main(["run", "--suite", "demo", "--out", str(out),
+                     "--case", "*serial", "--case", "*fast",
+                     "--quiet"]) == 0
+    assert [case.name for case in load_result(out).cases] == \
+        ["demo/serial", "demo/fast"]
+
+
+@pytest.fixture
+def floored_pair():
+    """A floored case and its ref that log each round and open a span."""
+    from repro import obs
+
+    log: list[str] = []
+
+    def setup(name):
+        def workload():
+            log.append(name)
+            with obs.span("demo.work", case=name):
+                pass
+        return lambda: workload
+    cases = [BenchCase(name="demop/ref", suite="demop", scale="tiny",
+                       setup=setup("ref"), rounds=3),
+             BenchCase(name="demop/other", suite="demop", scale="tiny",
+                       setup=setup("other"), rounds=1),
+             BenchCase(name="demop/fast", suite="demop", scale="tiny",
+                       setup=setup("fast"), rounds=2, ref="demop/ref",
+                       floor=1e-9)]
+    for case in cases:
+        register(case)
+    yield log
+    for case in cases:
+        _CASES.pop(case.name, None)
+
+
+def test_run_alternates_a_floored_case_with_its_ref(floored_pair):
+    from repro.bench.runner import run_suite
+
+    result = run_suite("demop")
+    assert floored_pair == ["ref", "fast", "ref", "fast", "ref", "other"]
+    assert [case.name for case in result.cases] == \
+        ["demop/ref", "demop/other", "demop/fast"]
+    assert result.case("demop/fast").speedup is not None
+
+
+def test_interleaved_traces_stay_one_per_case(tmp_path, floored_pair):
+    """Alternating rounds still give each case its own trace file, with
+    one ``bench.case`` span per round of that case and each round's
+    workload span under it."""
+    from repro.bench.runner import run_suite, trace_filename
+    from repro.obs import trace
+    from repro.obs.events import read_trace
+
+    run_suite("demop", trace_dir=tmp_path)
+    assert not trace.enabled()
+    for name, rounds in (("ref", 3), ("other", 1), ("fast", 2)):
+        _, events = read_trace(tmp_path / trace_filename(f"demop/{name}"))
+        spans = [e for e in events if e["kind"] == "span"]
+        case_spans = [e for e in spans if e["name"] == "bench.case"]
+        work = [e for e in spans if e["name"] == "demo.work"]
+        assert len(spans) == 2 * rounds
+        assert {e["attrs"]["case"] for e in case_spans + work} == \
+            {f"demop/{name}", name}
+        assert [e["parent_id"] for e in work] == \
+            [e["span_id"] for e in case_spans]
 
 
 def test_run_unknown_suite_fails(demo_suite):

@@ -9,6 +9,7 @@ drift clears the rolling-median + MAD rule.
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
@@ -305,11 +306,108 @@ class TestHistoryCli:
         db = tmp_path / "h.sqlite"
         with HistoryStore(db):
             pass
-        import sqlite3
         conn = sqlite3.connect(db)
-        with conn:
-            conn.execute("UPDATE meta SET value = '99' "
-                         "WHERE key = 'history_schema_version'")
+        conn.execute("PRAGMA user_version = 99")
         conn.close()
         with pytest.raises(ValueError, match="schema v99"):
             HistoryStore(db)
+
+    def test_record_leaves_no_wal_files(self, tmp_path):
+        """CI caches the db path alone, so ``record`` must leave the
+        whole history in that one file."""
+        from repro.bench.cli import main as bench_cli
+
+        db = tmp_path / "hist" / "history.sqlite"
+        path = self._write(tmp_path, "b.json", result({"demo/a": 0.1}))
+        assert bench_cli(["history", "record", str(path),
+                          "--db", str(db)]) == 0
+        assert sorted(p.name for p in db.parent.iterdir()) == \
+            ["history.sqlite"]
+        with HistoryStore(db) as store:
+            assert len(store.series("demo", "demo/a")) == 1
+
+
+#: The schema and version row a history db carried before the store
+#: moved onto the migration chain (user_version 0, rollback journal).
+LEGACY_DDL = """
+CREATE TABLE IF NOT EXISTS meta (
+    key TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS runs (
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
+    suite TEXT NOT NULL,
+    git_sha TEXT,
+    machine_id TEXT NOT NULL,
+    machine TEXT NOT NULL,
+    created_at TEXT NOT NULL,
+    schema_version INTEGER NOT NULL,
+    UNIQUE (suite, git_sha, machine_id, created_at)
+);
+CREATE TABLE IF NOT EXISTS cases (
+    run_id INTEGER NOT NULL REFERENCES runs(id),
+    name TEXT NOT NULL,
+    scale TEXT,
+    rounds INTEGER,
+    best_s REAL NOT NULL,
+    median_s REAL NOT NULL,
+    iqr_s REAL,
+    speedup REAL,
+    floor REAL,
+    tolerance REAL,
+    PRIMARY KEY (run_id, name)
+);
+CREATE INDEX IF NOT EXISTS idx_cases_name ON cases (name);
+INSERT OR IGNORE INTO meta (key, value)
+    VALUES ('history_schema_version', '1');
+"""
+
+
+def _legacy_db(path, artifacts) -> None:
+    """A history db as the pre-chain store wrote it."""
+    conn = sqlite3.connect(path)
+    conn.executescript(LEGACY_DDL)
+    for artifact in artifacts:
+        cursor = conn.execute(
+            "INSERT INTO runs (suite, git_sha, machine_id, machine, "
+            "created_at, schema_version) VALUES (?, ?, ?, ?, ?, ?)",
+            (artifact.suite, artifact.git_sha, machine_id(artifact.machine),
+             json.dumps(dict(artifact.machine), sort_keys=True),
+             artifact.created_at, artifact.schema_version))
+        conn.executemany(
+            "INSERT INTO cases (run_id, name, scale, rounds, best_s, "
+            "median_s, iqr_s, speedup, floor, tolerance) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            [(cursor.lastrowid, c.name, c.scale, c.rounds, c.best_s,
+              c.median_s, c.iqr_s, c.speedup, c.floor, c.tolerance)
+             for c in artifact.cases])
+    conn.commit()
+    conn.close()
+
+
+class TestLegacyHistoryDb:
+    def test_pre_chain_db_upgrades_in_place(self, tmp_path):
+        creep = [0.1] * 5 + [0.108, 0.117]
+        artifacts = [result({"demo/a": m, "demo/b": 0.2}, run=run,
+                            sha=f"{run:040x}")
+                     for run, m in enumerate(creep)]
+        legacy, fresh = tmp_path / "legacy.sqlite", tmp_path / "fresh.sqlite"
+        _legacy_db(legacy, artifacts)
+        with HistoryStore(fresh) as store:
+            for artifact in artifacts:
+                store.record(artifact)
+
+        current = result({"demo/a": 0.125, "demo/b": 0.2}, run=9,
+                         sha="c" * 40)
+        with HistoryStore(legacy) as store, \
+                HistoryStore(fresh) as reference:
+            assert store.backend.schema_version() == 1
+            for name in ("demo/a", "demo/b"):
+                assert store.series("demo", name) == \
+                    reference.series("demo", name)
+            # Every legacy run is already there: re-recording is a no-op.
+            assert [store.record(a) for a in artifacts] == \
+                [(run_id, False) for run_id in range(1, len(creep) + 1)]
+            verdicts = check_drift(store, current)
+            assert verdicts == check_drift(reference, current)
+        assert [c.status for c in verdicts.comparisons] == ["drift", "ok"]

@@ -1,4 +1,4 @@
-"""StoreBackend contract: WAL mode, busy timeout, migration chain,
+"""SqliteWalBackend contract: WAL mode, busy timeout, migration chains,
 and the per-process connection pool."""
 
 from __future__ import annotations
@@ -10,11 +10,11 @@ import threading
 
 import pytest
 
-from repro.campaign.backend import (DEFAULT_BUSY_TIMEOUT_S, SqliteWalBackend,
-                                    open_backend)
+from repro.campaign.backend import DEFAULT_BUSY_TIMEOUT_S, SqliteWalBackend
 from repro.campaign.migrations import (SCHEMA_VERSION, apply_migrations,
                                        chain_fingerprint, migration_files)
 from repro.campaign.store import ResultStore
+from repro.obs.history import HISTORY_CHAIN
 
 
 class TestSqliteWalBackend:
@@ -68,10 +68,16 @@ class TestSqliteWalBackend:
                 with b.transaction(immediate=True):
                     pass
 
-    def test_location_reopens_elsewhere(self, tmp_path):
-        backend = SqliteWalBackend(tmp_path / "index.sqlite")
-        again = open_backend(backend.location)
-        assert again.schema_version() == SCHEMA_VERSION
+    def test_chain_argument_selects_the_schema(self, tmp_path):
+        backend = SqliteWalBackend(tmp_path / "history.sqlite",
+                                   chain=HISTORY_CHAIN)
+        with backend.transaction() as db:
+            tables = {row[0] for row in db.execute(
+                "SELECT name FROM sqlite_master WHERE type='table'")}
+        assert {"meta", "runs", "cases"} <= tables
+        assert "units" not in tables
+        assert backend.schema_version() == 1
+        backend.close()
 
 
 def _open_index_fds(path) -> list[str]:
@@ -230,6 +236,13 @@ class TestMigrationChain:
         assert chain_fingerprint() == (
             "91eea940937654611819fe9d85fd6f5091"
             "f2a16814fc0e6718d54e5253d7e2d4")
+
+    def test_history_chain_fingerprint_pin(self):
+        # The perf history's chain follows the same append-only policy.
+        assert [v for v, _ in migration_files(HISTORY_CHAIN)] == [1]
+        assert chain_fingerprint(HISTORY_CHAIN) == (
+            "a55052e63833850ce93e390fab21200eca"
+            "3ae5fb3d20d7cd383647a5bffc0119")
 
     def test_migrations_are_rerunnable(self, tmp_path):
         db = sqlite3.connect(tmp_path / "x.sqlite")

@@ -23,9 +23,24 @@ def store(tmp_path):
     return ResultStore(tmp_path / "results")
 
 
+class FakeClock:
+    """A settable clock for the queue: ``clock.now`` is the time."""
+
+    def __init__(self, now: float = 1000.0) -> None:
+        self.now = now
+
+    def __call__(self) -> float:
+        return self.now
+
+
 @pytest.fixture
-def queue(store):
-    return JobQueue(store.backend)
+def clock():
+    return FakeClock()
+
+
+@pytest.fixture
+def queue(store, clock):
+    return JobQueue(store.backend, clock=clock)
 
 
 class TestSubmit:
@@ -108,11 +123,11 @@ class TestLease:
         assert queue.lease("w1", campaign_id=cid) is not None
         assert queue.lease("w2", campaign_id=cid) is None
 
-    def test_expired_lease_is_reclaimable(self, queue, store):
+    def test_expired_lease_is_reclaimable(self, queue, store, clock):
         cid = queue.submit([make_unit(0)], store).campaign_id
         job = queue.lease("w1", campaign_id=cid, ttl=10.0)
-        reclaimed = queue.lease("w2", campaign_id=cid,
-                                now=job.lease_expires + 1.0)
+        clock.now = job.lease_expires + 1.0
+        reclaimed = queue.lease("w2", campaign_id=cid)
         assert reclaimed is not None
         assert reclaimed.worker == "w2"
         assert reclaimed.attempts == 2
@@ -124,14 +139,13 @@ class TestLease:
         assert queue.lease("w1", campaign_id=cid, codecs=("json",)) is None
         assert queue.lease("w1", campaign_id=cid) is not None
 
-    def test_retry_budget_exhaustion_fails_job(self, queue, store):
+    def test_retry_budget_exhaustion_fails_job(self, queue, store, clock):
         cid = queue.submit([make_unit(0)], store).campaign_id
-        now = 1000.0
         for attempt in range(MAX_ATTEMPTS):
-            job = queue.lease("w1", campaign_id=cid, ttl=1.0, now=now)
+            job = queue.lease("w1", campaign_id=cid, ttl=1.0)
             assert job is not None, f"attempt {attempt}"
-            now = job.lease_expires + 1.0
-        assert queue.lease("w1", campaign_id=cid, now=now) is None
+            clock.now = job.lease_expires + 1.0
+        assert queue.lease("w1", campaign_id=cid) is None
         (failed,) = queue.jobs(cid, state="failed")
         assert "retry budget" in failed.error
 
@@ -148,10 +162,11 @@ class TestLifecycle:
         renewed = queue.job(cid, job.key)
         assert renewed.lease_expires >= job.lease_expires
 
-    def test_heartbeat_reports_lost_lease(self, queue, store):
+    def test_heartbeat_reports_lost_lease(self, queue, store, clock):
         cid = queue.submit([make_unit(0)], store).campaign_id
         job = queue.lease("w1", campaign_id=cid, ttl=10.0)
-        queue.lease("w2", campaign_id=cid, now=job.lease_expires + 1.0)
+        clock.now = job.lease_expires + 1.0
+        queue.lease("w2", campaign_id=cid)
         assert queue.heartbeat(cid, job.key, "w1") is False
 
     def test_complete_marks_done(self, queue, store):
@@ -176,10 +191,12 @@ class TestLifecycle:
         assert failed.error == "boom"
         assert queue.drained(cid)
 
-    def test_stale_worker_cannot_fail_a_re_leased_job(self, queue, store):
+    def test_stale_worker_cannot_fail_a_re_leased_job(self, queue, store,
+                                                      clock):
         unit = make_unit(0)
         cid = queue.submit([unit], store).campaign_id
-        stale = queue.lease("A", campaign_id=cid, ttl=1.0, now=1000.0)
+        stale = queue.lease("A", campaign_id=cid, ttl=1.0)
+        clock.now += 60.0
         queue.lease("B", campaign_id=cid)  # A's lease expired long ago
         assert queue.fail(cid, stale.key, "A", "boom") is False
         job = queue.job(cid, stale.key)
@@ -197,11 +214,14 @@ class TestLifecycle:
         assert queue.fail(cid, job.key, "w1", "late") is False
         assert queue.job(cid, job.key).state == "done"
 
-    def test_reap_returns_expired_leases_to_pending(self, queue, store):
+    def test_reap_returns_expired_leases_to_pending(self, queue, store,
+                                                    clock):
         cid = queue.submit([make_unit(0)], store).campaign_id
         job = queue.lease("w1", campaign_id=cid, ttl=5.0)
-        assert queue.reap(now=job.lease_expires - 1.0) == []
-        (reaped,) = queue.reap(now=job.lease_expires + 1.0)
+        clock.now = job.lease_expires - 1.0
+        assert queue.reap() == []
+        clock.now = job.lease_expires + 1.0
+        (reaped,) = queue.reap()
         assert reaped.key == job.key
         assert queue.job(cid, job.key).state == "pending"
 

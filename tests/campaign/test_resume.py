@@ -89,7 +89,8 @@ class TestTruncatedStoreResume:
         plan = plan_experiments(IDS, QUICK)
         store = ResultStore(tmp_path / "s")
         run_campaign(plan, store)
-        with store._db() as db:  # wipe the index, keep the objects
+        # Wipe the index, keep the objects.
+        with store.backend.transaction() as db:
             db.execute("DELETE FROM units")
         resumed = run_campaign(plan, store)
         assert len(resumed.fetched) == len(IDS)

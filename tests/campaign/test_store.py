@@ -108,7 +108,7 @@ class TestCrashRecovery:
         key = store.put(SPEC, {"value": 1}, label="E1")
         # Simulate a crash between object publish and index insert by
         # wiping the index row.
-        with store._db() as db:
+        with store.backend.transaction() as db:
             db.execute("DELETE FROM units")
         assert store.rows() == []
         recovered, dropped = store.reconcile()
