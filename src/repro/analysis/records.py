@@ -36,6 +36,11 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+def _jsonable_row(row: Mapping[str, Any]) -> dict[str, Any]:
+    """One row with every cell passed through :func:`_jsonable`."""
+    return {k: _jsonable(v) for k, v in row.items()}
+
+
 def _from_jsonable(value: Any) -> Any:
     """Inverse of :func:`_jsonable`: decode the non-finite spellings."""
     if isinstance(value, str) and value in _NONFINITE_SPELLINGS:
@@ -57,8 +62,7 @@ def rows_to_csv(rows: Sequence[Mapping[str, Any]]) -> str:
 
 def rows_to_json(rows: Sequence[Mapping[str, Any]]) -> str:
     """Render row dicts as a JSON array."""
-    payload = [{k: _jsonable(v) for k, v in row.items()} for row in rows]
-    return json.dumps(payload, indent=2)
+    return json.dumps([_jsonable_row(row) for row in rows], indent=2)
 
 
 def rows_from_json(text: str) -> list[dict[str, Any]]:
@@ -121,18 +125,19 @@ class ExperimentResult:
         """The table as CSV."""
         return rows_to_csv(self.rows)
 
+    def to_dict(self) -> dict[str, Any]:
+        """Everything as the JSON-safe object :meth:`to_json` encodes."""
+        return {
+            "experiment_id": self.experiment_id,
+            "title": self.title,
+            "verdict": self.verdict,
+            "notes": self.notes,
+            "rows": [_jsonable_row(row) for row in self.rows],
+        }
+
     def to_json(self) -> str:
         """Everything as JSON."""
-        return json.dumps(
-            {
-                "experiment_id": self.experiment_id,
-                "title": self.title,
-                "verdict": self.verdict,
-                "notes": self.notes,
-                "rows": [{k: _jsonable(v) for k, v in row.items()} for row in self.rows],
-            },
-            indent=2,
-        )
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentResult":

@@ -29,6 +29,7 @@ every individual run passed ``compare``'s per-run tolerance (see
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -406,7 +407,16 @@ def main(argv: list[str] | None = None) -> int:
     command = {"run": _cmd_run, "compare": _cmd_compare,
                "report": _cmd_report, "history": _cmd_history,
                "list": _cmd_list}
-    return command[args.command](args)
+    try:
+        code = command[args.command](args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+    except BrokenPipeError:
+        # The reader went away (``... | head``).  Point stdout at
+        # devnull so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

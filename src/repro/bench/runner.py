@@ -47,16 +47,15 @@ class _CaseTraces:
 
     Each round runs in a ``bench.case`` span with its own case's sink
     installed, so rounds of another case interleaved between them never
-    land in this trace.  A case keeps, between its rounds, whatever
-    sink it last installed (the micro/obs_* cases swap it,
-    deliberately).
+    land in this trace.  A case that swaps the sink (the micro/obs_*
+    cases do) restores it before its run returns, so the span closes
+    into the trace it opened in.
     """
 
     def __init__(self, trace_dir: str | Path, suite: str) -> None:
         self.trace_dir, self.suite = Path(trace_dir), suite
         self.trace_dir.mkdir(parents=True, exist_ok=True)
-        self.files: dict[str, Any] = {}      # case -> its JsonlSink
-        self.installed: dict[str, Any] = {}  # case -> sink it last left
+        self.files: dict[str, Any] = {}  # case -> its JsonlSink
 
     @contextmanager
     def round(self, case: BenchCase) -> Iterator[None]:
@@ -64,16 +63,16 @@ class _CaseTraces:
         from repro.obs.sinks import JsonlSink
 
         if case.name not in self.files:
-            self.files[case.name] = self.installed[case.name] = JsonlSink(
+            self.files[case.name] = JsonlSink(
                 self.trace_dir / trace_filename(case.name),
                 argv=["repro.bench", "run", "--suite", self.suite,
                       "--case", case.name])
-        outer = obs.configure(self.installed[case.name])
+        outer = obs.configure(self.files[case.name])
         try:
             with obs.span("bench.case", case=case.name, suite=self.suite):
                 yield
         finally:
-            self.installed[case.name] = obs.configure(outer)
+            obs.configure(outer)
 
     def close(self) -> None:
         for sink in self.files.values():

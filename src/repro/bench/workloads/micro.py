@@ -168,12 +168,17 @@ def _sparse_flood():
 
 def _obs_span_disabled():
     from repro.obs import trace
-    trace.configure(None)  # force the no-op fast path
 
     def run():
-        for _ in range(1000):
-            with trace.span("bench.probe", i=1):
-                pass
+        # The null sink only inside the run: a traced bench round's own
+        # bench.case span must still close into its trace.
+        previous = trace.configure(None)  # force the no-op fast path
+        try:
+            for _ in range(1000):
+                with trace.span("bench.probe", i=1):
+                    pass
+        finally:
+            trace.configure(previous)
     return run
 
 

@@ -13,6 +13,11 @@ perf history (:data:`repro.obs.history.HISTORY_CHAIN`):
 * WAL gives snapshot-isolated readers that never block the single
   writer, and the busy timeout makes writer contention a wait, not an
   error, so many processes can share one file.
+* Commits do not fsync (``synchronous=NORMAL``): the WAL is synced
+  only at checkpoints.  A commit stays atomic under SIGKILL and an OS
+  crash; a power loss can roll back the last few commits, which the
+  campaign store tolerates by design (see DESIGN.md, "Durability and
+  resume").
 """
 
 from __future__ import annotations
@@ -95,8 +100,8 @@ class SqliteWalBackend:
     (a ``sqlite3.Connection`` sits in a reference cycle with its
     statement cache, so without this only the cycle collector would
     close it, at an arbitrary later time).  WAL mode is a property of
-    the database file, set once at open; the busy timeout is per
-    connection.
+    the database file, set once at open; the busy timeout and
+    ``synchronous=NORMAL`` are per connection.
     """
 
     def __init__(self, path: str | Path, *,
@@ -126,6 +131,7 @@ class SqliteWalBackend:
                                      check_same_thread=False)
         connection.execute(
             f"PRAGMA busy_timeout = {int(self.busy_timeout_s * 1000)}")
+        connection.execute("PRAGMA synchronous=NORMAL")
         return connection
 
     @contextmanager

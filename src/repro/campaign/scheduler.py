@@ -46,7 +46,7 @@ from typing import Any, Callable, Mapping
 from repro import obs
 from repro.obs import resources
 from repro.obs.heartbeat import unit_heartbeat
-from repro.analysis.records import rows_to_json
+from repro.analysis.records import _jsonable_row
 from repro.analysis.sweep import SweepPoint
 from repro.campaign.jobs import (DEFAULT_LEASE_TTL, JobQueue,
                                  LocalQueueClient)
@@ -110,19 +110,27 @@ class CampaignReport:
         return self.results[unit.key]
 
 
+def _decoded(value: Any) -> Any:
+    """*value* as a JSON reader sees it: one round trip through the C
+    encoder (``indent`` would force the pure-Python one).  The object
+    equals what decoding the records' own ``indent=2`` text gives."""
+    return json.loads(json.dumps(value))
+
+
 def execute_unit(payload: dict[str, Any]) -> dict[str, Any]:
     """Run one work unit (in a worker process or in-process).
 
     Returns ``{"result": <JSON-safe dict>, "elapsed": seconds,
     "resources": {"cpu_s", "peak_rss_kb", ...}}``.  The result section
     is the unit's *deterministic* output — an
-    :class:`~repro.analysis.records.ExperimentResult` in its ``to_json``
-    form, or a sweep point's merged row — already passed through the
-    records JSON codec so it is identical whether it is read back from
-    the store or handed over freshly computed.  ``resources`` is the
-    executing process's usage across the unit (sampled unconditionally —
-    it feeds ``status --json`` and the manifest even in untraced runs)
-    and, like ``elapsed``, never touches the content address.
+    :class:`~repro.analysis.records.ExperimentResult` as its ``to_json``
+    text decodes, or a sweep point's merged row — already passed
+    through one JSON round trip so it is identical whether it is read
+    back from the store or handed over freshly computed.
+    ``resources`` is the executing process's usage across the unit
+    (sampled unconditionally — it feeds ``status --json`` and the
+    manifest even in untraced runs) and, like ``elapsed``, never
+    touches the content address.
     """
     kind = payload["kind"]
     # Telemetry identity travels outside the spec (it must never touch
@@ -141,15 +149,14 @@ def execute_unit(payload: dict[str, Any]) -> dict[str, Any]:
         if kind == "experiment":
             config = ExperimentConfig(**payload["config"])
             module = load_experiment(payload["experiment"])
-            result = module.run(config)
-            section = json.loads(result.to_json())
+            section = _decoded(module.run(config).to_dict())
         elif kind == "sweep-point":
             point = SweepPoint(params=dict(payload["params"]),
                                seed=payload["seed"], index=payload["index"])
             outcome = payload["func"](point)
             row = dict(payload["params"])
             row.update(outcome)
-            section = {"row": json.loads(rows_to_json([row]))[0]}
+            section = {"row": _decoded(_jsonable_row(row))}
         else:
             raise ValueError(f"unknown work-unit kind: {kind!r}")
     return {"result": section, "elapsed": time.perf_counter() - start,

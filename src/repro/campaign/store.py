@@ -33,11 +33,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import sqlite3
 import tempfile
 import time
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from repro import obs
 from repro.analysis.records import _jsonable
@@ -49,13 +51,21 @@ __all__ = ["ResultStore", "canonical_json", "unit_key"]
 
 _log = get_logger("campaign.store")
 
+#: A store key: 64 lower-case hex digits (a SHA-256 hexdigest).
+_KEY = re.compile(r"[0-9a-f]{64}")
+
 
 def _canonical_value(value: Any) -> Any:
-    """Recursively coerce *value* into its canonical JSON form."""
-    if isinstance(value, Mapping):
-        return {str(k): _canonical_value(v) for k, v in value.items()}
+    """Recursively coerce *value* into its canonical JSON form.
+
+    The concrete types are tested before the abstract ``Mapping``:
+    decoded JSON holds only ``dict`` and ``list``, and those checks
+    are the cheap ones.
+    """
     if isinstance(value, (list, tuple)):
         return [_canonical_value(v) for v in value]
+    if isinstance(value, (dict, Mapping)):
+        return {str(k): _canonical_value(v) for k, v in value.items()}
     return _jsonable(value)
 
 
@@ -102,7 +112,7 @@ class ResultStore:
 
     def object_path(self, key: str) -> Path:
         """Where the payload object for *key* lives (two-level fan-out)."""
-        require(len(key) == 64 and all(c in "0123456789abcdef" for c in key),
+        require(_KEY.fullmatch(key) is not None,
                 f"malformed store key: {key!r}")
         return self.objects_dir / key[:2] / f"{key}.json"
 

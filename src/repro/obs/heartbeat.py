@@ -35,14 +35,11 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.obs import trace as _trace
-from repro.util.logging import get_logger
 
 __all__ = ["HEARTBEAT_INTERVAL", "unit_heartbeat", "Heartbeat"]
-
-_log = get_logger("obs.heartbeat")
 
 #: Default seconds between beats.  Chosen so quick units (milliseconds)
 #: still record one beat — the first fires immediately — while long
@@ -51,42 +48,24 @@ HEARTBEAT_INTERVAL = 1.0
 
 
 class Heartbeat:
-    """Emit ``name`` point events on a timer until :meth:`stop`.
+    """Emit ``campaign.heartbeat`` point events on a timer until
+    :meth:`stop`.
 
     The emitting thread is a daemon: if the process is killed the
     thread simply dies, which is the point — the *absence* of beats is
     the failure signal.
-
-    *on_beat*, when given, is called on every beat *in addition to* the
-    trace event — the hook the job queue's lease renewal rides on
-    (:mod:`repro.service.worker`).  Unlike the trace event it must fire
-    even when tracing is disabled (a lease expires regardless), so
-    hook-bearing heartbeats always run their thread.  Hook exceptions
-    are logged and swallowed: one failed renewal (a network blip, a
-    busy database) must not stop the beat — the *lease holder* decides
-    what to do when renewal keeps failing, not the timer.
     """
 
-    def __init__(self, name: str = "campaign.heartbeat", *,
-                 interval: float = HEARTBEAT_INTERVAL,
-                 on_beat: Callable[[], object] | None = None,
+    def __init__(self, *, interval: float = HEARTBEAT_INTERVAL,
                  **attrs) -> None:
-        self.name = name
         self.interval = float(interval)
-        self.on_beat = on_beat
         self.attrs = attrs
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
     def _beat(self) -> None:
-        if self.on_beat is not None:
-            try:
-                self.on_beat()
-            except Exception:
-                _log.warning("heartbeat hook failed for %s",
-                             self.attrs.get("label", self.name),
-                             exc_info=True)
-        _trace.event(self.name, interval=self.interval, **self.attrs)
+        _trace.event("campaign.heartbeat", interval=self.interval,
+                     **self.attrs)
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):

@@ -14,9 +14,9 @@
 
 Each thread keeps one persistent (keep-alive) connection per process:
 it lives in a :class:`threading.local` tagged with the pid that opened
-it, so a worker's heartbeat thread never shares a socket with the main
-thread, and a forked child opens its own connection instead of writing
-into its parent's.  A thread's connection closes when the thread ends,
+it, so a worker's lease-renewal thread never shares a socket with the
+main thread, and a forked child opens its own connection instead of
+writing into its parent's.  A thread's connection closes when the thread ends,
 on :meth:`ServiceClient.close`, or when the client is used as a
 context manager and the block exits.
 

@@ -13,25 +13,27 @@ so the campaign scheduler's local fan-out and ``repro.campaign run
 and results are bit-identical by construction (the unit payload and
 :func:`~repro.campaign.scheduler.execute_unit` are shared).
 
-While a unit runs, a :class:`~repro.obs.heartbeat.Heartbeat` thread
-renews the lease every ``ttl / 3`` seconds, the first renewal one
-period after the lease (which already granted a full TTL), and emits
-``campaign.lease.heartbeat`` trace events when tracing is on.  A worker
-that dies stops renewing; after the TTL the queue hands the unit to
-someone else, and the store's bit-for-bit resume discipline makes the
-retry exact.  A unit that *raises* is reported ``failed`` — the loop
-itself survives and pulls the next job.
+Each :func:`run_worker` call starts one lease-renewal thread.  While a
+unit runs, that thread renews its lease every ``ttl / 3`` seconds, the
+first renewal one period after the lease (which already granted a full
+TTL), and emits ``campaign.lease.heartbeat`` trace events when tracing
+is on; between units it sleeps.  A worker that dies stops renewing;
+after the TTL the queue hands the unit to someone else, and the
+store's bit-for-bit resume discipline makes the retry exact.  A unit
+that *raises* is reported ``failed`` — the loop itself survives and
+pulls the next job.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Protocol
+from typing import Any, Callable, Iterator, Mapping, Optional, Protocol
 
 from repro import obs
 from repro.campaign.jobs import DEFAULT_LEASE_TTL, Job, default_worker_id
-from repro.obs.heartbeat import Heartbeat
 from repro.util.logging import get_logger
 from repro.util.validation import require
 
@@ -77,30 +79,92 @@ class WorkerStats:
     keys: list[str] = field(default_factory=list)
 
 
+class _LeaseRenewal:
+    """One worker's lease-renewal thread, shared by all its units.
+
+    Inside :meth:`renewing` it renews the given job's lease every
+    *interval* seconds, the first renewal one interval in.  Nothing
+    wakes the thread when a unit starts or ends: it never sleeps longer
+    than one interval, so it is awake again by the first renewal's due
+    time, and the unit's hot path costs two uncontended lock grabs.  A
+    renewal runs under the lock, so once the block exits no renewal of
+    that job is in flight.  A failed renewal (a network blip, a busy
+    database) is logged and swallowed: the next one may succeed, and a
+    lease that is really lost shows as a ``False`` completion.  The
+    thread ends when the ``with`` block does.
+    """
+
+    def __init__(self, api: QueueAPI, worker: str, ttl: float) -> None:
+        self.interval = max(ttl / 3.0, 0.05)
+        self._renew = lambda job: api.heartbeat(job.campaign_id, job.key,
+                                                worker, ttl=ttl)
+        self._worker = worker
+        self._cv = threading.Condition()
+        self._job: Job | None = None
+        self._due = 0.0
+        self._closed = False
+        self._thread = threading.Thread(
+            target=self._run, name=f"lease-renewal-{worker}", daemon=True)
+
+    def __enter__(self) -> "_LeaseRenewal":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        with self._cv:
+            self._closed, self._job = True, None
+            self._cv.notify()
+        self._thread.join()
+
+    @contextmanager
+    def renewing(self, job: Job) -> Iterator[None]:
+        with self._cv:
+            self._job, self._due = job, time.monotonic() + self.interval
+        try:
+            yield
+        finally:
+            with self._cv:
+                self._job = None
+
+    def _run(self) -> None:
+        with self._cv:
+            while not self._closed:
+                if self._job is None:
+                    self._cv.wait(self.interval)
+                    continue
+                delay = self._due - time.monotonic()
+                if delay > 0:
+                    self._cv.wait(delay)
+                else:
+                    self._beat(self._job)
+                    self._due = time.monotonic() + self.interval
+
+    def _beat(self, job: Job) -> None:
+        try:
+            self._renew(job)
+        except Exception:
+            _log.warning("lease renewal failed for %s", job.label,
+                         exc_info=True)
+        obs.event("campaign.lease.heartbeat", interval=self.interval,
+                  label=job.label, key=job.key, worker=self._worker)
+
+
 def _execute_leased(api: QueueAPI, job: Job, worker: str,
-                    ttl: float, stats: WorkerStats) -> bool:
-    """Run one leased job to completion (or failure) under heartbeat."""
+                    renewal: _LeaseRenewal, stats: WorkerStats) -> bool:
+    """Run one leased job to completion (or failure) under renewal."""
     from repro.campaign.scheduler import execute_unit
 
     payload = dict(job.payload or {})
     payload["_obs"] = {"label": job.label, "key": job.key}
-    renew = Heartbeat(
-        name="campaign.lease.heartbeat",
-        interval=max(ttl / 3.0, 0.05),
-        on_beat=lambda: api.heartbeat(job.campaign_id, job.key, worker,
-                                      ttl=ttl),
-        label=job.label, key=job.key, worker=worker)
-    renew.start()
     try:
-        outcome = execute_unit(payload)
+        with renewal.renewing(job):
+            outcome = execute_unit(payload)
     except Exception as exc:  # the unit failed, not the worker
-        renew.stop()
         _log.warning("unit %s (%s) failed on worker %s: %s", job.label,
                      job.key[:12], worker, exc)
         api.fail(job.campaign_id, job.key, worker, f"{type(exc).__name__}: {exc}")
         stats.failed += 1
         return False
-    renew.stop()
     completed = api.complete(
         job.campaign_id, job.key, worker, spec=job.spec,
         result=outcome["result"], label=job.label,
@@ -155,7 +219,8 @@ def run_worker(api: QueueAPI, *, worker: str | None = None,
     stats = WorkerStats(worker=worker)
     start = time.perf_counter()
     with obs.span("service.worker", worker=worker,
-                  campaign=campaign_id or ""):
+                  campaign=campaign_id or ""), \
+            _LeaseRenewal(api, worker, lease_ttl) as renewal:
         while True:
             if max_units is not None and \
                     stats.completed + stats.failed >= max_units:
@@ -167,7 +232,7 @@ def run_worker(api: QueueAPI, *, worker: str | None = None,
                 time.sleep(DEFAULT_POLL_S)
                 continue
             stats.leased += 1
-            ok = _execute_leased(api, job, worker, lease_ttl, stats)
+            ok = _execute_leased(api, job, worker, renewal, stats)
             if on_unit is not None:
                 on_unit(job, ok)
     stats.elapsed = time.perf_counter() - start

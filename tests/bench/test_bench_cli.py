@@ -294,6 +294,27 @@ def test_list_suites_is_the_ci_iteration_source(capsys):
     assert all("/" not in line for line in lines)
 
 
+def test_obs_span_cases_close_their_round_spans(tmp_path, capsys):
+    """The micro/obs_span_* cases swap the sink only inside their run,
+    so each traced round's ``bench.case`` span closes into its trace."""
+    from repro.obs.cli import main as obs_cli
+
+    traces = tmp_path / "traces"
+    assert cli.main(["run", "--suite", "micro", "--case", "micro/obs_span_*",
+                     "--out", str(tmp_path / "BENCH_micro.json"),
+                     "--trace", str(traces), "--target-seconds", "0.01",
+                     "--max-rounds", "3", "--quiet"]) == 0
+    paths = sorted(traces.glob("TRACE_*.jsonl"))
+    assert [path.name for path in paths] == [
+        "TRACE_micro_obs_span_disabled.jsonl",
+        "TRACE_micro_obs_span_emit.jsonl"]
+    capsys.readouterr()
+    for path in paths:
+        assert obs_cli(["profile", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "bench.case" in out and "unclosed" not in out, out
+
+
 def test_real_baselines_are_schema_valid():
     """The checked-in baselines must parse on the current schema."""
     from pathlib import Path

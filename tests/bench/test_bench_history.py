@@ -9,7 +9,11 @@ drift clears the rolling-median + MAD rule.
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,8 @@ from repro.obs.history import (
     render_trend,
     robust_center_scale,
 )
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 MACHINE = {"platform": "test", "python": "3.12", "implementation": "c",
            "cpu_count": 4, "numpy": "2.0"}
@@ -259,6 +265,30 @@ class TestHistoryCli:
         assert bench_cli(["history", "trend", "demo", "--db", str(db),
                           "--machine", "all"]) == 0
         assert "demo/a" in capsys.readouterr().out
+
+    def test_trend_into_a_closed_pipe_exits_without_a_traceback(
+            self, tmp_path):
+        """``history trend ... | head`` whose reader is gone: the CLI
+        drops the rest of its output quietly."""
+        from repro.bench.cli import main as bench_cli
+
+        db = tmp_path / "h.sqlite"
+        path = self._write(tmp_path, "b.json", result({"demo/a": 0.1}))
+        assert bench_cli(["history", "record", str(path),
+                          "--db", str(db)]) == 0
+        reader, writer = os.pipe()
+        os.close(reader)  # closed before the first line is written
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.bench", "history", "trend",
+                 "demo", "--db", str(db), "--machine", "all"],
+                stdout=writer, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+        finally:
+            os.close(writer)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "BrokenPipeError" not in proc.stderr, proc.stderr
 
     def test_check_passes_and_exits_zero_on_stable_history(
             self, tmp_path, capsys):

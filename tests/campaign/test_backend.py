@@ -53,6 +53,27 @@ class TestSqliteWalBackend:
             (ms,) = db.execute("PRAGMA busy_timeout").fetchone()
         assert ms == 1500
 
+    @pytest.mark.parametrize("chain", [None, HISTORY_CHAIN],
+                             ids=["campaign", "history"])
+    def test_every_connection_commits_without_fsync(self, tmp_path, chain):
+        """``synchronous`` reads 1 (NORMAL) and ``journal_mode`` wal on
+        the migration connection and on one opened for a nested
+        transaction alike."""
+        backend = SqliteWalBackend(tmp_path / "db.sqlite",
+                                   **({} if chain is None
+                                      else {"chain": chain}))
+
+        def pragmas(db):
+            return (db.execute("PRAGMA synchronous").fetchone()[0],
+                    db.execute("PRAGMA journal_mode").fetchone()[0])
+
+        with backend.transaction() as outer:
+            with backend.transaction() as inner:
+                assert inner is not outer
+                seen = [pragmas(outer), pragmas(inner)]
+        backend.close()
+        assert seen == [(1, "wal"), (1, "wal")]
+
     def test_default_busy_timeout_rides_out_contention(self, tmp_path):
         assert DEFAULT_BUSY_TIMEOUT_S >= 5.0
 

@@ -63,10 +63,13 @@ class TestStoreRoundTrip:
         assert absent not in store
         assert store.get(absent) is None
 
-    def test_malformed_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", [
+        "not-a-key", "a" * 63, "a" * 65, "A" * 64, "a" * 63 + "g",
+        "a" * 64 + "\n", "../" + "a" * 61])
+    def test_malformed_key_rejected(self, tmp_path, key):
         store = ResultStore(tmp_path / "s")
         with pytest.raises(ValueError):
-            store.object_path("not-a-key")
+            store.object_path(key)
 
     def test_overwrite_replaces(self, tmp_path):
         store = ResultStore(tmp_path / "s")

@@ -254,8 +254,9 @@ class TestShutdown:
 
     def test_heartbeat_connections_close_when_their_threads_end(
             self, server, accepted, monkeypatch):
-        """Each unit's heartbeat thread opens its own connection; once
-        the drain is over only the worker's own is left open."""
+        """The worker's one lease-renewal thread opens its own
+        connection; once the drain is over that thread has ended, and
+        only the worker's own connection is left open."""
 
         def slow_unit(payload):
             time.sleep(0.35)  # long enough for three ttl/3 renewals

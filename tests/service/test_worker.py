@@ -1,22 +1,146 @@
-"""Worker-death recovery: a SIGKILLed worker's lease expires and the
-unit is re-leased, with bit-identical final results."""
+"""The pull worker: its one lease-renewal thread, the result section
+it hands back, and worker-death recovery (a SIGKILLed worker's lease
+expires and the unit is re-leased, with bit-identical final results)."""
 
 from __future__ import annotations
 
+import gc
+import json
 import multiprocessing
 import os
 import signal
+import threading
 import time
+import weakref
 
+import pytest
+
+from repro.campaign import scheduler
 from repro.campaign.jobs import JobQueue, LocalQueueClient
-from repro.campaign.plan import plan_experiments
-from repro.campaign.scheduler import run_campaign
-from repro.campaign.store import ResultStore
+from repro.campaign.plan import WorkUnit, plan_experiments
+from repro.campaign.scheduler import execute_unit, run_campaign
+from repro.campaign.store import ResultStore, canonical_json
 from repro.experiments.common import ExperimentConfig
+from repro.experiments.registry import load_experiment
 from repro.service.worker import run_worker
 
 QUICK = ExperimentConfig(scale="quick")
 TTL = 1.5
+
+
+class RecordingClient(LocalQueueClient):
+    """A local queue client that logs the worker verbs it serves; the
+    first *failing_beats* renewals raise, like a network blip."""
+
+    def __init__(self, store: ResultStore, *, failing_beats: int = 0):
+        super().__init__(store)
+        self.failing_beats = failing_beats
+        self.calls: list[tuple[str, str, float]] = []
+        self.renewed: list[bool] = []
+
+    def lease(self, worker, **kwargs):
+        job = super().lease(worker, **kwargs)
+        if job is not None:
+            self.calls.append(("lease", job.key, time.monotonic()))
+        return job
+
+    def heartbeat(self, campaign_id, key, worker, *, ttl):
+        self.calls.append(("heartbeat", key, time.monotonic()))
+        if self.failing_beats > 0:
+            self.failing_beats -= 1
+            raise ConnectionError("renewal lost in transit")
+        ok = super().heartbeat(campaign_id, key, worker, ttl=ttl)
+        self.renewed.append(ok)
+        return ok
+
+    def complete(self, campaign_id, key, worker, **kwargs):
+        self.calls.append(("complete", key, time.monotonic()))
+        return super().complete(campaign_id, key, worker, **kwargs)
+
+
+def _submit(store: ResultStore, count: int) -> str:
+    units = [WorkUnit(spec={"kind": "test", "i": i}, payload={"x": i},
+                      label=f"u{i}")
+             for i in range(count)]
+    return JobQueue(store.backend).submit(units, store).campaign_id
+
+
+class TestLeaseRenewal:
+    def test_one_renewal_thread_serves_every_unit(self, tmp_path,
+                                                  monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        cid = _submit(store, 4)
+        client = RecordingClient(store)
+        started: list[threading.Thread] = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        def slow_unit(payload):
+            time.sleep(0.25)  # past two ttl/3 renewal periods
+            return {"result": {"x": payload["x"]}, "elapsed": 0.25}
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        monkeypatch.setattr(scheduler, "execute_unit", slow_unit)
+        stats = run_worker(client, campaign_id=cid, lease_ttl=0.3,
+                           worker="w")
+        monkeypatch.undo()
+
+        assert stats.completed == 4
+        assert len(started) == 1
+        assert not started[0].is_alive()
+        # Every unit was renewed, first one ttl/3 after its lease, and
+        # never once its completion began.
+        for key in stats.keys:
+            calls = [(verb, at) for verb, k, at in client.calls if k == key]
+            verbs = [verb for verb, _ in calls]
+            assert verbs[:2] == ["lease", "heartbeat"]
+            assert verbs[-1] == "complete" and verbs.count("complete") == 1
+            assert calls[1][1] - calls[0][1] >= 0.09
+        # The finished thread keeps nothing of the worker's queue alive.
+        ref = weakref.ref(client)
+        del client
+        gc.collect()
+        assert ref() is None
+
+    def test_a_long_unit_keeps_its_lease(self, tmp_path, monkeypatch):
+        """A unit running for 2.5 TTLs is renewed by the shared thread
+        (whose first renewal raises): another worker cannot take it."""
+        ttl = 0.9
+        store = ResultStore(tmp_path / "store")
+        cid = _submit(store, 1)
+        client = RecordingClient(store, failing_beats=1)
+        stolen = []
+
+        def long_unit(payload):
+            time.sleep(1.7 * ttl)
+            stolen.append(JobQueue(store.backend).lease(
+                "thief", campaign_id=cid, ttl=ttl))
+            time.sleep(0.8 * ttl)
+            return {"result": {"x": payload["x"]}, "elapsed": 2.5 * ttl}
+
+        monkeypatch.setattr(scheduler, "execute_unit", long_unit)
+        stats = run_worker(client, campaign_id=cid, lease_ttl=ttl,
+                           worker="owner")
+        assert stats.completed == 1 and stats.lease_lost == 0
+        assert stolen == [None]
+        assert client.renewed.count(True) >= 2
+        [key] = stats.keys
+        job = JobQueue(store.backend).job(cid, key)
+        assert job.state == "done" and job.worker == "owner"
+        assert job.attempts == 1
+
+
+@pytest.mark.parametrize("experiment", ["E1", "E8", "E15"])
+def test_result_section_is_the_decoded_to_json(experiment):
+    """The C-encoded section is exactly what the records' own
+    ``indent=2`` text decodes to."""
+    [unit] = plan_experiments([experiment], QUICK)
+    section = execute_unit(dict(unit.payload))["result"]
+    expected = json.loads(load_experiment(experiment).run(QUICK).to_json())
+    assert canonical_json(section) == canonical_json(expected)
 
 
 def _lease_and_hang(root: str, campaign_id: str, marker: str) -> None:
