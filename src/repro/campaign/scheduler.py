@@ -45,7 +45,6 @@ from typing import Any, Callable, Mapping
 
 from repro import obs
 from repro.obs import resources
-from repro.obs.heartbeat import unit_heartbeat
 from repro.analysis.records import _jsonable_row
 from repro.analysis.sweep import SweepPoint
 from repro.campaign.jobs import (DEFAULT_LEASE_TTL, JobQueue,
@@ -142,8 +141,7 @@ def execute_unit(payload: dict[str, Any]) -> dict[str, Any]:
     start = time.perf_counter()
     res0 = resources.read()
     with obs.span("campaign.unit.run", label=label, kind=kind,
-                  key=ident.get("key", "")[:12]), \
-            unit_heartbeat(label, key=ident.get("key")):
+                  key=ident.get("key", "")[:12]):
         obs.event("campaign.unit", status="running", label=label,
                   key=ident.get("key"))
         if kind == "experiment":

@@ -32,9 +32,11 @@ ingests records one at a time and serves both the post-hoc
 :func:`summarize` aggregate and the live snapshot.  Live monitoring
 rides the same trace: :mod:`repro.obs.stream` tails a JSONL file while
 it is written, :mod:`repro.obs.live` renders the fold as the ``watch``
-dashboard and the campaign progress line, :mod:`repro.obs.heartbeat`
-gives running campaign units a liveness pulse, and :mod:`repro.obs.history` is the
-longitudinal perf store behind ``repro.bench history``.  See the
+dashboard and the campaign progress line, and :mod:`repro.obs.history`
+is the longitudinal perf store behind ``repro.bench history``.  A
+running unit's liveness pulse is its worker's lease renewal
+(:mod:`repro.service.worker`), which emits the ``campaign.heartbeat``
+events the fold reads.  See the
 DESIGN.md observability section for the event schema and the overhead
 policy.
 """
@@ -53,7 +55,6 @@ from repro.obs.events import (
     schema_fingerprint,
     validate_event,
 )
-from repro.obs.heartbeat import HEARTBEAT_INTERVAL, Heartbeat, unit_heartbeat
 from repro.obs.live import (
     CampaignProgress,
     render_dashboard,
@@ -103,5 +104,4 @@ __all__ = [
     "diff_paths", "diff_traces", "render_diff",
     "TraceFollower", "TraceFold",
     "render_dashboard", "watch", "watch_in_thread", "CampaignProgress",
-    "HEARTBEAT_INTERVAL", "Heartbeat", "unit_heartbeat",
 ]

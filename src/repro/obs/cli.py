@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--stale-after", type=float, default=None,
                        help="flag a running unit STALE when its last "
                             "heartbeat is older than this many seconds "
-                            "(default: 3x the advertised beat interval)")
+                            "(default: 3x the advertised beat interval, "
+                            "which is the worker's lease TTL)")
     watch.add_argument("--idle-timeout", type=float, default=None,
                        help="stop when the trace stops growing for this "
                             "many seconds (default: wait forever)")

@@ -274,9 +274,14 @@ class TraceFold:
         by_status[status] = by_status.get(status, 0) + 1
         attrs = ev.get("attrs", {})
         label = attrs.get("label")
-        if ev["name"] == "campaign.unit" and label:
-            unit = self._units.setdefault(
-                label, _UnitState(label, attrs.get("key")))
+        if not label or ev["name"] not in ("campaign.unit",
+                                           "campaign.heartbeat"):
+            return
+        # One row per unit: an experiment unit's label is only its id,
+        # so the same label recurs across seeds; the key never does.
+        key = attrs.get("key")
+        unit = self._units.setdefault(key or label, _UnitState(label, key))
+        if ev["name"] == "campaign.unit":
             unit.status = status
             if status == "running":
                 # Starting to run counts as a beat: a unit that dies
@@ -284,9 +289,7 @@ class TraceFold:
                 unit.last_heartbeat = ev["ts"]
             if status == "checkpointed":
                 self._eta_marks.append(ev["ts"])
-        elif ev["name"] == "campaign.heartbeat" and label:
-            unit = self._units.setdefault(
-                label, _UnitState(label, attrs.get("key")))
+        else:
             unit.last_heartbeat = ev["ts"]
             interval = attrs.get("interval")
             if isinstance(interval, (int, float)):

@@ -13,15 +13,19 @@ so the campaign scheduler's local fan-out and ``repro.campaign run
 and results are bit-identical by construction (the unit payload and
 :func:`~repro.campaign.scheduler.execute_unit` are shared).
 
-Each :func:`run_worker` call starts one lease-renewal thread.  While a
-unit runs, that thread renews its lease every ``ttl / 3`` seconds, the
-first renewal one period after the lease (which already granted a full
-TTL), and emits ``campaign.lease.heartbeat`` trace events when tracing
-is on; between units it sleeps.  A worker that dies stops renewing;
-after the TTL the queue hands the unit to someone else, and the
-store's bit-for-bit resume discipline makes the retry exact.  A unit
-that *raises* is reported ``failed`` — the loop itself survives and
-pulls the next job.
+Each :func:`run_worker` call starts one lease-renewal thread, and it
+is the worker's only liveness signal.  While a unit runs, that thread
+renews its lease every ``ttl / 3`` seconds, the first renewal one
+period after the lease (which already granted a full TTL); between
+units it sleeps.  When tracing is on, each unit emits one
+``campaign.heartbeat`` event before it starts and one per renewal, so
+the ``watch`` dashboard's default stale threshold, three beat
+intervals, is the lease TTL itself: a unit is flagged stale exactly
+when the queue may hand it to someone else.  A worker that dies stops
+renewing and beating; after the TTL the queue re-leases the unit, and
+the store's bit-for-bit resume discipline makes the retry exact.  A
+unit that *raises* is reported ``failed`` — the loop itself survives
+and pulls the next job.
 """
 
 from __future__ import annotations
@@ -83,7 +87,9 @@ class _LeaseRenewal:
     """One worker's lease-renewal thread, shared by all its units.
 
     Inside :meth:`renewing` it renews the given job's lease every
-    *interval* seconds, the first renewal one interval in.  Nothing
+    *interval* seconds, the first renewal one interval in, and emits a
+    ``campaign.heartbeat`` event with each renewal; :meth:`renewing`
+    emits the first beat itself, before the unit runs.  Nothing
     wakes the thread when a unit starts or ends: it never sleeps longer
     than one interval, so it is awake again by the first renewal's due
     time, and the unit's hot path costs two uncontended lock grabs.  A
@@ -118,6 +124,7 @@ class _LeaseRenewal:
 
     @contextmanager
     def renewing(self, job: Job) -> Iterator[None]:
+        self._emit(job)
         with self._cv:
             self._job, self._due = job, time.monotonic() + self.interval
         try:
@@ -145,8 +152,11 @@ class _LeaseRenewal:
         except Exception:
             _log.warning("lease renewal failed for %s", job.label,
                          exc_info=True)
-        obs.event("campaign.lease.heartbeat", interval=self.interval,
-                  label=job.label, key=job.key, worker=self._worker)
+        self._emit(job)
+
+    def _emit(self, job: Job) -> None:
+        obs.event("campaign.heartbeat", label=job.label, key=job.key,
+                  interval=self.interval, worker=self._worker)
 
 
 def _execute_leased(api: QueueAPI, job: Job, worker: str,

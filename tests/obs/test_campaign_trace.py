@@ -4,12 +4,13 @@ and tracing never changes the results."""
 from __future__ import annotations
 
 from repro import obs
-from repro.campaign.plan import plan_experiments
+from repro.campaign.plan import CampaignPlan, plan_experiments
 from repro.campaign.scheduler import run_campaign
 from repro.campaign.store import ResultStore
 from repro.experiments.common import ExperimentConfig
 from repro.obs.cli import main as obs_cli
 from repro.obs.sinks import JsonlSink, MemorySink
+from repro.obs.stream import TraceFold
 
 QUICK = ExperimentConfig(scale="quick")
 
@@ -75,6 +76,27 @@ class TestTraceContent:
         _traced_campaign(tmp_path, sink)
         for ev in sink.events:
             obs.validate_event(ev)
+
+
+class TestFoldOfACampaign:
+    def test_units_sharing_a_label_keep_their_own_rows(self, tmp_path):
+        """E1 and E15 at seeds 0-2: six units, but only two labels."""
+        units = [unit for seed in range(3) for unit in plan_experiments(
+            ["E1", "E15"], ExperimentConfig(scale="quick", seed=seed))]
+        plan = CampaignPlan(tuple(units))
+        sink = MemorySink()
+        previous = obs.configure(sink)
+        try:
+            run_campaign(plan, ResultStore(tmp_path / "store"), jobs=1)
+        finally:
+            obs.configure(previous if previous.live else None)
+        fold = TraceFold()
+        fold.ingest(sink.events)
+        snapshot = fold.snapshot()
+        assert snapshot["campaign"]["total"] == 6
+        assert snapshot["campaign"]["done"] == 6
+        assert sorted(u["key"] for u in snapshot["units"]) \
+            == sorted(unit.key for unit in plan)
 
 
 class TestJsonlEndToEnd:

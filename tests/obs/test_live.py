@@ -6,7 +6,6 @@ import io
 import threading
 
 from repro import obs
-from repro.obs.heartbeat import Heartbeat, unit_heartbeat
 from repro.obs.live import render_dashboard, watch, watch_in_thread
 from repro.obs.sinks import JsonlSink, MemorySink
 from repro.obs.stream import TraceFold
@@ -29,15 +28,17 @@ def _counter(name, value, ts, pid=1):
             "value": value, "pid": pid, "ts": ts, "attrs": {}}
 
 
-def _unit_event(status, label, ts, pid=1, key="k1"):
+def _unit_event(status, label, ts, pid=1, key=None):
     return {"kind": "event", "name": "campaign.unit", "status": status,
-            "pid": pid, "ts": ts, "attrs": {"label": label, "key": key}}
+            "pid": pid, "ts": ts,
+            "attrs": {"label": label, "key": key or label}}
 
 
-def _heartbeat(label, ts, interval=1.0, pid=1):
+def _heartbeat(label, ts, interval=1.0, pid=1, key=None):
     return {"kind": "event", "name": "campaign.heartbeat", "status": "ok",
             "pid": pid, "ts": ts,
-            "attrs": {"label": label, "interval": interval}}
+            "attrs": {"label": label, "key": key or label,
+                      "interval": interval}}
 
 
 class TestLiveFold:
@@ -253,35 +254,6 @@ class TestWatch:
 
 
 class TestHeartbeat:
-    def test_unit_heartbeat_emits_beats_with_interval(self, memory_sink):
-        with unit_heartbeat("E1", key="abc", interval=0.01):
-            deadline = threading.Event()
-            deadline.wait(0.08)
-        beats = [e for e in memory_sink.events
-                 if e["name"] == "campaign.heartbeat"]
-        assert beats, "no heartbeat recorded"
-        assert beats[0]["attrs"]["label"] == "E1"
-        assert beats[0]["attrs"]["interval"] == 0.01
-        for ev in beats:
-            obs.validate_event(ev)
-
-    def test_first_beat_is_synchronous(self, memory_sink):
-        with unit_heartbeat("quick", interval=60.0):
-            pass  # returns immediately: only the synchronous beat fires
-        beats = [e for e in memory_sink.events
-                 if e["name"] == "campaign.heartbeat"]
-        assert len(beats) == 1
-
-    def test_disabled_tracing_spawns_no_thread(self):
-        before = threading.active_count()
-        with unit_heartbeat("E1"):
-            assert threading.active_count() == before
-
-    def test_stop_joins_the_thread(self, memory_sink):
-        hb = Heartbeat(label="x", interval=0.01).start()
-        hb.stop()
-        assert hb._thread is None
-
     def test_scheduler_units_beat(self, tmp_path, memory_sink):
         from repro.campaign.plan import plan_experiments
         from repro.campaign.scheduler import run_campaign

@@ -1,6 +1,7 @@
-"""The pull worker: its one lease-renewal thread, the result section
-it hands back, and worker-death recovery (a SIGKILLed worker's lease
-expires and the unit is re-leased, with bit-identical final results)."""
+"""The pull worker: its one lease-renewal thread (also the units'
+``campaign.heartbeat`` liveness beat), the result section it hands
+back, and worker-death recovery (a SIGKILLed worker's lease expires
+and the unit is re-leased, with bit-identical final results)."""
 
 from __future__ import annotations
 
@@ -15,13 +16,15 @@ import weakref
 
 import pytest
 
+from repro import obs
 from repro.campaign import scheduler
 from repro.campaign.jobs import JobQueue, LocalQueueClient
-from repro.campaign.plan import WorkUnit, plan_experiments
+from repro.campaign.plan import CampaignPlan, WorkUnit, plan_experiments
 from repro.campaign.scheduler import execute_unit, run_campaign
 from repro.campaign.store import ResultStore, canonical_json
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.registry import load_experiment
+from repro.obs.sinks import MemorySink
 from repro.service.worker import run_worker
 
 QUICK = ExperimentConfig(scale="quick")
@@ -131,6 +134,135 @@ class TestLeaseRenewal:
         job = JobQueue(store.backend).job(cid, key)
         assert job.state == "done" and job.worker == "owner"
         assert job.attempts == 1
+
+
+class _SilentSink(MemorySink):
+    """Records whatever reaches it, but is not live: installing it
+    turns tracing off."""
+
+    live = False
+
+
+@pytest.fixture()
+def traced():
+    """Install *sink* (a live :class:`MemorySink` by default) for the
+    rest of the test."""
+    installed = []
+
+    def install(sink=None):
+        sink = MemorySink() if sink is None else sink
+        installed.append(obs.configure(sink))
+        return sink
+
+    yield install
+    for previous in reversed(installed):
+        obs.configure(previous if previous.live else None)
+
+
+def _beats(sink) -> list[dict]:
+    return [e for e in sink.events if e["name"] == "campaign.heartbeat"]
+
+
+class TestHeartbeat:
+    """The renewal thread is the units' liveness beat under tracing."""
+
+    def test_a_traced_drain_starts_one_thread(self, tmp_path, traced,
+                                              monkeypatch):
+        units = [unit for seed in (0, 1) for unit in plan_experiments(
+            ["E1", "E15"], ExperimentConfig(scale="quick", seed=seed))]
+        store = ResultStore(tmp_path / "store")
+        cid = JobQueue(store.backend).submit(CampaignPlan(tuple(units)),
+                                             store).campaign_id
+        started: list[threading.Thread] = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        sink = traced()
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        stats = run_worker(LocalQueueClient(store), campaign_id=cid,
+                           worker="w")
+        monkeypatch.undo()
+
+        assert stats.completed == 4
+        assert len(started) == 1
+        assert {b["attrs"]["key"] for b in _beats(sink)} == set(stats.keys)
+
+    def test_first_beat_precedes_the_unit_body(self, tmp_path, traced,
+                                               monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        cid = _submit(store, 2)
+        sink = traced()
+        seen: list[list[dict]] = []
+
+        def unit(payload):
+            seen.append(_beats(sink))
+            return {"result": {"x": payload["x"]}, "elapsed": 0.0}
+
+        monkeypatch.setattr(scheduler, "execute_unit", unit)
+        stats = run_worker(LocalQueueClient(store), campaign_id=cid,
+                           lease_ttl=TTL, worker="w")
+        # ttl/3 is far longer than these units: the synchronous beat is
+        # the only one, and it was already there when the body began.
+        assert [[b["attrs"]["key"] for b in beats] for beats in seen] \
+            == [stats.keys[:1], stats.keys[:2]]
+        for beat, key in zip(_beats(sink), stats.keys):
+            assert beat["attrs"]["key"] == key
+            assert beat["attrs"]["interval"] == TTL / 3
+            assert beat["attrs"]["worker"] == "w"
+            assert beat["attrs"]["label"].startswith("u")
+            obs.validate_event(beat)
+
+    def test_no_beat_follows_completion(self, tmp_path, traced,
+                                        monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        cid = _submit(store, 3)
+        client = RecordingClient(store)
+        sink = traced()
+        real_complete = client.complete
+
+        def marked_complete(campaign_id, key, worker, **kwargs):
+            obs.event("test.complete", key=key)
+            return real_complete(campaign_id, key, worker, **kwargs)
+
+        def slow_unit(payload):
+            time.sleep(0.25)  # past two ttl/3 renewal periods
+            return {"result": {"x": payload["x"]}, "elapsed": 0.25}
+
+        client.complete = marked_complete
+        monkeypatch.setattr(scheduler, "execute_unit", slow_unit)
+        stats = run_worker(client, campaign_id=cid, lease_ttl=0.3,
+                           worker="w")
+        assert stats.completed == 3
+        for key in stats.keys:
+            names = [e["name"] for e in sink.events
+                     if e["attrs"].get("key") == key
+                     and e["name"] in ("campaign.heartbeat",
+                                       "test.complete")]
+            # The synchronous beat plus at least one renewal, then done.
+            assert names.count("campaign.heartbeat") >= 2
+            assert names[-1] == "test.complete"
+            assert names.count("test.complete") == 1
+
+    def test_untraced_drain_emits_no_events(self, tmp_path, traced,
+                                            monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        cid = _submit(store, 2)
+        sink = traced(_SilentSink())
+
+        def slow_unit(payload):
+            time.sleep(0.15)  # past one ttl/3 renewal period
+            return {"result": {"x": payload["x"]}, "elapsed": 0.15}
+
+        client = RecordingClient(store)
+        monkeypatch.setattr(scheduler, "execute_unit", slow_unit)
+        stats = run_worker(client, campaign_id=cid, lease_ttl=0.3,
+                           worker="w")
+        assert stats.completed == 2
+        assert client.renewed  # the renewals ran, and stayed silent
+        assert not sink.events
 
 
 @pytest.mark.parametrize("experiment", ["E1", "E8", "E15"])
