@@ -6,9 +6,10 @@ Run with::
     python -m repro.bench run --suite micro  # timed, via the harness
 
 Every file here is a thin pytest wrapper over a case registered with
-:mod:`repro.bench` — the machine-readable benchmark harness.  The
-``test_bench_eNN_*`` wrappers regenerate one experiment table each (at
-quick scale, so the whole suite stays laptop-friendly); the ``micro``
+:mod:`repro.bench` — the machine-readable benchmark harness.
+``test_bench_experiments.py`` regenerates every experiment table, one
+parametrized test per ``experiments/*`` case (at quick scale, so the
+whole suite stays laptop-friendly); the ``micro``
 wrappers time the hot kernels the simulators are built on; the
 acceptance tests assert the registered speedup floors.  The harness
 CLI times the same registered workloads, writes schema-versioned

@@ -1,10 +1,11 @@
 """``experiments`` suite — quick-scale regeneration of every table.
 
-Port of the sixteen ``benchmarks/test_bench_eNN_*.py`` files: each case
+One case per registered experiment, the cases that
+``benchmarks/test_bench_experiments.py`` parametrizes over: each
 regenerates one experiment's table at quick scale and validates the
-result the way the pytest wrappers always did: non-empty table, verdict
-not ``"inconsistent"``.  Rounds are calibrated like every other suite's
-(at least three, so a median is never a single call).
+result (non-empty table, verdict not ``"inconsistent"``).  Rounds are
+calibrated like every other suite's (at least three, so a median is
+never a single call).
 """
 
 from __future__ import annotations

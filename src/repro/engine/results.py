@@ -6,9 +6,9 @@ records, but held column-wise (one array per field across trials) so
 summary statistics, tables, and record export are single vectorised
 operations instead of per-trial attribute walks.
 
-Conversion is loss-free in both directions — ``to_results()`` exists so
-every legacy call site (the experiments, the examples, the tests) can
-route through the engine without changing its downstream code.
+Conversion is loss-free in both directions: ``to_results()`` gives the
+per-trial lists that :func:`~repro.core.flooding.flooding_trials` and
+:func:`~repro.protocols.runner.spreading_trials` return.
 """
 
 from __future__ import annotations

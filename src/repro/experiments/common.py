@@ -17,9 +17,13 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence, TypeVar
+from typing import TYPE_CHECKING, Sequence, TypeVar
 
 from repro.util.validation import require
+
+if TYPE_CHECKING:
+    from repro.engine.results import TrialEnsemble
+    from repro.protocols.base import SpreadingProtocol
 
 __all__ = ["ExperimentConfig", "DEFAULT_SEED", "BACKEND_CHOICES",
            "add_run_arguments", "expand_ids", "positive_int"]
@@ -49,7 +53,8 @@ class ExperimentConfig:
         ``"quick" | "standard" | "full"`` — problem sizes and trial
         counts grow with the scale.
     output_dir:
-        When set, experiments save ``.txt/.csv/.json`` artifacts there.
+        When set, :func:`~repro.experiments.runner.run_one` and the two
+        CLIs save ``.txt/.csv/.json`` artifacts there (modules never do).
     trials:
         Optional override of each experiment's per-configuration trial
         count (the CLI ``--trials`` flag); ``None`` keeps the scale's
@@ -96,15 +101,25 @@ class ExperimentConfig:
         ``--trials``."""
         return default if self.trials is None else int(self.trials)
 
-    def flood_kwargs(self) -> dict[str, Any]:
-        """Keyword arguments routing a ``flooding_trials`` /
-        ``spreading_trials`` call through the configured backend."""
-        if self.backend == "native":
-            return {"backend": "batched", "rng_mode": "native"}
-        kwargs: dict[str, Any] = {"backend": self.backend}
-        if self.backend == "parallel":
-            kwargs["jobs"] = self.jobs
-        return kwargs
+    def ensemble(self, model, *, trials: int, seed,
+                 protocol: "SpreadingProtocol | str" = "flooding",
+                 source: int | None = None,
+                 rng_mode: str | None = None) -> "TrialEnsemble":
+        """Run *trials* of *protocol* on *model* on the configured backend:
+        the engine's ensemble of sources, times and completion flags (no
+        histories, no masks).  ``native`` is the batched backend on the
+        native layout unless *rng_mode* says otherwise; ``jobs`` matters
+        only for ``parallel``."""
+        from repro.engine import SimulationPlan, run_plan
+
+        native = self.backend == "native"
+        plan = SimulationPlan(
+            model=model, trials=trials, seed=seed, source=source,
+            rng_mode=rng_mode or ("native" if native else "replay"),
+            protocol=protocol, record_history=False, record_informed=False)
+        backend = "batched" if native else self.backend
+        return run_plan(plan, backend=backend,
+                        jobs=self.jobs if backend == "parallel" else None)
 
     def protocol_instance(self):
         """The configured spreading protocol, resolved from its token."""

@@ -123,6 +123,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     )
     result.add_note(f"worst realised constant: {worst_constant:.3f}")
     result.verdict = "consistent" if worst_constant <= SHAPE_CONSTANT else "inconsistent"
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

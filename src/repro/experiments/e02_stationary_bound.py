@@ -17,10 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.records import ExperimentResult
-from repro.analysis.stats import summarize
 from repro.core.bounds import unit_ladder_bound
 from repro.core.expansion import estimate_worst_expansion
-from repro.core.flooding import flooding_trials
 from repro.edgemeg.meg import EdgeMEG
 from repro.experiments.common import ExperimentConfig
 from repro.geometric.meg import GeometricMEG
@@ -78,11 +76,9 @@ def _check(meg, name: str, result: ExperimentResult, config: ExperimentConfig,
         return 0.0
     bound = unit_ladder_bound(n, lambda i, ks=ks: ks[np.clip(i.astype(int) - 1,
                                                              0, len(ks) - 1)])
-    runs = flooding_trials(meg, trials=flood_trials, seed=config.seed + seed_offset + 1,
-                           **config.flood_kwargs())
-    times = np.array([r.time for r in runs if r.completed], dtype=float)
-    failures = sum(not r.completed for r in runs)
-    summary = summarize(times, failures=failures)
+    runs = config.ensemble(meg, trials=flood_trials,
+                           seed=config.seed + seed_offset + 1)
+    summary = runs.summary()
     constant = summary.q90 / (1.0 + bound)
     result.add_row(
         model=name,
@@ -91,7 +87,7 @@ def _check(meg, name: str, result: ExperimentResult, config: ExperimentConfig,
         flood_mean=round(summary.mean, 3),
         flood_q90=round(summary.q90, 3),
         realized_constant=round(constant, 4),
-        within_shape=constant <= SHAPE_CONSTANT and failures == 0,
+        within_shape=constant <= SHAPE_CONSTANT and runs.failures == 0,
     )
     return constant
 
@@ -121,6 +117,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
                       if worst <= SHAPE_CONSTANT and all(
                           row.get("within_shape") for row in result.rows)
                       else "inconsistent")
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

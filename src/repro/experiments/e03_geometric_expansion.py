@@ -123,6 +123,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         f"uniformly across the (n, R) grid (constants bounded away from 0)"
     )
     result.verdict = "consistent" if ok else "inconsistent"
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

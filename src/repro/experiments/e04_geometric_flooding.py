@@ -19,9 +19,7 @@ import numpy as np
 from repro.analysis.asciiplot import ascii_plot
 from repro.analysis.fitting import fit_power_law
 from repro.analysis.records import ExperimentResult
-from repro.analysis.stats import summarize
 from repro.core.bounds import geometric_upper_bound_closed_form
-from repro.core.flooding import flooding_trials
 from repro.experiments.common import ExperimentConfig
 from repro.geometric.meg import GeometricMEG
 from repro.util.rng import derive_seed
@@ -66,17 +64,13 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             if radius >= math.sqrt(n):
                 continue
             meg = GeometricMEG(n, move_radius=1.0, radius=radius)
-            runs = flooding_trials(
+            runs = config.ensemble(
                 meg, trials=trials,
-                seed=derive_seed(config.seed, 4, n, int(radius * 1000)),
-                **config.flood_kwargs(),
-            )
-            times = np.array([r.time for r in runs if r.completed], dtype=float)
-            failures = sum(not r.completed for r in runs)
-            if times.size == 0:
+                seed=derive_seed(config.seed, 4, n, int(radius * 1000)))
+            if not runs.completed.any():
                 result.add_note(f"n={n} {law}: all {trials} trials truncated")
                 continue
-            summary = summarize(times, failures=failures)
+            summary = runs.summary()
             predictor = math.sqrt(n) / radius
             predictors.append(predictor)
             measured.append(summary.mean)
@@ -88,7 +82,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
                 paper_bound=round(geometric_upper_bound_closed_form(n, radius), 3),
                 flood_mean=round(summary.mean, 3),
                 flood_q90=round(summary.q90, 3),
-                failures=failures,
+                failures=runs.failures,
             )
 
     predictors_arr = np.asarray(predictors)
@@ -113,6 +107,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             logx=True, logy=True, width=56, height=14,
         ))
     result.verdict = verdict
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

@@ -85,6 +85,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         f"w.h.p. bound T >= floor(sqrt(n)/(2(R+2r))): {whp_violations}/{total} violations"
     )
     result.verdict = "consistent" if certificate_violations == 0 else "inconsistent"
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

@@ -11,12 +11,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.analysis.fitting import constant_ratio_check
 from repro.analysis.records import ExperimentResult
-from repro.analysis.stats import summarize
-from repro.core.flooding import flooding_trials
 from repro.core.theory import in_geometric_tight_regime
 from repro.experiments.common import ExperimentConfig
 from repro.geometric.meg import GeometricMEG
@@ -42,17 +38,13 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         for r_frac, r_label in ((0.0, "0"), (0.25, "R/4"), (1.0, "R")):
             r = r_frac * radius
             meg = GeometricMEG(n, move_radius=r, radius=radius)
-            runs = flooding_trials(
+            runs = config.ensemble(
                 meg, trials=trials,
-                seed=derive_seed(config.seed, 6, n, int(r_frac * 100)),
-                **config.flood_kwargs(),
-            )
-            times = np.array([x.time for x in runs if x.completed], dtype=float)
-            failures = sum(not x.completed for x in runs)
-            if times.size == 0:
+                seed=derive_seed(config.seed, 6, n, int(r_frac * 100)))
+            if not runs.completed.any():
                 result.add_note(f"n={n} r={r_label}: all trials truncated")
                 continue
-            summary = summarize(times, failures=failures)
+            summary = runs.summary()
             predictor = math.sqrt(n) / radius
             ratios_measured.append(summary.mean)
             ratios_predicted.append(predictor)
@@ -64,7 +56,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
                 sqrt_n_over_R=round(predictor, 3),
                 flood_mean=round(summary.mean, 3),
                 ratio=round(summary.mean / predictor, 4),
-                failures=failures,
+                failures=runs.failures,
             )
 
     if len(ratios_measured) >= 2:
@@ -76,6 +68,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         result.verdict = "consistent" if band.within(MAX_BAND_SPREAD) else "inconsistent"
     else:
         result.verdict = "informational"
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

@@ -86,6 +86,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         f"(Theorem 4.1 needs some constant; the proof uses c >= 20)"
     )
     result.verdict = "consistent" if ok else "inconsistent"
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

@@ -22,13 +22,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.analysis.asciiplot import ascii_plot
 from repro.analysis.records import ExperimentResult
-from repro.analysis.stats import summarize
 from repro.core.bounds import edge_upper_bound_closed_form
-from repro.core.flooding import flooding_trials
 from repro.edgemeg.meg import EdgeMEG
 from repro.experiments.common import ExperimentConfig
 from repro.util.rng import derive_seed
@@ -64,17 +60,13 @@ def run(config: ExperimentConfig) -> ExperimentResult:
                 continue
             p, q = _pq_from_phat(p_hat, 0.5)
             meg = EdgeMEG(n, p, q)
-            runs = flooding_trials(
+            runs = config.ensemble(
                 meg, trials=trials,
-                seed=derive_seed(config.seed, 8, n, int(p_hat * 10**6)),
-                **config.flood_kwargs(),
-            )
-            times = np.array([r.time for r in runs if r.completed], dtype=float)
-            failures = sum(not r.completed for r in runs)
-            if times.size == 0:
+                seed=derive_seed(config.seed, 8, n, int(p_hat * 10**6)))
+            if not runs.completed.any():
                 result.add_note(f"n={n} p_hat={p_hat:.4f}: all trials truncated")
                 continue
-            summary = summarize(times, failures=failures)
+            summary = runs.summary()
             predictor = math.log(n) / math.log(n * p_hat)
             ratios.append(summary.mean / predictor)
             result.add_row(
@@ -87,7 +79,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
                 flood_mean=round(summary.mean, 3),
                 flood_q90=round(summary.q90, 3),
                 ratio=round(summary.mean / predictor, 3),
-                failures=failures,
+                failures=runs.failures,
             )
 
     # Figure: measured mean vs the predictor across the scaling sweep.
@@ -109,15 +101,12 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         if not (0 < p <= 1):
             continue
         meg = EdgeMEG(n_inv, p, q)
-        runs = flooding_trials(
+        runs = config.ensemble(
             meg, trials=trials,
-            seed=derive_seed(config.seed, 88, int(q * 10**4)),
-            **config.flood_kwargs(),
-        )
-        times = np.array([r.time for r in runs if r.completed], dtype=float)
-        if times.size == 0:
+            seed=derive_seed(config.seed, 88, int(q * 10**4)))
+        if not runs.completed.any():
             continue
-        summary = summarize(times, failures=sum(not r.completed for r in runs))
+        summary = runs.summary()
         means.append(summary.mean)
         result.add_row(
             table="invariance",
@@ -129,7 +118,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             flood_mean=round(summary.mean, 3),
             flood_q90=round(summary.q90, 3),
             ratio=float("nan"),
-            failures=sum(not r.completed for r in runs),
+            failures=runs.failures,
         )
 
     verdicts = []
@@ -145,6 +134,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
                         f"(criterion <= {INVARIANCE_SPREAD:g})")
     result.verdict = ("consistent" if verdicts and all(verdicts)
                       else "inconsistent" if verdicts else "informational")
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

@@ -14,13 +14,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.analysis.fitting import constant_ratio_check
 from repro.analysis.records import ExperimentResult
-from repro.analysis.stats import summarize
 from repro.core.bounds import edge_lower_bound
-from repro.core.flooding import flooding_trials
 from repro.core.theory import in_edge_tight_regime
 from repro.edgemeg.meg import EdgeMEG
 from repro.experiments.common import ExperimentConfig
@@ -51,15 +47,13 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             q = 0.5
             p = p_hat * q / (1.0 - p_hat)
             meg = EdgeMEG(n, p, q)
-            runs = flooding_trials(
+            runs = config.ensemble(
                 meg, trials=trials,
-                seed=derive_seed(config.seed, 9, n, int(factor * 10)),
-                **config.flood_kwargs(),
-            )
-            times = np.array([r.time for r in runs if r.completed], dtype=float)
+                seed=derive_seed(config.seed, 9, n, int(factor * 10)))
+            times = runs.completed_times()
             if times.size == 0:
                 continue
-            summary = summarize(times, failures=sum(not r.completed for r in runs))
+            summary = runs.summary()
             lb = edge_lower_bound(n, p_hat)
             predictor = math.log(n) / math.log(n * p_hat)
             violations += int((times < math.floor(lb)).sum())
@@ -96,6 +90,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         )
     result.verdict = ("consistent" if checks and all(checks)
                       else "inconsistent" if checks else "informational")
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

@@ -103,6 +103,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         f"(criterion >= 1, non-shrinking)"
     )
     result.verdict = "consistent" if poly_ok and sqrt_ok else "inconsistent"
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

@@ -14,8 +14,8 @@ row.  Shape criterion: every model's ratio lies within a constant band
 of the lattice model's.
 
 All four mobility models run through the engine's batched kernels
-(``repro.mobility.kernels`` registers them via the
-:class:`~repro.dynamics.batched.BatchedDynamics` registry), so
+(``repro.mobility.kernels``, the provider that ``MobilityMEG``'s
+``batched_dynamics()`` returns), so
 ``--backend batched`` stays bit-identical to serial while ``native``
 and ``parallel`` unlock the stacked-population fast paths.
 """
@@ -24,11 +24,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.analysis.records import ExperimentResult
-from repro.analysis.stats import summarize
-from repro.core.flooding import flooding_trials
 from repro.experiments.common import ExperimentConfig
 from repro.geometric.meg import GeometricMEG
 from repro.mobility.base import MobilityMEG
@@ -69,10 +65,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
     # Reference: the paper's lattice random walk.
     ref = GeometricMEG(n, move_radius=speed, radius=radius)
-    runs = flooding_trials(ref, trials=trials, seed=derive_seed(config.seed, 11, 0),
-                           **config.flood_kwargs())
-    times = np.array([r.time for r in runs if r.completed], dtype=float)
-    summary = summarize(times, failures=sum(not r.completed for r in runs))
+    summary = config.ensemble(ref, trials=trials,
+                              seed=derive_seed(config.seed, 11, 0)).summary()
     ratios["lattice walk"] = summary.mean / predictor
     result.add_row(model="lattice random walk (paper)", uniformity_ratio=round(
         ref.lattice.uniformity_ratio(), 3), tv_from_uniform=0.0,
@@ -85,14 +79,12 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             seed=derive_seed(config.seed, 11, idx, 1), warmup=warmup,
         )
         meg = MobilityMEG(model, radius, warmup_steps=warmup, torus=torus)
-        runs = flooding_trials(meg, trials=trials,
-                               seed=derive_seed(config.seed, 11, idx, 2),
-                               **config.flood_kwargs())
-        times = np.array([r.time for r in runs if r.completed], dtype=float)
-        if times.size == 0:
+        runs = config.ensemble(meg, trials=trials,
+                               seed=derive_seed(config.seed, 11, idx, 2))
+        if not runs.completed.any():
             result.add_note(f"{name}: all trials truncated")
             continue
-        summary = summarize(times, failures=sum(not r.completed for r in runs))
+        summary = runs.summary()
         ratios[name] = summary.mean / predictor
         result.add_row(
             model=name,
@@ -110,6 +102,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         f"(criterion <= {MAX_RATIO_SPREAD:g})"
     )
     result.verdict = "consistent" if spread <= MAX_RATIO_SPREAD else "inconsistent"
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

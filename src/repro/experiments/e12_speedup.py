@@ -87,6 +87,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     result.verdict = ("consistent"
                       if math.isfinite(fastest_mobile) and static_time > fastest_mobile
                       else "inconsistent")
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

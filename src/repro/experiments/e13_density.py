@@ -12,12 +12,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.analysis.fitting import constant_ratio_check
 from repro.analysis.records import ExperimentResult
-from repro.analysis.stats import summarize
-from repro.core.flooding import flooding_trials
 from repro.experiments.common import ExperimentConfig
 from repro.geometric.meg import GeometricMEG
 from repro.util.rng import derive_seed
@@ -39,16 +35,13 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         radius = 2.0 * math.sqrt(math.log(n) / density)
         side = math.sqrt(n / density)
         meg = GeometricMEG(n, move_radius=1.0, radius=radius, density=density)
-        runs = flooding_trials(
+        runs = config.ensemble(
             meg, trials=trials,
-            seed=derive_seed(config.seed, 13, int(density * 100)),
-            **config.flood_kwargs(),
-        )
-        times = np.array([r.time for r in runs if r.completed], dtype=float)
-        if times.size == 0:
+            seed=derive_seed(config.seed, 13, int(density * 100)))
+        if not runs.completed.any():
             result.add_note(f"density={density}: all trials truncated")
             continue
-        summary = summarize(times, failures=sum(not r.completed for r in runs))
+        summary = runs.summary()
         predictor = side / radius
         measured.append(summary.mean)
         predicted.append(predictor)
@@ -71,6 +64,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         result.verdict = "consistent" if band.within(MAX_BAND_SPREAD) else "inconsistent"
     else:
         result.verdict = "informational"
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

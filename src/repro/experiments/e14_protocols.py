@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.analysis.records import ExperimentResult
 from repro.edgemeg.meg import EdgeMEG
 from repro.experiments.common import ExperimentConfig
@@ -34,7 +32,6 @@ from repro.protocols import (
     PullGossip,
     PushGossip,
     PushPullGossip,
-    spreading_trials,
 )
 from repro.util.rng import derive_seed
 
@@ -76,33 +73,30 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     dominance_violations = 0
     comparisons = 0
     for model_index, (model_name, meg) in enumerate(_model_battery(config)):
-        # One battery seed per model; spreading_trials derives identical
+        # One battery seed per model; the replay layout derives identical
         # per-trial integer seeds from it for every protocol, so graph
         # realisations stay coupled trial-by-trial across the zoo.
         battery_seed = derive_seed(config.seed, 14, model_index)
-        run_kwargs = {**config.flood_kwargs(), "rng_mode": "replay"}
         runs_by_protocol = {
-            proto_name: spreading_trials(
-                protocol, meg, trials=trials, seed=battery_seed, source=0,
-                **run_kwargs)
+            proto_name: config.ensemble(
+                meg, trials=trials, seed=battery_seed, protocol=protocol,
+                source=0, rng_mode="replay")
             for proto_name, protocol in PROTOCOLS
         }
-        flood_runs = runs_by_protocol["flooding"]
+        flood = runs_by_protocol["flooding"]
         for proto_name, runs in runs_by_protocol.items():
             if proto_name != "flooding":
-                for flood_res, proto_res in zip(flood_runs, runs):
-                    if flood_res.completed and proto_res.completed:
-                        comparisons += 1
-                        if proto_res.time < flood_res.time:
-                            dominance_violations += 1
-            proto_times = [r.time for r in runs if r.completed]
+                both = flood.completed & runs.completed
+                comparisons += int(both.sum())
+                dominance_violations += int(
+                    (runs.times < flood.times)[both].sum())
+            times = runs.completed_times()
             result.add_row(
                 model=model_name,
                 protocol=proto_name,
-                completion_rate=round(
-                    sum(r.completed for r in runs) / trials, 3),
-                mean_time=(round(float(np.mean(proto_times)), 2)
-                           if proto_times else float("inf")),
+                completion_rate=round(runs.completion_rate(), 3),
+                mean_time=(round(float(times.mean()), 2)
+                           if times.size else float("inf")),
             )
     result.add_note(
         "graph realisations are coupled per trial (shared graph seed), so "
@@ -113,6 +107,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         f"(0 expected)"
     )
     result.verdict = "consistent" if dominance_violations == 0 else "inconsistent"
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

@@ -61,6 +61,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     )
     result.add_note("static star with the same diameter floods in <= 2 steps")
     result.verdict = "consistent" if all_ok else "inconsistent"
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

@@ -31,15 +31,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.analysis.records import ExperimentResult
 from repro.edgemeg.meg import EdgeMEG
 from repro.edgemeg.sparse import SparseEdgeMEG
 from repro.experiments.common import ExperimentConfig
 from repro.geometric.meg import GeometricMEG
 from repro.mobility import MobilityMEG, RandomWaypointTorus
-from repro.protocols import FLOODING, default_zoo, spreading_trials
+from repro.protocols import FLOODING, default_zoo
 from repro.util.rng import derive_seed
 
 EXPERIMENT_ID = "E16"
@@ -93,28 +91,26 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         battery_seed = derive_seed(config.seed, 16, model_index)
         mean_flooding = None
         for protocol in protocols:
-            runs = spreading_trials(protocol, meg, trials=trials,
-                                    seed=battery_seed, source=0,
-                                    **config.flood_kwargs())
-            times = [r.time for r in runs if r.completed]
-            mean_time = (round(float(np.mean(times)), 2) if times
+            runs = config.ensemble(meg, trials=trials, seed=battery_seed,
+                                   protocol=protocol, source=0)
+            times = runs.completed_times()
+            mean_time = (round(float(times.mean()), 2) if times.size
                          else float("inf"))
             if protocol == FLOODING:
                 mean_flooding = mean_time
-            elif (len(times) == trials and mean_flooding is not None
+            elif (runs.failures == 0 and mean_flooding is not None
                   and math.isfinite(mean_flooding)
                   and mean_time + MEAN_TOLERANCE < mean_flooding):
                 # Dominance is only checked on unconditional means: a
                 # partially-stalling protocol's completed-only mean is
                 # survivorship-biased low and would flag spuriously.
                 violations += 1
-            comparable = (times and mean_flooding is not None
+            comparable = (times.size and mean_flooding is not None
                           and math.isfinite(mean_flooding))
             result.add_row(
                 model=model_name,
                 protocol=protocol.token(),
-                completion_rate=round(
-                    sum(r.completed for r in runs) / trials, 3),
+                completion_rate=round(runs.completion_rate(), 3),
                 mean_time=mean_time,
                 vs_flooding=(round(mean_time / mean_flooding, 2)
                              if comparable else float("inf")),
@@ -130,6 +126,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         f"dominates every protocol in distribution)"
     )
     result.verdict = "consistent" if violations == 0 else "inconsistent"
-    if config.output_dir:
-        result.save(config.output_dir)
     return result

@@ -38,7 +38,8 @@ __all__ = ["main", "run_one", "run_many"]
 
 
 def run_one(experiment_id: str, config: ExperimentConfig):
-    """Load and run one experiment; returns its ExperimentResult."""
+    """Load and run one experiment, saving its artifacts into
+    ``config.output_dir`` when set; returns its ExperimentResult."""
     module = load_experiment(experiment_id)
     # The experiment-level span covers even experiments whose internals
     # bypass the instrumented engine (deterministic ladders, legacy
@@ -47,6 +48,8 @@ def run_one(experiment_id: str, config: ExperimentConfig):
                   scale=config.scale) as sp:
         result = module.run(config)
         sp.set(verdict=result.verdict)
+    if config.output_dir:
+        result.save(config.output_dir)
     return result
 
 
@@ -116,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for .txt/.csv/.json artifacts")
     parser.add_argument("--jobs", type=positive_int, default=None,
                         help="worker processes: for --backend parallel the "
-                             "trial chunks, otherwise the experiment ids "
-                             "themselves fan out (default: one per CPU)")
+                             "trial chunks (default: one per CPU), "
+                             "otherwise the experiment ids themselves fan "
+                             "out (default: one at a time)")
     parser.add_argument("--results-dir", type=Path, default=None,
                         help="campaign result store: completed experiments "
                              "are cached here and reused on re-runs")

@@ -4,7 +4,8 @@
 process-safe ids (worker spans stitch into one trace across the
 engine's fork pool), counters/gauges/histograms, and pluggable sinks —
 a near-zero-cost no-op sink by default, a schema-versioned JSONL sink
-(``--trace``), and an in-memory sink for tests and ``--metrics``.
+(``--trace``, also what ``--metrics`` folds), and an in-memory sink for
+tests.
 
 Quick tour::
 

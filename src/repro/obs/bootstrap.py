@@ -8,10 +8,10 @@ flags; they are declared once here so the parsers cannot drift:
     Write a schema-versioned JSONL trace (manifest first line) of the
     whole run, including spans emitted from forked worker processes.
 ``--metrics``
-    Collect events in memory and print the aggregated summary (phase
-    times, counters, cache stats) to stderr after the run.  With
-    worker processes the in-memory view only sees the parent's events;
-    use ``--trace`` for a cross-process record.
+    Print the aggregated summary (phase times, counters, cache stats)
+    to stderr after the run: the run's JSONL trace (the ``--trace``
+    file, or a temporary one removed afterwards), forked workers'
+    events included, folded line by line.
 ``--trace-malloc``
     Additionally sample Python-heap allocation (tracemalloc) into
     every span's resource payload.  Genuinely slows allocation-heavy
@@ -25,23 +25,20 @@ sink afterwards, and prints the ``--metrics`` summary on the way out.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
 
 from repro.obs import resources
-from repro.obs.sinks import JsonlSink, MemorySink, Sink, TeeSink
+from repro.obs.events import parse_trace_line
+from repro.obs.sinks import JsonlSink
+from repro.obs.stream import TraceFold
 from repro.obs.trace import configure
 
-__all__ = ["add_obs_arguments", "obs_session", "session_from_args",
-           "METRICS_MAXLEN"]
-
-#: Ring-buffer cap on the ``--metrics`` in-memory sink.  A long
-#: campaign emits events without bound; the summary printed at exit
-#: then covers the most recent window and reports how many oldest
-#: events the ring evicted (full records belong to ``--trace``).
-METRICS_MAXLEN = 100_000
+__all__ = ["add_obs_arguments", "obs_session", "session_from_args"]
 
 
 def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
@@ -61,23 +58,37 @@ def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
                              "— slows allocation-heavy code")
 
 
+def _fold_trace(path: Path) -> tuple[dict | None, dict]:
+    """The manifest and :class:`TraceFold` summary of a finished trace,
+    read one line at a time (an unterminated last line is dropped)."""
+    manifest, fold = None, TraceFold()
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            if not line.endswith("\n"):
+                break
+            event = parse_trace_line(line.rstrip("\n"))
+            if event["kind"] == "manifest":
+                manifest = event
+            else:
+                fold.ingest((event,))
+    return manifest, fold.summary()
+
+
 @contextmanager
 def obs_session(*, trace: Path | None = None, metrics: bool = False,
                 trace_malloc: bool = False,
                 argv: list[str] | None = None,
-                stream: TextIO | None = None) -> Iterator[Sink | None]:
-    """Install the sinks *trace*/*metrics* ask for, for one run."""
-    memory: MemorySink | None = None
-    sinks: list[Sink] = []
-    if trace is not None:
-        sinks.append(JsonlSink(trace, argv=argv))
-    if metrics:
-        memory = MemorySink(maxlen=METRICS_MAXLEN)
-        sinks.append(memory)
-    if not sinks:
+                stream: TextIO | None = None) -> Iterator[JsonlSink | None]:
+    """Install the JSONL sink *trace*/*metrics* ask for, for one run."""
+    if trace is None and not metrics:
         yield None
         return
-    sink = sinks[0] if len(sinks) == 1 else TeeSink(*sinks)
+    scratch = trace is None
+    if scratch:
+        fd, name = tempfile.mkstemp(prefix="repro-metrics-", suffix=".jsonl")
+        os.close(fd)
+        trace = Path(name)
+    sink = JsonlSink(trace, argv=argv)
     previous = configure(sink)
     previous_mode = resources.set_mode("tracemalloc") if trace_malloc \
         else None
@@ -88,15 +99,14 @@ def obs_session(*, trace: Path | None = None, metrics: bool = False,
             resources.set_mode(previous_mode)
         configure(previous)
         sink.close()
-        if memory is not None:
-            from repro.obs.report import render_summary, summarize
-            out = stream if stream is not None else sys.stderr
-            print(render_summary(None, summarize(memory.events)), file=out)
-            if memory.dropped:
-                print(f"(metrics ring buffer full: {memory.dropped} oldest "
-                      f"event(s) dropped — summary covers the most recent "
-                      f"{memory.maxlen}; use --trace for a full record)",
-                      file=out)
+        try:
+            if metrics:
+                from repro.obs.report import render_summary
+                print(render_summary(*_fold_trace(trace)),
+                      file=stream if stream is not None else sys.stderr)
+        finally:
+            if scratch:
+                trace.unlink()
 
 
 def session_from_args(args: argparse.Namespace, *,

@@ -10,8 +10,7 @@ deployment spectrum:
     hot-path emit *before* an event dict is even built — instrumented
     code with the null sink costs one global load and one branch.
 :class:`MemorySink`
-    Collects events into a list; what tests (and the ``--metrics``
-    summary) use.
+    Collects events into a list; what tests use.
 :class:`JsonlSink`
     Appends one JSON line per event to a file through an ``O_APPEND``
     file descriptor — a single ``os.write`` per event, so concurrent
@@ -21,7 +20,7 @@ deployment spectrum:
     in the same trace file as the parent's.
 
 :class:`TeeSink` fans one event stream out to several sinks (JSONL
-file *and* in-memory summary, for ``--trace`` + ``--metrics``).
+file *and* an in-memory list).
 """
 
 from __future__ import annotations
@@ -67,13 +66,13 @@ class NullSink(Sink):
 
 
 class MemorySink(Sink):
-    """Collect events into :attr:`events` (tests, ``--metrics``).
+    """Collect events into :attr:`events` (tests).
 
     *maxlen* caps the buffer as a ring: once full, each new event drops
-    the oldest one and bumps :attr:`dropped`, so ``--metrics`` on a
-    long campaign holds a bounded window instead of growing without
-    limit.  ``None`` (the default) keeps everything — what tests that
-    assert on complete event streams rely on.
+    the oldest one and bumps :attr:`dropped`, so a long run holds a
+    bounded window instead of growing without limit.  ``None`` (the
+    default) keeps everything — what tests that assert on complete
+    event streams rely on.
     """
 
     def __init__(self, maxlen: int | None = None) -> None:

@@ -5,16 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.flooding import flooding_trials
+from repro.dynamics.sequence import SequenceEvolvingGraph
+from repro.dynamics.snapshots import AdjacencySnapshot
 from repro.edgemeg.meg import EdgeMEG
 from repro.engine import RNG_MODES, SimulationPlan, TrialEnsemble, run_plan
 from repro.engine.testing import assert_results_bit_identical
 from repro.geometric.meg import GeometricMEG
+from repro.mobility import MobilityMEG, RandomWaypoint
+from repro.obs.sinks import MemorySink
 from repro.protocols import spreading_trials
 
 
 def make_meg():
     return EdgeMEG(16, 0.3, 0.3)
+
+
+#: A path on 8 nodes: its eccentricities differ, so flooding times vary
+#: with the random source on a deterministic graph sequence.
+PATH_8 = np.eye(8, k=1, dtype=bool) | np.eye(8, k=-1, dtype=bool)
 
 
 class TestRunPlan:
@@ -79,6 +89,54 @@ class TestRunPlan:
         results = ensemble.to_results()
         assert len(results) == 3
         assert results[0].informed_history.size == 0
+
+    @pytest.mark.parametrize("model, mode, protocol, budget, tier", [
+        pytest.param(EdgeMEG(24, 0.04, 0.5), "replay", "flooding", 6,
+                     "replay", id="replay"),
+        pytest.param(EdgeMEG(24, 0.04, 0.5), "native", "flooding", 6,
+                     "counts", id="native-counts-edge"),
+        pytest.param(GeometricMEG(24, move_radius=1.0, radius=1.5), "native",
+                     "flooding", 3, "kernel", id="native-kernel-geometric"),
+        pytest.param(MobilityMEG(RandomWaypoint(20, side=5.0, speed=1.0),
+                                 1.5), "native", "flooding", 3, "kernel",
+                     id="native-kernel-mobility"),
+        pytest.param(SequenceEvolvingGraph([
+            AdjacencySnapshot(PATH_8),
+            AdjacencySnapshot(np.zeros_like(PATH_8))]),
+            "native", "flooding", 10, "generic",
+            id="native-generic-sequence"),
+        pytest.param(make_meg(), "replay", "push-pull", 4, "replay",
+                     id="replay-push-pull"),
+        pytest.param(make_meg(), "native", "push-pull", 4, "generic",
+                     id="native-push-pull"),
+    ])
+    def test_recording_never_changes_outcomes(self, model, mode, protocol,
+                                              budget, tier):
+        """Histories and masks are extra output only: a plan that records
+        neither returns the recorded plan's sources, times and flags."""
+        def run(record):
+            plan = SimulationPlan(model=model, trials=7, seed=5,
+                                  rng_mode=mode, protocol=protocol,
+                                  chunk_size=3, max_steps=budget,
+                                  record_history=record,
+                                  record_informed=record)
+            return run_plan(plan, backend="batched")
+
+        sink = MemorySink()
+        previous = obs.configure(sink)
+        try:
+            recorded, bare = run(True), run(False)
+        finally:
+            obs.configure(previous if previous.live else None)
+        tiers = {ev["attrs"]["tier"] for ev in sink.events
+                 if ev["kind"] == "span" and ev["name"] == "engine.chunk"}
+        assert tiers == {tier}
+        assert 0 < recorded.completed.sum() < 7  # both outcomes occur
+        assert recorded.informed is not None and recorded.histories
+        assert bare.informed is None and bare.histories == ()
+        assert bare.sources == recorded.sources
+        np.testing.assert_array_equal(bare.times, recorded.times)
+        np.testing.assert_array_equal(bare.completed, recorded.completed)
 
 
 class TestTrialEnsemble:

@@ -7,9 +7,22 @@ import io
 import pytest
 
 from repro.analysis.records import rows_to_json
-from repro.experiments.common import ExperimentConfig
+from repro.core.flooding import flooding_trials
+from repro.edgemeg.meg import EdgeMEG
+from repro.experiments.common import BACKEND_CHOICES, ExperimentConfig
 from repro.experiments.registry import EXPERIMENTS, all_ids, load_experiment, normalize_id
 from repro.experiments.runner import build_parser, main, run_many, run_one
+from repro.geometric.meg import GeometricMEG
+from repro.protocols import spreading_trials
+
+#: The ``flooding_trials`` keyword arguments each CLI backend stands for
+#: (``jobs`` as the configs below set it).
+BACKEND_MAPPING = {
+    "serial": {"backend": "serial"},
+    "batched": {"backend": "batched"},
+    "native": {"backend": "batched", "rng_mode": "native"},
+    "parallel": {"backend": "parallel", "jobs": 2},
+}
 
 
 class TestConfig:
@@ -120,12 +133,38 @@ class TestConfigEngineKnobs:
         assert ExperimentConfig().trial_count(7) == 7
         assert ExperimentConfig(trials=3).trial_count(7) == 3
 
-    def test_flood_kwargs_mapping(self):
-        assert ExperimentConfig().flood_kwargs() == {"backend": "serial"}
-        assert ExperimentConfig(backend="native").flood_kwargs() == {
-            "backend": "batched", "rng_mode": "native"}
-        assert ExperimentConfig(backend="parallel", jobs=3).flood_kwargs() == {
-            "backend": "parallel", "jobs": 3}
+    @pytest.mark.parametrize("model", [
+        pytest.param(EdgeMEG(40, 0.05, 0.5), id="edge"),
+        pytest.param(GeometricMEG(36, move_radius=1.0, radius=2.0),
+                     id="geometric"),
+    ])
+    @pytest.mark.parametrize("backend", BACKEND_CHOICES)
+    def test_ensemble_runs_the_backend_mapping(self, backend, model):
+        """``ensemble`` runs what the CLI backend always meant, and keeps
+        no histories or masks."""
+        config = ExperimentConfig(backend=backend, jobs=2)
+        ensemble = config.ensemble(model, trials=5, seed=11)
+        runs = flooding_trials(model, trials=5, seed=11,
+                               **BACKEND_MAPPING[backend])
+        assert ensemble.sources == tuple(r.source for r in runs)
+        assert ensemble.times.tolist() == [r.time for r in runs]
+        assert ensemble.completed.tolist() == [r.completed for r in runs]
+        assert ensemble.histories == ()
+        assert ensemble.informed is None
+
+    @pytest.mark.parametrize("backend", BACKEND_CHOICES)
+    def test_ensemble_rng_mode_override(self, backend):
+        """E14's call: a protocol on the replay layout from a fixed
+        source, whatever the backend."""
+        meg = EdgeMEG(24, 0.1, 0.5)
+        ensemble = ExperimentConfig(backend=backend, jobs=2).ensemble(
+            meg, trials=4, seed=3, protocol="push-pull", source=0,
+            rng_mode="replay")
+        runs = spreading_trials("push-pull", meg, trials=4, seed=3, source=0,
+                                **{**BACKEND_MAPPING[backend],
+                                   "rng_mode": "replay"})
+        assert ensemble.times.tolist() == [r.time for r in runs]
+        assert ensemble.completed.tolist() == [r.completed for r in runs]
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
