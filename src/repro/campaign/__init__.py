@@ -37,6 +37,7 @@ and ``run --worker URL`` stretch the same campaign across machines.
 from repro.campaign.backend import SqliteWalBackend
 from repro.campaign.jobs import (
     DEFAULT_LEASE_TTL,
+    Completion,
     Job,
     JobQueue,
     LocalQueueClient,
@@ -63,6 +64,7 @@ __all__ = [
     "CampaignError",
     "CampaignPlan",
     "CampaignReport",
+    "Completion",
     "DEFAULT_LEASE_TTL",
     "Job",
     "JobQueue",

@@ -20,9 +20,17 @@ again (``lease`` treats an expired lease exactly like ``pending``).
 The store's bit-for-bit resume discipline makes the retry exact, so a
 re-leased unit reproduces what the dead worker would have produced.
 
-Everything here runs inside the backend's transactions; the lease
-claim uses an *immediate* transaction so two workers can never claim
-the same job, no matter how many processes are pulling.
+A worker asks for its next job in the same call that completes the
+current one (:meth:`LocalQueueClient.complete` with ``lease_next``):
+its job's ``leased → done`` edge and the next job's ``pending →
+leased`` edge commit together, so a worker that keeps finding work
+pays one queue transaction per unit and still holds one lease at a
+time.
+
+Everything here runs inside the backend's transactions; every claim
+(:func:`_claim`, shared by ``lease`` and ``complete``) runs in an
+*immediate* transaction so two workers can never claim the same job,
+no matter how many processes are pulling.
 
 Submission is idempotent: a campaign's identity is the content address
 of its unit-key set, so resubmitting an identical plan converges on
@@ -49,7 +57,8 @@ from repro.campaign.store import (ResultStore, _register, canonical_json,
 from repro.util.logging import get_logger
 from repro.util.validation import require
 
-__all__ = ["Job", "JobQueue", "SubmitReceipt", "LocalQueueClient",
+__all__ = ["Job", "JobQueue", "SubmitReceipt", "Completion",
+           "LocalQueueClient",
            "default_worker_id", "DEFAULT_LEASE_TTL", "MAX_ATTEMPTS",
            "JOB_STATES", "PAYLOAD_CODECS"]
 
@@ -161,6 +170,24 @@ class SubmitReceipt:
         return self.done + self.failed == self.total
 
 
+@dataclass(frozen=True)
+class Completion:
+    """What a ``complete`` call did (:meth:`LocalQueueClient.complete`,
+    and the HTTP client's ``complete`` over the service).
+
+    ``ok`` is ``True`` when this call flipped the job to ``done``
+    (``False``: it already was, after a lost lease or a retried
+    request).  ``job`` is the worker's next lease, taken in the same
+    transaction when one was asked for and one was claimable.
+    ``drained`` says the lease scope has nothing pending and nothing
+    leased, so a worker handed no job can stop without asking again.
+    """
+
+    ok: bool
+    job: Job | None
+    drained: bool
+
+
 def campaign_id_for(keys: Iterable[str]) -> str:
     """The campaign's content address: hash of its unit-key *set*.
 
@@ -188,6 +215,71 @@ def _counts(db: sqlite3.Connection,
     counts["total"] = sum(counts[state] for state in JOB_STATES)
     counts["cached"] = cached
     return counts
+
+
+def _drained(db: sqlite3.Connection, campaign_id: str | None) -> bool:
+    """No job in scope is ``pending`` or ``leased``."""
+    scope, args = "", []
+    if campaign_id is not None:
+        scope, args = " AND campaign_id = ?", [campaign_id]
+    return db.execute(
+        f"SELECT 1 FROM jobs WHERE state IN ('pending', 'leased'){scope} "
+        f"LIMIT 1", args).fetchone() is None
+
+
+def _claim(db: sqlite3.Connection, worker: str, now: float, ttl: float, *,
+           campaign_id: str | None, codecs: Sequence[str]) -> Job | None:
+    """Lease the oldest claimable job to *worker* inside the caller's
+    immediate transaction; returns the row as it was before the claim
+    (``None``: nothing claimable).
+
+    Claimable means ``pending`` or ``leased`` with an expired lease,
+    and a codec in *codecs*.  Jobs out of retry budget are flipped to
+    ``failed`` instead of handed out.
+    """
+    placeholders = ", ".join("?" * len(codecs))
+    claimable = ("state = 'pending' OR "
+                 "(state = 'leased' AND lease_expires < ?)")
+    scope, scope_args = "", []
+    if campaign_id is not None:
+        scope, scope_args = " AND campaign_id = ?", [campaign_id]
+    db.execute(
+        f"UPDATE jobs SET state = 'failed', worker = NULL, "
+        f"lease_expires = NULL, updated_at = ?, "
+        f"error = 'retry budget exhausted "
+        f"({MAX_ATTEMPTS} lease attempts)' "
+        f"WHERE ({claimable}) AND attempts >= ?{scope}",
+        [now, now, MAX_ATTEMPTS, *scope_args])
+    row = db.execute(
+        f"{_JOB_SELECT} WHERE ({claimable}) "
+        f"AND codec IN ({placeholders}){scope} "
+        f"ORDER BY submitted_at, key LIMIT 1",
+        [now, *codecs, *scope_args]).fetchone()
+    if row is None:
+        return None
+    job = Job.from_row(row)
+    db.execute(
+        "UPDATE jobs SET state = 'leased', worker = ?, "
+        "lease_expires = ?, attempts = attempts + 1, "
+        "updated_at = ? WHERE campaign_id = ? AND key = ?",
+        (worker, now + ttl, now, job.campaign_id, job.key))
+    return job
+
+
+def _handed_out(claimed: Job, worker: str, now: float, ttl: float) -> Job:
+    """Announce a committed :func:`_claim`; returns the leased job."""
+    if claimed.state == "leased":
+        _log.warning("lease on %s (%s) expired under worker %s; "
+                     "re-leased to %s", claimed.label, claimed.key[:12],
+                     claimed.worker, worker)
+        obs.event("campaign.lease", status="reclaimed", label=claimed.label,
+                  key=claimed.key, worker=worker, previous=claimed.worker)
+        obs.counter("campaign.lease.reclaimed")
+    obs.event("campaign.unit", status="leased", label=claimed.label,
+              key=claimed.key, worker=worker)
+    return Job(**{**claimed.__dict__, "state": "leased", "worker": worker,
+                  "lease_expires": now + ttl,
+                  "attempts": claimed.attempts + 1, "updated_at": now})
 
 
 def _mark_done(db: sqlite3.Connection, campaign_id: str, key: str,
@@ -303,46 +395,11 @@ class JobQueue:
         """
         require(ttl > 0, "lease ttl must be > 0")
         now = self.clock()
-        placeholders = ", ".join("?" * len(codecs))
-        claimable = ("state = 'pending' OR "
-                     "(state = 'leased' AND lease_expires < ?)")
-        scope, scope_args = "", []
-        if campaign_id is not None:
-            scope, scope_args = " AND campaign_id = ?", [campaign_id]
         with self.backend.transaction(immediate=True) as db:
-            db.execute(
-                f"UPDATE jobs SET state = 'failed', worker = NULL, "
-                f"lease_expires = NULL, updated_at = ?, "
-                f"error = 'retry budget exhausted "
-                f"({MAX_ATTEMPTS} lease attempts)' "
-                f"WHERE ({claimable}) AND attempts >= ?{scope}",
-                [now, now, MAX_ATTEMPTS, *scope_args])
-            row = db.execute(
-                f"{_JOB_SELECT} WHERE ({claimable}) "
-                f"AND codec IN ({placeholders}){scope} "
-                f"ORDER BY submitted_at, key LIMIT 1",
-                [now, *codecs, *scope_args]).fetchone()
-            if row is None:
-                return None
-            job = Job.from_row(row)
-            reclaimed = job.state == "leased"
-            db.execute(
-                "UPDATE jobs SET state = 'leased', worker = ?, "
-                "lease_expires = ?, attempts = attempts + 1, "
-                "updated_at = ? WHERE campaign_id = ? AND key = ?",
-                (worker, now + ttl, now, job.campaign_id, job.key))
-        if reclaimed:
-            _log.warning("lease on %s (%s) expired under worker %s; "
-                         "re-leased to %s", job.label, job.key[:12],
-                         job.worker, worker)
-            obs.event("campaign.lease", status="reclaimed", label=job.label,
-                      key=job.key, worker=worker, previous=job.worker)
-            obs.counter("campaign.lease.reclaimed")
-        obs.event("campaign.unit", status="leased", label=job.label,
-                  key=job.key, worker=worker)
-        return Job(**{**job.__dict__, "state": "leased", "worker": worker,
-                      "lease_expires": now + ttl,
-                      "attempts": job.attempts + 1, "updated_at": now})
+            claimed = _claim(db, worker, now, ttl, campaign_id=campaign_id,
+                             codecs=codecs)
+        return None if claimed is None \
+            else _handed_out(claimed, worker, now, ttl)
 
     def heartbeat(self, campaign_id: str, key: str, worker: str, *,
                   ttl: float = DEFAULT_LEASE_TTL) -> bool:
@@ -430,8 +487,17 @@ class JobQueue:
 
     def drained(self, campaign_id: str | None = None) -> bool:
         """No work left to pull: nothing pending, nothing leased."""
-        counts = self.counts(campaign_id)
-        return counts["pending"] == 0 and counts["leased"] == 0
+        with self.backend.transaction() as db:
+            return _drained(db, campaign_id)
+
+    def campaign_drained(self, campaign_id: str) -> bool | None:
+        """:meth:`drained` for one campaign, ``None`` when the id was
+        never submitted; one transaction."""
+        with self.backend.transaction() as db:
+            if db.execute("SELECT 1 FROM campaigns WHERE campaign_id = ?",
+                          (campaign_id,)).fetchone() is None:
+                return None
+            return _drained(db, campaign_id)
 
     def jobs(self, campaign_id: str | None = None, *,
              state: str | None = None) -> list[Job]:
@@ -521,25 +587,36 @@ class LocalQueueClient:
     def complete(self, campaign_id: str, key: str, worker: str, *,
                  spec: Mapping[str, Any], result: Mapping[str, Any],
                  label: str = "", elapsed: float | None = None,
-                 resources: Mapping[str, float] | None = None) -> bool:
-        """Checkpoint the result into the store, then mark the job done.
+                 resources: Mapping[str, float] | None = None,
+                 lease_next: bool = False, scope: str | None = None,
+                 ttl: float = DEFAULT_LEASE_TTL,
+                 codecs: Sequence[str] = PAYLOAD_CODECS) -> Completion:
+        """Checkpoint the result into the store, mark the job done and,
+        with *lease_next*, lease *worker* its next job.
 
-        The object file is published first; its index row and the job's
-        ``done`` flip then commit in one immediate transaction.  A crash
-        in between leaves the job leased (its lease expires and it is
-        handed out again) and an object :meth:`ResultStore.reconcile`
+        The object file is published first; its index row, the job's
+        ``done`` flip, the next claim (from *scope*, a campaign id or
+        ``None`` for any, as :meth:`JobQueue.lease` takes it, for *ttl*
+        seconds and only *codecs*) and the drained check of *scope*
+        then commit in one immediate transaction.  A crash in between
+        leaves the job leased (its lease expires and it is handed out
+        again) and an object :meth:`ResultStore.reconcile`
         re-registers.
         """
         spec_key = unit_key(spec)
         require(spec_key == key, f"completion key mismatch: job {key[:12]} "
                 f"vs spec {spec_key[:12]}")
+        require(ttl > 0, "lease ttl must be > 0")
         with obs.span("store.put", key=key[:12], label=label):
             row = self.store._publish(key, spec, result, label=label,
                                       elapsed=elapsed, resources=resources)
+            now = self.queue.clock()
             with self.queue.backend.transaction(immediate=True) as db:
                 _register(db, row)
-                completed = _mark_done(db, campaign_id, key, worker,
-                                       self.queue.clock())
+                completed = _mark_done(db, campaign_id, key, worker, now)
+                claimed = None if not lease_next else _claim(
+                    db, worker, now, ttl, campaign_id=scope, codecs=codecs)
+                drained = claimed is None and _drained(db, scope)
         obs.counter("campaign.cache.miss")
         obs.event("campaign.unit", status="checkpointed", label=label,
                   key=key)
@@ -547,7 +624,9 @@ class LocalQueueClient:
             obs.histogram("campaign.unit_elapsed_s", elapsed, label=label)
         _log.debug("checkpointed %s (%s) in %.3fs", label, key[:12],
                    elapsed if elapsed is not None else float("nan"))
-        return completed
+        job = None if claimed is None \
+            else _handed_out(claimed, worker, now, ttl)
+        return Completion(completed, job, drained)
 
     def fail(self, campaign_id: str, key: str, worker: str,
              error: str) -> bool:

@@ -19,7 +19,8 @@ __all__ = [
     "STATUS_SCHEMA", "STATUS_SCHEMA_VERSION", "STATUS_FIELDS",
     "STATUS_ROW_FIELDS", "MANIFEST_SCHEMA", "MANIFEST_SCHEMA_VERSION",
     "MANIFEST_FIELDS", "MANIFEST_PLAN_FIELDS", "SERVICE_SCHEMA",
-    "SERVICE_SCHEMA_VERSION", "JOB_ROW_FIELDS", "schema_fingerprint",
+    "SERVICE_SCHEMA_VERSION", "JOB_ROW_FIELDS", "COMPLETION_FIELDS",
+    "schema_fingerprint",
 ]
 
 #: ``python -m repro.campaign status --json`` payload.
@@ -40,7 +41,12 @@ MANIFEST_PLAN_FIELDS = ("label", "key", "spec", "elapsed", "resources")
 
 #: The HTTP service's response envelopes (see :mod:`repro.service.api`).
 SERVICE_SCHEMA = "repro.service.api"
-SERVICE_SCHEMA_VERSION = 1
+SERVICE_SCHEMA_VERSION = 2
+
+#: The ``complete`` verb's reply body (besides the envelope markers):
+#: whether this call finished the job, the worker's next lease (or
+#: ``null``), and whether the lease scope is drained.
+COMPLETION_FIELDS = ("ok", "job", "drained")
 
 #: A job's status row as exposed by the queue and the service
 #: (:meth:`repro.campaign.jobs.Job.status_row`).
@@ -66,7 +72,8 @@ def schema_fingerprint() -> str:
                      "plan_fields": sorted(MANIFEST_PLAN_FIELDS)},
         "service": {"schema": SERVICE_SCHEMA,
                     "schema_version": SERVICE_SCHEMA_VERSION,
-                    "job_row_fields": sorted(JOB_ROW_FIELDS)},
+                    "job_row_fields": sorted(JOB_ROW_FIELDS),
+                    "completion_fields": sorted(COMPLETION_FIELDS)},
     }
     canonical = json.dumps(layout, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

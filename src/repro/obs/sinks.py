@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -66,31 +65,16 @@ class NullSink(Sink):
 
 
 class MemorySink(Sink):
-    """Collect events into :attr:`events` (tests).
+    """Collect events into :attr:`events` (tests)."""
 
-    *maxlen* caps the buffer as a ring: once full, each new event drops
-    the oldest one and bumps :attr:`dropped`, so a long run holds a
-    bounded window instead of growing without limit.  ``None`` (the
-    default) keeps everything — what tests that assert on complete
-    event streams rely on.
-    """
-
-    def __init__(self, maxlen: int | None = None) -> None:
-        if maxlen is not None and maxlen < 1:
-            raise ValueError(f"maxlen must be >= 1 or None, got {maxlen}")
-        self.maxlen = maxlen
-        self.events: deque[dict[str, Any]] = deque(maxlen=maxlen)
-        #: How many oldest events the ring has evicted so far.
-        self.dropped = 0
+    def __init__(self) -> None:
+        self.events: list[dict[str, Any]] = []
 
     def emit(self, event: Mapping[str, Any]) -> None:
-        if self.maxlen is not None and len(self.events) == self.maxlen:
-            self.dropped += 1
         self.events.append(dict(event))
 
     def clear(self) -> None:
         self.events.clear()
-        self.dropped = 0
 
 
 class JsonlSink(Sink):

@@ -13,9 +13,12 @@ GET    ``/v1/campaigns/{id}``             counts + per-unit status rows
 GET    ``/v1/campaigns/{id}/drained``     nothing pending or leased?
 POST   ``/v1/campaigns/{id}/lease``       claim one unit (204 = none)
 POST   ``/v1/campaigns/{id}/heartbeat``   renew a lease
-POST   ``/v1/campaigns/{id}/complete``    checkpoint a result
+POST   ``/v1/campaigns/{id}/complete``    checkpoint a result, and claim
+                                          the worker's next unit
 POST   ``/v1/campaigns/{id}/fail``        report a unit failure
 POST   ``/v1/lease``                      claim across all campaigns
+GET    ``/v1/drained``                    nothing pending or leased
+                                          in any campaign?
 GET    ``/v1/results/{key}``              fetch a stored payload by key
 GET    ``/v1/units/{key}``                every campaign's row for a key
 ====== ================================== ================================
@@ -28,7 +31,7 @@ the backend's pool for each transaction (concurrent requests get
 connections of their own), so request concurrency rides on WAL +
 busy-timeout like every other store client.
 
-Two deliberate protocol choices:
+Three deliberate protocol choices:
 
 * **Leases only ever hand out JSON-codec payloads** (``codecs=
   ("json",)``): pickles never cross the wire, so a malicious or
@@ -39,6 +42,15 @@ Two deliberate protocol choices:
   content-address check, the obs events, and the atomic object publish
   are identical whether a unit was computed in-process, in a forked
   worker, or on another machine.
+* **A completion can carry the next lease.**  A ``complete`` body with
+  ``"lease_next": true`` claims the worker's next unit from its
+  ``"scope"`` (a campaign id, or ``null`` for any) in the transaction
+  that marks the finished one done; the reply is ``{ok, job | null,
+  drained}`` (:data:`~repro.campaign.schema.COMPLETION_FIELDS`).  A
+  worker that keeps finding work makes one request per unit, and
+  ``drained`` lets it stop without asking again.  The claim is the
+  ``lease`` verb's own (JSON codec only), and a worker still holds one
+  live lease at a time.
 
 The server binds ``127.0.0.1`` by default: exposing it wider is an
 explicit operator decision (there is no auth layer).
@@ -180,10 +192,12 @@ class CampaignService:
         return _envelope(status)
 
     def drained(self, campaign_id: str | None) -> dict[str, Any]:
-        if campaign_id is not None \
-                and self.queue.campaign_status(campaign_id) is None:
+        if campaign_id is None:
+            return _envelope({"drained": self.queue.drained()})
+        drained = self.queue.campaign_drained(campaign_id)
+        if drained is None:
             raise _ApiError(404, f"unknown campaign {campaign_id!r}")
-        return _envelope({"drained": self.queue.drained(campaign_id)})
+        return _envelope({"drained": drained})
 
     def lease(self, campaign_id: str | None,
               body: Mapping[str, Any]) -> dict[str, Any] | None:
@@ -208,7 +222,7 @@ class CampaignService:
 
     def complete(self, campaign_id: str,
                  body: Mapping[str, Any]) -> dict[str, Any]:
-        worker, key, _ = self._worker_key(body)
+        worker, key, ttl = self._worker_key(body)
         spec, result = body.get("spec"), body.get("result")
         if not isinstance(spec, dict) or not isinstance(result, dict):
             raise _ApiError(400, "completion needs 'spec' and 'result' "
@@ -216,12 +230,23 @@ class CampaignService:
         if unit_key(spec) != key:
             raise _ApiError(409, f"completion key mismatch: spec hashes to "
                             f"{unit_key(spec)[:12]}, not {key[:12]}")
+        scope = body.get("scope")
+        if scope is not None and not isinstance(scope, str):
+            raise _ApiError(400, "completion 'scope' must be a campaign id "
+                            "or null")
+        if ttl <= 0:
+            raise _ApiError(400, "lease ttl must be > 0")
         resources = body.get("resources")
-        ok = self.local.complete(
+        # JSON only, like the lease verb: a pickle never crosses the wire.
+        done = self.local.complete(
             campaign_id, key, worker, spec=spec, result=result,
             label=str(body.get("label", "")), elapsed=body.get("elapsed"),
-            resources=resources if isinstance(resources, dict) else None)
-        return _envelope({"ok": ok})
+            resources=resources if isinstance(resources, dict) else None,
+            lease_next=bool(body.get("lease_next")), scope=scope, ttl=ttl,
+            codecs=("json",))
+        return _envelope({
+            "ok": done.ok, "drained": done.drained,
+            "job": None if done.job is None else job_to_wire(done.job)})
 
     def fail(self, campaign_id: str,
              body: Mapping[str, Any]) -> dict[str, Any]:

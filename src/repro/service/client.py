@@ -24,10 +24,17 @@ A request is retried exactly once, and only when it was sent on a
 *reused* connection that turns out dropped (``RemoteDisconnected``,
 ``ConnectionResetError``, ``BrokenPipeError``): that is a server that
 closed an idle connection.  A failure on a fresh connection raises.
-The retry is safe for every verb: submission is content-addressed,
-heartbeat/complete/fail are fenced on the lease holder, the GETs are
-read-only, and a repeated lease at worst orphans one lease until its
-TTL, exactly like a dead worker.
+A dropped connection does not say whether the server ran the request,
+so the retry must be safe when it did.  Submission is
+content-addressed, heartbeat and fail are fenced on the lease holder,
+and the GETs are read-only.  A repeated ``complete`` finds its unit
+already done and answers ``ok=False``; the result is content-addressed,
+so the stored bytes are the same whichever request wrote them.  A
+repeated ``lease``, or a repeated ``complete`` that asked for the next
+unit, claims a second unit while the lost reply's claim stays leased
+to this worker, unreported: that orphaned lease is never renewed, and
+once its TTL passes the unit is re-leased, exactly like a dead
+worker's.
 
 Transient transport failures on the *renewal* path are the lease
 holder's problem by design (a missed heartbeat just shortens the
@@ -46,7 +53,7 @@ import weakref
 from typing import Any, Mapping, Sequence
 from urllib.parse import urlsplit
 
-from repro.campaign.jobs import DEFAULT_LEASE_TTL, Job
+from repro.campaign.jobs import DEFAULT_LEASE_TTL, Completion, Job
 from repro.campaign.plan import CampaignPlan
 from repro.service.api import job_from_wire
 from repro.util.logging import get_logger
@@ -275,13 +282,19 @@ class ServiceClient:
     def complete(self, campaign_id: str, key: str, worker: str, *,
                  spec: Mapping[str, Any], result: Mapping[str, Any],
                  label: str = "", elapsed: float | None = None,
-                 resources: Mapping[str, float] | None = None) -> bool:
-        return bool(self._request(
+                 resources: Mapping[str, float] | None = None,
+                 lease_next: bool = False, scope: str | None = None,
+                 ttl: float = DEFAULT_LEASE_TTL) -> Completion:
+        reply = self._request(
             "POST", f"/v1/campaigns/{campaign_id}/complete",
             {"worker": worker, "key": key, "spec": dict(spec),
              "result": dict(result), "label": label, "elapsed": elapsed,
-             "resources": None if resources is None else dict(resources)},
-        )[1].get("ok"))
+             "resources": None if resources is None else dict(resources),
+             "lease_next": lease_next, "scope": scope, "ttl": ttl})[1]
+        job = reply.get("job")
+        return Completion(bool(reply.get("ok")),
+                          None if job is None else job_from_wire(job),
+                          bool(reply.get("drained")))
 
     def fail(self, campaign_id: str, key: str, worker: str,
              error: str) -> bool:

@@ -1,4 +1,4 @@
-"""The pull worker: lease → execute → heartbeat → complete, repeat.
+"""The pull worker: lease once, then execute → complete-and-lease-next.
 
 One loop serves every deployment shape.  The *queue API* argument is
 anything exposing the worker verbs —
@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Optional, Protocol
 
 from repro import obs
-from repro.campaign.jobs import DEFAULT_LEASE_TTL, Job, default_worker_id
+from repro.campaign.jobs import (DEFAULT_LEASE_TTL, Completion, Job,
+                                 default_worker_id)
 from repro.util.logging import get_logger
 from repro.util.validation import require
 
@@ -51,7 +52,16 @@ DEFAULT_POLL_S = 0.2
 
 
 class QueueAPI(Protocol):
-    """The worker-facing queue verbs (local queue or HTTP client)."""
+    """The worker-facing queue verbs (local queue or HTTP client).
+
+    ``complete`` with ``lease_next`` also leases the worker its next
+    job from *scope* (a campaign id, or ``None`` for any) and reports
+    whether that scope is drained, all in one call: one transaction on
+    the local queue, one request over HTTP.  So :func:`run_worker`
+    calls ``lease`` once, then completes-and-takes-next per unit; it
+    calls ``lease`` again only after a failed unit or when no next job
+    came back, and ``drained`` only when such a ``lease`` is empty.
+    """
 
     def lease(self, worker: str, *, campaign_id: str | None = ...,
               ttl: float = ...) -> Optional[Job]: ...
@@ -62,7 +72,9 @@ class QueueAPI(Protocol):
     def complete(self, campaign_id: str, key: str, worker: str, *,
                  spec: Mapping[str, Any], result: Mapping[str, Any],
                  label: str = ..., elapsed: float | None = ...,
-                 resources: Mapping[str, float] | None = ...) -> bool: ...
+                 resources: Mapping[str, float] | None = ...,
+                 lease_next: bool = ..., scope: str | None = ...,
+                 ttl: float = ...) -> Completion: ...
 
     def fail(self, campaign_id: str, key: str, worker: str,
              error: str) -> bool: ...
@@ -160,8 +172,14 @@ class _LeaseRenewal:
 
 
 def _execute_leased(api: QueueAPI, job: Job, worker: str,
-                    renewal: _LeaseRenewal, stats: WorkerStats) -> bool:
-    """Run one leased job to completion (or failure) under renewal."""
+                    renewal: _LeaseRenewal, stats: WorkerStats, *,
+                    lease_next: bool, scope: str | None,
+                    ttl: float) -> Completion | None:
+    """Run one leased job to completion (or failure) under renewal.
+
+    Returns the completion, whose ``job`` is the worker's next lease
+    when *lease_next* asked for one, or ``None`` when the unit failed.
+    """
     from repro.campaign.scheduler import execute_unit
 
     payload = dict(job.payload or {})
@@ -174,12 +192,13 @@ def _execute_leased(api: QueueAPI, job: Job, worker: str,
                      job.key[:12], worker, exc)
         api.fail(job.campaign_id, job.key, worker, f"{type(exc).__name__}: {exc}")
         stats.failed += 1
-        return False
-    completed = api.complete(
+        return None
+    done = api.complete(
         job.campaign_id, job.key, worker, spec=job.spec,
         result=outcome["result"], label=job.label,
-        elapsed=outcome["elapsed"], resources=outcome.get("resources"))
-    if completed:
+        elapsed=outcome["elapsed"], resources=outcome.get("resources"),
+        lease_next=lease_next, scope=scope, ttl=ttl)
+    if done.ok:
         stats.completed += 1
         stats.keys.append(job.key)
     else:
@@ -191,7 +210,7 @@ def _execute_leased(api: QueueAPI, job: Job, worker: str,
                   "completed elsewhere", job.label, job.key[:12])
     # Either way the result is in the store now (we just put it, or the
     # racing retry did) — callers may collect it.
-    return True
+    return done
 
 
 def run_worker(api: QueueAPI, *, worker: str | None = None,
@@ -202,7 +221,9 @@ def run_worker(api: QueueAPI, *, worker: str | None = None,
                ) -> WorkerStats:
     """Pull and execute jobs until nothing is pending *or leased*.
 
-    While in-flight work remains the worker sleeps
+    Each completion also leases the next job while *max_units* allows
+    another, so a worker that keeps finding work makes one queue call
+    per unit.  While in-flight work remains the worker sleeps
     :data:`DEFAULT_POLL_S` between lease attempts — this is how it
     waits out a *dead peer's* lease so it can reclaim the unit when the
     TTL expires.
@@ -231,20 +252,27 @@ def run_worker(api: QueueAPI, *, worker: str | None = None,
     with obs.span("service.worker", worker=worker,
                   campaign=campaign_id or ""), \
             _LeaseRenewal(api, worker, lease_ttl) as renewal:
-        while True:
-            if max_units is not None and \
-                    stats.completed + stats.failed >= max_units:
-                break
-            job = api.lease(worker, campaign_id=campaign_id, ttl=lease_ttl)
+        job: Job | None = None
+        while max_units is None or stats.completed + stats.failed < max_units:
             if job is None:
-                if api.drained(campaign_id):
-                    break
-                time.sleep(DEFAULT_POLL_S)
-                continue
+                job = api.lease(worker, campaign_id=campaign_id,
+                                ttl=lease_ttl)
+                if job is None:
+                    if api.drained(campaign_id):
+                        break
+                    time.sleep(DEFAULT_POLL_S)
+                    continue
             stats.leased += 1
-            ok = _execute_leased(api, job, worker, renewal, stats)
+            lease_next = (max_units is None or
+                          stats.completed + stats.failed + 1 < max_units)
+            done = _execute_leased(api, job, worker, renewal, stats,
+                                   lease_next=lease_next, scope=campaign_id,
+                                   ttl=lease_ttl)
             if on_unit is not None:
-                on_unit(job, ok)
+                on_unit(job, done is not None)
+            if done is not None and done.job is None and done.drained:
+                break
+            job = None if done is None else done.job
     stats.elapsed = time.perf_counter() - start
     _log.debug("worker %s: %d leased, %d completed, %d failed in %.3fs",
                worker, stats.leased, stats.completed, stats.failed,

@@ -10,6 +10,7 @@ from repro.campaign.jobs import JobQueue
 from repro.campaign.plan import CampaignPlan, WorkUnit
 from repro.campaign.scheduler import CampaignReport, write_manifest
 from repro.campaign.store import ResultStore
+from repro.service.api import CampaignService
 
 
 def test_schema_fingerprint_pin():
@@ -17,8 +18,8 @@ def test_schema_fingerprint_pin():
     # status, manifest, or service payloads fails here and forces a
     # deliberate schema_version bump alongside a re-pin.
     assert schema.schema_fingerprint() == (
-        "ad1fdda90095169fb87d6021b5b9f561"
-        "8cb110ebe14da46af538645821e0b780")
+        "f4a14ece2017acdea646fef55f5f47ac"
+        "f303c5e64100596f73e9879470a14674")
 
 
 def test_status_json_emits_declared_fields(tmp_path, capsys):
@@ -58,3 +59,19 @@ def test_job_status_row_matches_declared_fields(tmp_path):
     cid = queue.submit([unit], store).campaign_id
     (job,) = queue.jobs(cid)
     assert tuple(job.status_row()) == schema.JOB_ROW_FIELDS
+
+
+def test_completion_reply_emits_declared_fields(tmp_path):
+    store = ResultStore(tmp_path)
+    service = CampaignService(store)
+    unit = WorkUnit(spec={"kind": "test", "i": 0}, payload={"x": 0},
+                    label="unit-0")
+    cid = service.queue.submit([unit], store).campaign_id
+    job = service.queue.lease("w1", campaign_id=cid)
+    reply = service.complete(cid, {"worker": "w1", "key": job.key,
+                                   "spec": dict(job.spec),
+                                   "result": {"x": 0}, "lease_next": True,
+                                   "scope": cid})
+    assert set(reply) == {"schema", "schema_version",
+                          *schema.COMPLETION_FIELDS}
+    assert reply["schema_version"] == schema.SERVICE_SCHEMA_VERSION

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
-from repro.campaign.jobs import (DEFAULT_LEASE_TTL, MAX_ATTEMPTS, JobQueue,
-                                 LocalQueueClient, campaign_id_for)
+from repro import obs
+from repro.campaign.backend import SqliteWalBackend
+from repro.campaign.jobs import (DEFAULT_LEASE_TTL, MAX_ATTEMPTS, Completion,
+                                 JobQueue, LocalQueueClient, campaign_id_for)
 from repro.campaign.plan import WorkUnit
 from repro.campaign.store import ResultStore
 
@@ -232,9 +236,10 @@ class TestLocalQueueClient:
         client = LocalQueueClient(store)
         cid = client.queue.submit([unit], store).campaign_id
         job = client.lease("w1", campaign_id=cid)
-        assert client.complete(cid, job.key, "w1", spec=job.spec,
+        done = client.complete(cid, job.key, "w1", spec=job.spec,
                                result={"answer": 7}, label=job.label,
                                elapsed=0.1)
+        assert done == Completion(ok=True, job=None, drained=True)
         assert store.get_result(unit.key) == {"answer": 7}
         assert client.drained(cid)
 
@@ -249,3 +254,142 @@ class TestLocalQueueClient:
 
     def test_default_ttl_is_sane(self):
         assert DEFAULT_LEASE_TTL == 30.0
+
+
+def _finish(client, job, **kwargs):
+    """Complete *job* with a trivial result."""
+    return client.complete(job.campaign_id, job.key, job.worker,
+                           spec=job.spec, result={"x": job.spec["i"]},
+                           label=job.label, **kwargs)
+
+
+class TestCompleteLeasesNext:
+    """``LocalQueueClient.complete(lease_next=True)``: the done flip, the
+    next claim and the drained check in one transaction."""
+
+    @pytest.fixture
+    def client(self, store, queue):
+        return LocalQueueClient(store, queue)
+
+    def test_next_job_is_the_oldest_claimable(self, client, queue, store,
+                                              clock):
+        cid = queue.submit([make_unit(i) for i in range(3)],
+                           store).campaign_id
+        first = client.lease("w1", campaign_id=cid)
+        [want, _] = queue.jobs(cid, state="pending")
+        done = _finish(client, first, lease_next=True, scope=cid, ttl=5.0)
+        assert done.ok is True and done.drained is False
+        assert done.job.key == want.key
+        assert (done.job.state, done.job.worker, done.job.attempts,
+                done.job.lease_expires) == ("leased", "w1", 1, clock.now + 5)
+        assert queue.job(cid, want.key) == done.job
+        assert queue.job(cid, first.key).state == "done"
+
+    def test_is_one_transaction(self, client, queue, store, monkeypatch):
+        cid = queue.submit([make_unit(i) for i in range(2)],
+                           store).campaign_id
+        first = client.lease("w1", campaign_id=cid)
+        calls = []
+        real = vars(SqliteWalBackend)["transaction"]
+
+        @contextmanager
+        def counted(self, **kwargs):
+            calls.append(kwargs)
+            with real(self, **kwargs) as db:
+                yield db
+
+        monkeypatch.setattr(SqliteWalBackend, "transaction", counted)
+        assert _finish(client, first, lease_next=True, scope=cid).job
+        assert calls == [{"immediate": True}]
+
+    def test_last_completion_reports_drained(self, client, queue, store):
+        cid = queue.submit([make_unit(0)], store).campaign_id
+        job = client.lease("w1", campaign_id=cid)
+        assert _finish(client, job, lease_next=True, scope=cid) \
+            == Completion(ok=True, job=None, drained=True)
+
+    def test_a_peer_lease_keeps_the_scope_undrained(self, client, queue,
+                                                    store):
+        cid = queue.submit([make_unit(i) for i in range(2)],
+                           store).campaign_id
+        mine = client.lease("w1", campaign_id=cid)
+        assert client.lease("w2", campaign_id=cid) is not None
+        assert _finish(client, mine, lease_next=True, scope=cid) \
+            == Completion(ok=True, job=None, drained=False)
+
+    def test_without_lease_next_nothing_is_claimed(self, client, queue,
+                                                   store):
+        cid = queue.submit([make_unit(i) for i in range(2)],
+                           store).campaign_id
+        job = client.lease("w1", campaign_id=cid)
+        assert _finish(client, job, scope=cid) \
+            == Completion(ok=True, job=None, drained=False)
+        assert len(queue.jobs(cid, state="pending")) == 1
+
+    def test_scope_none_claims_from_any_campaign(self, client, queue,
+                                                 store):
+        first = queue.submit([make_unit(0)], store).campaign_id
+        second = queue.submit([make_unit(1)], store).campaign_id
+        job = client.lease("w1", campaign_id=first)
+        assert _finish(client, job, lease_next=True, scope=first).drained
+        other = client.lease("w2", campaign_id=second)
+        assert queue.complete(second, other.key, "w2")
+        third = queue.submit([make_unit(2), make_unit(3)],
+                             store).campaign_id
+        job = client.lease("w1", campaign_id=third)
+        done = _finish(client, job, lease_next=True, scope=None)
+        assert done.job.campaign_id == third
+
+    def test_codec_filter_holds_back_pickles(self, client, queue, store):
+        units = [make_unit(0), make_unit(1, picklable=False)]
+        cid = queue.submit(units, store).campaign_id
+        job = queue.lease("w1", campaign_id=cid, codecs=("json",))
+        # Not drained: the pickle job is still pending for a local worker.
+        assert _finish(client, job, lease_next=True, scope=cid,
+                       codecs=("json",)) \
+            == Completion(ok=True, job=None, drained=False)
+
+    def test_retry_budget_still_applies(self, client, queue, store, clock):
+        units = [make_unit(0), make_unit(1)]
+        cid = queue.submit(units, store).campaign_id
+        job = queue.lease("w1", campaign_id=cid, ttl=100.0)
+        for _ in range(MAX_ATTEMPTS):  # the other unit, again and again
+            doomed = queue.lease("w0", campaign_id=cid, ttl=1.0)
+            clock.now = doomed.lease_expires + 1.0
+        assert queue.job(cid, doomed.key).attempts == MAX_ATTEMPTS
+        # The claim flips the spent unit to failed instead of leasing it.
+        assert _finish(client, job, lease_next=True, scope=cid) \
+            == Completion(ok=True, job=None, drained=True)
+        assert "retry budget" in queue.job(cid, doomed.key).error
+
+    def test_reclaim_is_announced_like_a_lease(self, client, queue, store,
+                                               clock):
+        sink = obs.MemorySink()
+        previous = obs.configure(sink)
+        try:
+            cid = queue.submit([make_unit(i) for i in range(2)],
+                               store).campaign_id
+            mine = client.lease("w1", campaign_id=cid, ttl=10.0)
+            dead = client.lease("dead", campaign_id=cid, ttl=1.0)
+            clock.now = dead.lease_expires + 1.0
+            done = _finish(client, mine, lease_next=True, scope=cid)
+        finally:
+            obs.configure(previous if previous.live else None)
+        assert (done.job.key, done.job.attempts) == (dead.key, 2)
+        seen = [(e["name"], e["status"], e["attrs"]["key"])
+                for e in sink.events if e["kind"] == "event"]
+        assert seen[-3:] == [
+            ("campaign.unit", "checkpointed", mine.key),
+            ("campaign.lease", "reclaimed", dead.key),
+            ("campaign.unit", "leased", dead.key)]
+
+    def test_a_repeated_completion_is_not_ok(self, client, queue, store):
+        cid = queue.submit([make_unit(i) for i in range(3)],
+                           store).campaign_id
+        job = client.lease("w1", campaign_id=cid)
+        lost = _finish(client, job, lease_next=True, scope=cid)
+        again = _finish(client, job, lease_next=True, scope=cid)
+        assert again.ok is False
+        assert again.job.key != lost.job.key
+        assert {j.key for j in queue.jobs(cid, state="leased")} \
+            == {lost.job.key, again.job.key}

@@ -185,9 +185,11 @@ class TestStoreHotPath:
         report = run_campaign(_seeded_plan(1, 2, 3, 4), store, jobs=1)
         assert len(report.fetched) == 2 and len(report.computed) == 2
         # reconcile, submit (receipt included), the cached-job read,
-        # lease + index-and-complete per computed unit, the empty lease
-        # and drained check that end the drain, one late-sweep read.
-        assert len(calls) == 10
+        # one lease for the first computed unit, one index-complete-
+        # and-lease-next per computed unit (the last one reports the
+        # campaign drained, so no empty lease or drained check follows),
+        # one late-sweep read.
+        assert len(calls) == 7
 
     def test_crash_before_index_and_complete_commit(self, tmp_path,
                                                     monkeypatch):

@@ -35,33 +35,7 @@ class TestMemorySink:
         sink = MemorySink()
         sink.emit(_event())
         sink.clear()
-        assert list(sink.events) == []
-        assert sink.dropped == 0
-
-    def test_unbounded_by_default(self):
-        sink = MemorySink()
-        for i in range(1000):
-            sink.emit(_event(f"e{i}"))
-        assert len(sink.events) == 1000
-        assert sink.dropped == 0
-
-    def test_ring_drops_oldest_and_counts(self):
-        sink = MemorySink(maxlen=3)
-        for i in range(5):
-            sink.emit(_event(f"e{i}"))
-        assert [e["name"] for e in sink.events] == ["e2", "e3", "e4"]
-        assert sink.dropped == 2
-        sink.clear()
-        assert sink.dropped == 0
-        # the cap survives clear(): same ring, emptied
-        for i in range(4):
-            sink.emit(_event(f"r{i}"))
-        assert len(sink.events) == 3
-        assert sink.dropped == 1
-
-    def test_maxlen_must_be_positive(self):
-        with pytest.raises(ValueError, match="maxlen"):
-            MemorySink(maxlen=0)
+        assert sink.events == []
 
 
 class TestJsonlSink:

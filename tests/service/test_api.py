@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro.campaign import scheduler
 from repro.campaign.jobs import JobQueue
 from repro.campaign.plan import WorkUnit, plan_experiments
 from repro.campaign.schema import SERVICE_SCHEMA, SERVICE_SCHEMA_VERSION
@@ -105,9 +107,10 @@ class TestProtocol:
         job = client.lease("w1", campaign_id=cid)
         assert job.key == unit.key
         assert client.heartbeat(cid, job.key, "w1") is True
-        assert client.complete(cid, job.key, "w1", spec=job.spec,
+        done = client.complete(cid, job.key, "w1", spec=job.spec,
                                result={"value": 7}, label=job.label,
                                elapsed=0.01)
+        assert done.ok is True and done.job is None and done.drained
         assert client.drained(cid)
         assert store.get_result(unit.key) == {"value": 7}
         detail = client.unit(unit.key)
@@ -125,7 +128,83 @@ class TestProtocol:
         assert err.value.status == 409
 
 
+    def test_complete_hands_out_the_next_unit(self, client):
+        units = [WorkUnit(spec={"kind": "test", "i": i}, payload={"x": i},
+                          label=f"u{i}") for i in range(2)]
+        cid = client.submit_plan(units)["campaign_id"]
+        first = client.lease("w1", campaign_id=cid)
+        done = client.complete(cid, first.key, "w1", spec=first.spec,
+                               result={"x": 0}, lease_next=True, scope=cid)
+        assert done.ok is True and done.drained is False
+        assert {first.key, done.job.key} == {unit.key for unit in units}
+        assert (done.job.state, done.job.worker) == ("leased", "w1")
+        assert done.job.payload == {"x": done.job.spec["i"]}
+        last = client.complete(cid, done.job.key, "w1", spec=done.job.spec,
+                               result={"x": 1}, lease_next=True, scope=cid)
+        assert (last.ok, last.job, last.drained) == (True, None, True)
+
+    def test_complete_never_hands_a_pickle_over_the_wire(self, client,
+                                                          store):
+        units = [WorkUnit(spec={"kind": "test", "i": 0}, payload={"x": 0},
+                          label="json"),
+                 WorkUnit(spec={"kind": "test", "i": 1},
+                          payload={"x": 1, "fn": len}, label="pickle")]
+        cid = JobQueue(store.backend).submit(units, store).campaign_id
+        job = client.lease("w1", campaign_id=cid)
+        assert job.label == "json"
+        done = client.complete(cid, job.key, "w1", spec=job.spec,
+                               result={"x": 0}, lease_next=True, scope=cid)
+        # The pickle unit stays pending for a local worker.
+        assert (done.ok, done.job, done.drained) == (True, None, False)
+
+    def test_unknown_campaign_drained_is_404(self, client):
+        with pytest.raises(ServiceError) as err:
+            client.drained("deadbeef")
+        assert err.value.status == 404
+
+    def test_drained_is_one_transaction(self, client, store, server,
+                                        monkeypatch):
+        unit = WorkUnit(spec={"kind": "test", "i": 0}, payload={"x": 0},
+                        label="u0")
+        cid = client.submit_plan([unit])["campaign_id"]
+        backend = server.service.queue.backend
+        calls = []
+        real = backend.transaction
+
+        def counted(**kwargs):
+            calls.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(backend, "transaction", counted)
+        assert client.drained(cid) is False
+        assert calls == [{}]
+
+
 class TestHttpCampaign:
+    def test_a_drain_makes_one_lease_and_no_drained_request(
+            self, client, store, monkeypatch):
+        """The hot path: one lease, then one complete-and-lease-next per
+        computed unit; the last completion reports the campaign drained."""
+        monkeypatch.setattr(scheduler, "execute_unit", lambda payload: {
+            "result": {"x": payload["x"]}, "elapsed": 0.0})
+        units = [WorkUnit(spec={"kind": "test", "i": i}, payload={"x": i},
+                          label=f"u{i}") for i in range(6)]
+        for unit in units[:2]:
+            store.put(unit.spec, {"x": unit.payload["x"]}, label=unit.label)
+        cid = client.submit_plan(units)["campaign_id"]
+        verbs = Counter()
+        real = ServiceClient._request
+
+        def counting(self, method, path, body=None):
+            verbs[path.rstrip("/").rsplit("/", 1)[-1]] += 1
+            return real(self, method, path, body)
+
+        monkeypatch.setattr(ServiceClient, "_request", counting)
+        stats = run_worker(client, campaign_id=cid)
+        assert stats.completed == 4
+        assert (verbs["lease"], verbs["complete"], verbs["drained"]) \
+            == (1, 4, 0)
+
     def test_run_worker_drains_service_then_resubmit_is_all_cached(
             self, client, store):
         """The acceptance path: an HTTP pull worker computes the

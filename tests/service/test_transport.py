@@ -17,8 +17,10 @@ import pytest
 
 from repro.campaign import scheduler
 from repro.campaign.jobs import JobQueue
-from repro.campaign.plan import WorkUnit
-from repro.campaign.store import ResultStore
+from repro.campaign.plan import CampaignPlan, WorkUnit, plan_experiments
+from repro.campaign.scheduler import execute_unit, run_campaign
+from repro.campaign.store import ResultStore, canonical_json
+from repro.experiments.common import ExperimentConfig
 from repro.service.api import serve
 from repro.service.client import ServiceClient
 from repro.service.worker import run_worker
@@ -221,6 +223,77 @@ class TestRetry:
             with pytest.raises(http.client.RemoteDisconnected):
                 ServiceClient(url).health()
         assert accepts == [1]
+
+
+class TestLostCompletionReply:
+    """A complete-and-lease-next reply lost after the server committed:
+    the retry finds its unit done, and the lease the lost reply carried
+    expires and is re-leased like a dead worker's."""
+
+    TTL = 30.0
+
+    def test_retry_is_not_ok_and_the_orphan_is_re_leased(
+            self, tmp_path, monkeypatch):
+        plan = CampaignPlan(tuple(
+            unit for seed in (0, 1, 2) for unit in plan_experiments(
+                ["E1"], ExperimentConfig(scale="quick", seed=seed))))
+        reference = ResultStore(tmp_path / "reference")
+        run_campaign(plan, reference, jobs=1)
+
+        store = ResultStore(tmp_path / "results")
+        now = [1000.0]
+        with serve(store, port=0) as server:
+            server.service.queue.clock = lambda: now[0]
+            handler = server.httpd.RequestHandlerClass
+            send_json = handler._send_json
+            lost = []
+
+            def lose_first_completion(self, status, payload):
+                if lost or not self.path.endswith("/complete"):
+                    return send_json(self, status, payload)
+                lost.append(payload)  # committed, never answered
+                self.close_connection = True
+                self.connection.shutdown(socket.SHUT_RDWR)
+
+            monkeypatch.setattr(handler, "_send_json",
+                                lose_first_completion)
+            with ServiceClient(server.url) as client:
+                cid = client.submit_plan(plan)["campaign_id"]
+                first = client.lease("w", campaign_id=cid, ttl=self.TTL)
+                outcome = execute_unit(dict(first.payload))
+                done = client.complete(
+                    cid, first.key, "w", spec=first.spec,
+                    result=outcome["result"], label=first.label,
+                    lease_next=True, scope=cid, ttl=self.TTL)
+                # One lost reply, whose claim the client never saw; the
+                # single retry found the unit done and claimed another.
+                [reply] = lost
+                assert reply["ok"] is True
+                orphan = reply["job"]["key"]
+                assert done.ok is False
+                assert done.job.key not in (first.key, orphan)
+
+                outcome = execute_unit(dict(done.job.payload))
+                last = client.complete(
+                    cid, done.job.key, "w", spec=done.job.spec,
+                    result=outcome["result"], label=done.job.label,
+                    lease_next=True, scope=cid, ttl=self.TTL)
+                assert (last.ok, last.job, last.drained) \
+                    == (True, None, False)  # the orphan is still leased
+                assert client.lease("w2", campaign_id=cid) is None
+
+                now[0] += self.TTL + 1.0  # the orphan's lease runs out
+                stats = run_worker(client, campaign_id=cid, worker="w2",
+                                   lease_ttl=self.TTL)
+                assert stats.keys == [orphan]
+                job = server.service.queue.job(cid, orphan)
+                assert (job.state, job.worker, job.attempts) \
+                    == ("done", "w2", 2)
+                assert client.drained(cid)
+
+        for unit in plan:
+            assert canonical_json(store.get(unit.key)["result"]) \
+                == canonical_json(reference.get(unit.key)["result"])
 
 
 class TestShutdown:

@@ -58,7 +58,10 @@ class RecordingClient(LocalQueueClient):
 
     def complete(self, campaign_id, key, worker, **kwargs):
         self.calls.append(("complete", key, time.monotonic()))
-        return super().complete(campaign_id, key, worker, **kwargs)
+        done = super().complete(campaign_id, key, worker, **kwargs)
+        if done.job is not None:  # the next unit's lease rode along
+            self.calls.append(("lease", done.job.key, time.monotonic()))
+        return done
 
 
 def _submit(store: ResultStore, count: int) -> str:
@@ -134,6 +137,23 @@ class TestLeaseRenewal:
         job = JobQueue(store.backend).job(cid, key)
         assert job.state == "done" and job.worker == "owner"
         assert job.attempts == 1
+
+
+class TestMaxUnits:
+    def test_a_capped_worker_leases_nothing_past_its_cap(self, tmp_path,
+                                                        monkeypatch):
+        """The last allowed completion asks for no next unit, so a
+        capped worker leaves no lease behind to expire."""
+        monkeypatch.setattr(scheduler, "execute_unit", lambda payload: {
+            "result": {"x": payload["x"]}, "elapsed": 0.0})
+        store = ResultStore(tmp_path / "store")
+        cid = _submit(store, 4)
+        stats = run_worker(LocalQueueClient(store), campaign_id=cid,
+                           max_units=2, worker="w")
+        assert (stats.leased, stats.completed) == (2, 2)
+        queue = JobQueue(store.backend)
+        assert queue.jobs(cid, state="leased") == []
+        assert len(queue.jobs(cid, state="pending")) == 2
 
 
 class _SilentSink(MemorySink):
