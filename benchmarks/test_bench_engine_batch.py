@@ -1,16 +1,15 @@
 """Engine throughput: serial (replay) vs batched native vs parallel.
 
-Thin pytest wrappers over the ``engine`` harness suite
-(:mod:`repro.bench.workloads.engine`): the acceptance comparison
-measures the n=512, 64-trial EdgeMEG ensemble and the n=1024, 64-trial
-geometric-MEG ensemble on every backend and asserts each registered
-floor — native batched trial throughput over the serial reference — while
-the small tracking cases ride the ``benchmark`` fixture.
+Acceptance tests over the ``engine`` harness suite
+(:mod:`repro.bench.workloads.engine`): the comparison measures the
+n=512, 64-trial EdgeMEG ensemble and the n=1024, 64-trial geometric-MEG
+ensemble on every backend and asserts each registered floor — native
+batched trial throughput over the serial reference.
 """
 
 from __future__ import annotations
 
-from repro.bench import run_in_pytest, run_showdown
+from repro.bench import run_showdown
 
 
 def test_engine_native_speedup_over_serial():
@@ -36,11 +35,3 @@ def test_geometric_native_speedup_over_serial():
     print("\nGeometricMEG n=1024, r=1, R=2 sqrt(log n), 64 trials:")
     print(showdown.table)
     assert not showdown.failures, "\n".join(showdown.failures)
-
-
-def test_bench_flooding_trials_serial(benchmark):
-    run_in_pytest(benchmark, "engine/trials_serial")
-
-
-def test_bench_flooding_trials_batched_native(benchmark):
-    run_in_pytest(benchmark, "engine/trials_batched_native")

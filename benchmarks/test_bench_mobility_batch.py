@@ -1,6 +1,6 @@
 """Mobility-kernel throughput: serial vs the batched native kernels.
 
-Thin pytest wrappers over the mobility half of the ``engine`` harness
+Acceptance test over the mobility half of the ``engine`` harness
 suite (:mod:`repro.bench.workloads.engine`): the acceptance comparison
 measures the E11 waypoint ensemble (n=256, unit speed,
 ``R = 3 sqrt(log n)`` — the dense-connectivity regime the batched
@@ -12,7 +12,7 @@ kernel table for the cost model).
 
 from __future__ import annotations
 
-from repro.bench import run_in_pytest, run_showdown
+from repro.bench import run_showdown
 
 
 def test_mobility_native_speedup_over_serial():
@@ -25,11 +25,3 @@ def test_mobility_native_speedup_over_serial():
     print("\nRandomWaypointTorus n=256, R=3 sqrt(log n), 64 trials:")
     print(showdown.table)
     assert not showdown.failures, "\n".join(showdown.failures)
-
-
-def test_bench_mobility_serial(benchmark):
-    run_in_pytest(benchmark, "engine/mobility_serial")
-
-
-def test_bench_mobility_batched_native(benchmark):
-    run_in_pytest(benchmark, "engine/mobility_batched_native")

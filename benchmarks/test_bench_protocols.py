@@ -1,6 +1,6 @@
 """Protocol-kernel throughput: vectorised transmission vs the per-trial path.
 
-Thin pytest wrappers over the ``protocols`` harness suite
+Acceptance tests over the ``protocols`` harness suite
 (:mod:`repro.bench.workloads.protocols`).  The headline acceptance
 comparison runs push–pull gossip on the classical rumor-spreading
 substrate — a static sparse graph, where the round cost **is** the
@@ -16,7 +16,7 @@ model).
 
 from __future__ import annotations
 
-from repro.bench import run_in_pytest, run_showdown
+from repro.bench import run_showdown
 
 
 def test_push_pull_batched_speedup_over_per_trial_path():
@@ -42,13 +42,3 @@ def test_push_pull_evolving_meg_context():
     print("\npush-pull, SparseEdgeMEG n=512, 8 trials:")
     print(showdown.table)
     assert not showdown.failures, "\n".join(showdown.failures)
-
-
-def test_bench_push_pull_batched(benchmark):
-    run_in_pytest(benchmark, "protocols/push_pull_batched_small")
-
-
-def test_bench_p_flood_native_composed(benchmark):
-    """The mask-composed native path: p-flood over the sparse edge
-    churn kernel, protocol and model randomness from one chunk stream."""
-    run_in_pytest(benchmark, "protocols/p_flood_native_composed")

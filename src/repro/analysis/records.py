@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from repro.analysis.tables import render_table
 from repro.util.validation import require
 
@@ -104,8 +106,14 @@ class ExperimentResult:
     verdict: str = "informational"
 
     def add_row(self, **kwargs: Any) -> None:
-        """Append a row (keyword arguments become columns)."""
-        self.rows.append(dict(kwargs))
+        """Append a row (keyword arguments become columns).
+
+        numpy scalars are stored as their Python values, so a row
+        renders the same before and after a JSON round trip (an
+        ``np.bool_`` would print ``True`` where ``bool`` prints ``yes``).
+        """
+        self.rows.append({key: value.item() if isinstance(value, np.generic)
+                          else value for key, value in kwargs.items()})
 
     def add_note(self, note: str) -> None:
         """Append a free-form note line."""

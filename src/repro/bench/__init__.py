@@ -8,7 +8,7 @@ against the baselines under ``benchmarks/baselines/``.  See DESIGN.md
 for the schema, the baseline policy, and the tolerance discipline.
 """
 
-from repro.bench.acceptance import ShowdownResult, run_in_pytest, run_showdown
+from repro.bench.acceptance import ShowdownResult, run_showdown
 from repro.bench.case import (
     BenchCase,
     get_case,
@@ -46,5 +46,5 @@ __all__ = [
     "compare_results", "ComparisonReport", "CaseComparison",
     "SPEEDUP_RETENTION",
     "render_report", "suite_table", "trend_plot",
-    "run_in_pytest", "run_showdown", "ShowdownResult",
+    "run_showdown", "ShowdownResult",
 ]

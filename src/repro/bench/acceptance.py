@@ -1,18 +1,11 @@
-"""Bridges between the harness and the pytest benchmark tier.
+"""The acceptance bridge between the harness and the pytest tier.
 
-The files under ``benchmarks/`` stay valid pytest entry points (tier-1
-runs them once each with ``--benchmark-disable``), but their workloads
-and thresholds now live in the case registry.  Two bridges keep the
-wrappers thin:
-
-* :func:`run_in_pytest` — time one registered case through the
-  ``benchmark`` fixture and validate its result.
-* :func:`run_showdown` — measure a group of cases with the harness
-  timer, render the classic backend-comparison table, and report any
-  speedup-floor violations; the acceptance tests print the table and
-  assert the failure list is empty.  The cases run in alternating
-  rounds, so a change in host load lands on both sides of every
-  ratio a floor gates.
+:func:`run_showdown` measures a group of registered cases with the
+harness timer, renders the classic backend-comparison table, and
+reports any speedup-floor violations; the acceptance tests under
+``benchmarks/`` print the table and assert the failure list is empty.
+The cases run in alternating rounds, so a change in host load lands on
+both sides of every ratio a floor gates.
 """
 
 from __future__ import annotations
@@ -24,26 +17,7 @@ from repro.analysis.tables import render_table
 from repro.bench.case import get_case
 from repro.bench.timer import MeasureConfig, measure_interleaved
 
-__all__ = ["run_in_pytest", "run_showdown", "ShowdownResult"]
-
-
-def run_in_pytest(benchmark, name: str):
-    """Run the registered case *name* under pytest's ``benchmark``
-    fixture and validate the workload result.
-
-    Construction cost stays outside the timed region here too: the
-    workload is built once up front, and fixed-round / fresh-state
-    cases run a single pedantic round (one fresh setup is exactly one
-    round's worth of state).
-    """
-    case = get_case(name)
-    workload = case.setup()
-    if case.rounds is not None or case.fresh_state:
-        result = benchmark.pedantic(workload, rounds=1, iterations=1)
-    else:
-        result = benchmark(workload)
-    case.check_result(result)
-    return result
+__all__ = ["run_showdown", "ShowdownResult"]
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,9 @@ one ``BENCH_<suite>.json`` artifact and one checked-in baseline.
 Cases register at import time of their
 :mod:`repro.bench.workloads` module, so the registry's contents are a
 pure function of the code — deterministic across processes, which the
-result schema and baseline comparison rely on.  The pytest files under
-``benchmarks/`` import the same registrations and wrap them in
-``benchmark`` fixtures, so the CLI harness and the pytest tier time
-byte-for-byte the same workloads.
+result schema and baseline comparison rely on.  Tier-1's
+``benchmarks/test_bench_cases.py`` runs every registered workload once
+and checks its result; the CLI harness is the one timer.
 """
 
 from __future__ import annotations

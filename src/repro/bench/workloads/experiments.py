@@ -1,11 +1,10 @@
 """``experiments`` suite — quick-scale regeneration of every table.
 
-One case per registered experiment, the cases that
-``benchmarks/test_bench_experiments.py`` parametrizes over: each
-regenerates one experiment's table at quick scale and validates the
-result (non-empty table, verdict not ``"inconsistent"``).  Rounds are
-calibrated like every other suite's (at least three, so a median is
-never a single call).
+One case per registered experiment: each regenerates one
+experiment's table at quick scale and validates the result (non-empty
+table, verdict not ``"inconsistent"``).  Rounds are calibrated like
+every other suite's (at least three, so a median is never a single
+call).
 """
 
 from __future__ import annotations

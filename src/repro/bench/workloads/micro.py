@@ -1,10 +1,8 @@
 """``micro`` suite — the hot kernels every experiment is built on.
 
-Ports of ``benchmarks/test_bench_micro_flooding.py``,
-``test_bench_micro_kernels.py`` and ``test_bench_micro_sparse.py``: one
-model step / stationary reset / snapshot / ``N(I)`` query per model
-family, plus complete flooding runs at representative sizes, and the
-native geometric-MEG's lattice radius query and its batched kernel
+One model step / stationary reset / snapshot / ``N(I)`` query per
+model family, plus complete flooding runs at representative sizes, and
+the native geometric-MEG's lattice radius query and its batched kernel
 hooks (one move step, one ``N(I)`` query of all trials) at perfbench
 flood-geometric's shape.
 """

@@ -40,7 +40,6 @@ from repro.campaign.jobs import (
     Completion,
     Job,
     JobQueue,
-    LocalQueueClient,
     SubmitReceipt,
 )
 from repro.campaign.migrations import SCHEMA_VERSION
@@ -68,7 +67,6 @@ __all__ = [
     "DEFAULT_LEASE_TTL",
     "Job",
     "JobQueue",
-    "LocalQueueClient",
     "ResultStore",
     "SCHEMA_VERSION",
     "SqliteWalBackend",

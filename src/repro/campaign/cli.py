@@ -145,8 +145,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store.reconcile()
     if args.experiments:
         plan = _build_plan(args)
-        receipt = JobQueue(store.backend).submit(
-            plan, store, name=" ".join(args.experiments), source="serve",
+        receipt = JobQueue(store).submit(
+            plan, name=" ".join(args.experiments), source="serve",
             force=args.force)
         print(f"campaign {receipt.campaign_id}: {receipt.total} units "
               f"({receipt.cached} cached, {receipt.pending} pending)",

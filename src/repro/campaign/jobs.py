@@ -21,7 +21,7 @@ The store's bit-for-bit resume discipline makes the retry exact, so a
 re-leased unit reproduces what the dead worker would have produced.
 
 A worker asks for its next job in the same call that completes the
-current one (:meth:`LocalQueueClient.complete` with ``lease_next``):
+current one (:meth:`JobQueue.complete` with ``lease_next``):
 its job's ``leased → done`` edge and the next job's ``pending →
 leased`` edge commit together, so a worker that keeps finding work
 pays one queue transaction per unit and still holds one lease at a
@@ -51,14 +51,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro import obs
-from repro.campaign.backend import SqliteWalBackend
 from repro.campaign.store import (ResultStore, _register, canonical_json,
                                   unit_key)
 from repro.util.logging import get_logger
 from repro.util.validation import require
 
-__all__ = ["Job", "JobQueue", "SubmitReceipt", "Completion",
-           "LocalQueueClient",
+__all__ = ["Job", "JobQueue", "SubmitReceipt", "Completion", "KeyMismatch",
            "default_worker_id", "DEFAULT_LEASE_TTL", "MAX_ATTEMPTS",
            "JOB_STATES", "PAYLOAD_CODECS"]
 
@@ -81,6 +79,9 @@ _JOB_COLUMNS = ("campaign_id", "key", "label", "kind", "spec", "payload",
                 "codec", "state", "cached", "attempts", "worker",
                 "lease_expires", "error", "submitted_at", "updated_at")
 _JOB_SELECT = f"SELECT {', '.join(_JOB_COLUMNS)} FROM jobs"
+_CAMPAIGN_COLUMNS = ("campaign_id", "name", "source", "units",
+                     "submitted_at", "last_submitted_at")
+_CAMPAIGN_SELECT = f"SELECT {', '.join(_CAMPAIGN_COLUMNS)} FROM campaigns"
 
 
 def default_worker_id() -> str:
@@ -172,8 +173,8 @@ class SubmitReceipt:
 
 @dataclass(frozen=True)
 class Completion:
-    """What a ``complete`` call did (:meth:`LocalQueueClient.complete`,
-    and the HTTP client's ``complete`` over the service).
+    """What a ``complete`` call did (:meth:`JobQueue.complete`, and
+    the HTTP client's ``complete`` over the service).
 
     ``ok`` is ``True`` when this call flipped the job to ``done``
     (``False``: it already was, after a lost lease or a retried
@@ -186,6 +187,10 @@ class Completion:
     ok: bool
     job: Job | None
     drained: bool
+
+
+class KeyMismatch(ValueError):
+    """A completion whose spec does not hash to the job's key."""
 
 
 def campaign_id_for(keys: Iterable[str]) -> str:
@@ -295,20 +300,28 @@ def _mark_done(db: sqlite3.Connection, campaign_id: str, key: str,
 
 
 class JobQueue:
-    """The jobs/campaigns tables in one :class:`SqliteWalBackend`.
+    """The jobs/campaigns tables of one :class:`ResultStore`, and the
+    worker verbs over them.
 
-    *clock* (seconds since the epoch) stamps every row and decides
-    which leases have expired; tests pass a fake one to step time.
+    It exposes the same verbs as
+    :class:`repro.service.client.ServiceClient` (``lease`` /
+    ``heartbeat`` / ``complete`` / ``fail`` / ``drained``), so
+    :func:`repro.service.worker.run_worker` drives either without
+    knowing whether the queue is a local SQLite file or an HTTP
+    service.  *clock* (seconds since the epoch) stamps every row and
+    decides which leases have expired; tests pass a fake one to step
+    time.
     """
 
-    def __init__(self, backend: SqliteWalBackend, *,
+    def __init__(self, store: ResultStore, *,
                  clock: Callable[[], float] = time.time) -> None:
-        self.backend = backend
+        self.store = store
+        self.backend = store.backend
         self.clock = clock
 
     # -- submission ---------------------------------------------------------
 
-    def submit(self, units: Sequence[Any], store: ResultStore, *,
+    def submit(self, units: Sequence[Any], *,
                name: str = "", source: str = "local",
                force: bool = False) -> SubmitReceipt:
         """Upsert one job per work unit; returns the campaign receipt.
@@ -316,7 +329,7 @@ class JobQueue:
         *units* is any sequence of objects with ``spec`` / ``payload``
         / ``label`` / ``key`` / ``kind`` attributes (a
         :class:`~repro.campaign.plan.CampaignPlan` qualifies).  Units
-        whose key is already in *store* are recorded ``done`` (cached)
+        whose key is already in the store are recorded ``done`` (cached)
         immediately — the hot-result path that serves identical
         queries for free.  Resubmission converges: ``done`` rows whose
         object vanished reset to ``pending``, ``failed`` rows get a
@@ -333,7 +346,7 @@ class JobQueue:
                 "last_submitted_at = excluded.last_submitted_at",
                 (cid, name, source, len(units), now, now))
             for unit in units:
-                cached = (not force) and unit.key in store
+                cached = (not force) and unit.key in self.store
                 payload_text, codec = _encode_payload(unit.payload)
                 state = "done" if cached else "pending"
                 row = db.execute(
@@ -414,16 +427,57 @@ class JobQueue:
                 (now + ttl, now, campaign_id, key, worker))
             return cursor.rowcount > 0
 
-    def complete(self, campaign_id: str, key: str, worker: str) -> bool:
-        """Mark a job ``done`` (the result must already be in the store).
+    def complete(self, campaign_id: str, key: str, worker: str, *,
+                 spec: Mapping[str, Any], result: Mapping[str, Any],
+                 label: str = "", elapsed: float | None = None,
+                 resources: Mapping[str, float] | None = None,
+                 lease_next: bool = False, scope: str | None = None,
+                 ttl: float = DEFAULT_LEASE_TTL,
+                 codecs: Sequence[str] = PAYLOAD_CODECS) -> Completion:
+        """Checkpoint the result into the store, mark the job done and,
+        with *lease_next*, lease *worker* its next job.
+
+        The object file is published first; its index row, the job's
+        ``done`` flip, the next claim (from *scope*, a campaign id or
+        ``None`` for any, as :meth:`lease` takes it, for *ttl*
+        seconds and only *codecs*) and the drained check of *scope*
+        then commit in one immediate transaction.  A crash in between
+        leaves the job leased (its lease expires and it is handed out
+        again) and an object :meth:`ResultStore.reconcile`
+        re-registers.
 
         Idempotent and lease-tolerant: a worker whose lease expired
-        mid-unit may still complete — the result is content-addressed,
-        so whoever finishes first wins and later completions are
-        harmless no-ops (``False``).
+        mid-unit may still complete.  The result is content-addressed,
+        so whoever finishes first wins, and a later completion rewrites
+        the same result and reports ``ok=False``.  A *spec* that does not
+        hash to *key* raises :class:`KeyMismatch` before anything is
+        written.
         """
-        with self.backend.transaction(immediate=True) as db:
-            return _mark_done(db, campaign_id, key, worker, self.clock())
+        spec_key = unit_key(spec)
+        if spec_key != key:
+            raise KeyMismatch(f"completion key mismatch: job {key[:12]} "
+                              f"vs spec {spec_key[:12]}")
+        require(ttl > 0, "lease ttl must be > 0")
+        with obs.span("store.put", key=key[:12], label=label):
+            row = self.store._publish(key, spec, result, label=label,
+                                      elapsed=elapsed, resources=resources)
+            now = self.clock()
+            with self.backend.transaction(immediate=True) as db:
+                _register(db, row)
+                completed = _mark_done(db, campaign_id, key, worker, now)
+                claimed = None if not lease_next else _claim(
+                    db, worker, now, ttl, campaign_id=scope, codecs=codecs)
+                drained = claimed is None and _drained(db, scope)
+        obs.counter("campaign.cache.miss")
+        obs.event("campaign.unit", status="checkpointed", label=label,
+                  key=key)
+        if elapsed is not None:
+            obs.histogram("campaign.unit_elapsed_s", elapsed, label=label)
+        _log.debug("checkpointed %s (%s) in %.3fs", label, key[:12],
+                   elapsed if elapsed is not None else float("nan"))
+        job = None if claimed is None \
+            else _handed_out(claimed, worker, now, ttl)
+        return Completion(completed, job, drained)
 
     def fail(self, campaign_id: str, key: str, worker: str,
              error: str) -> bool:
@@ -536,101 +590,23 @@ class JobQueue:
         """Every submitted campaign, oldest first."""
         with self.backend.transaction() as db:
             rows = db.execute(
-                "SELECT campaign_id, name, source, units, submitted_at, "
-                "last_submitted_at FROM campaigns ORDER BY submitted_at"
-            ).fetchall()
-        return [dict(zip(("campaign_id", "name", "source", "units",
-                          "submitted_at", "last_submitted_at"), row))
-                for row in rows]
+                f"{_CAMPAIGN_SELECT} ORDER BY submitted_at").fetchall()
+        return [dict(zip(_CAMPAIGN_COLUMNS, row)) for row in rows]
 
     def campaign_status(self, campaign_id: str) -> dict[str, Any] | None:
         """Counts plus per-unit rows for one campaign (``None`` when
-        the id was never submitted)."""
+        the id was never submitted); one transaction."""
         with self.backend.transaction() as db:
-            row = db.execute(
-                "SELECT campaign_id, name, source, units, submitted_at, "
-                "last_submitted_at FROM campaigns WHERE campaign_id = ?",
-                (campaign_id,)).fetchone()
-        if row is None:
-            return None
-        status = dict(zip(("campaign_id", "name", "source", "units",
-                           "submitted_at", "last_submitted_at"), row))
-        status["counts"] = self.counts(campaign_id)
-        status["units_detail"] = [job.status_row()
-                                  for job in self.jobs(campaign_id)]
+            row = db.execute(f"{_CAMPAIGN_SELECT} WHERE campaign_id = ?",
+                             (campaign_id,)).fetchone()
+            if row is None:
+                return None
+            counts = _counts(db, campaign_id)
+            jobs = db.execute(
+                f"{_JOB_SELECT} WHERE campaign_id = ? "
+                f"ORDER BY submitted_at, key", (campaign_id,)).fetchall()
+        status = dict(zip(_CAMPAIGN_COLUMNS, row))
+        status["counts"] = counts
+        status["units_detail"] = [Job.from_row(job).status_row()
+                                  for job in jobs]
         return status
-
-
-class LocalQueueClient:
-    """Direct (in-process) queue access with store-backed completion.
-
-    The local twin of :class:`repro.service.client.ServiceClient`: both
-    expose the worker verbs (``lease`` / ``heartbeat`` / ``complete`` /
-    ``fail`` / ``drained``), so :func:`repro.service.worker.run_worker`
-    drives either without knowing whether the queue is a local SQLite
-    file or an HTTP service.
-    """
-
-    def __init__(self, store: ResultStore,
-                 queue: JobQueue | None = None) -> None:
-        self.store = store
-        self.queue = queue if queue is not None else JobQueue(store.backend)
-
-    def lease(self, worker: str, *, campaign_id: str | None = None,
-              ttl: float = DEFAULT_LEASE_TTL) -> Job | None:
-        return self.queue.lease(worker, campaign_id=campaign_id, ttl=ttl)
-
-    def heartbeat(self, campaign_id: str, key: str, worker: str, *,
-                  ttl: float = DEFAULT_LEASE_TTL) -> bool:
-        return self.queue.heartbeat(campaign_id, key, worker, ttl=ttl)
-
-    def complete(self, campaign_id: str, key: str, worker: str, *,
-                 spec: Mapping[str, Any], result: Mapping[str, Any],
-                 label: str = "", elapsed: float | None = None,
-                 resources: Mapping[str, float] | None = None,
-                 lease_next: bool = False, scope: str | None = None,
-                 ttl: float = DEFAULT_LEASE_TTL,
-                 codecs: Sequence[str] = PAYLOAD_CODECS) -> Completion:
-        """Checkpoint the result into the store, mark the job done and,
-        with *lease_next*, lease *worker* its next job.
-
-        The object file is published first; its index row, the job's
-        ``done`` flip, the next claim (from *scope*, a campaign id or
-        ``None`` for any, as :meth:`JobQueue.lease` takes it, for *ttl*
-        seconds and only *codecs*) and the drained check of *scope*
-        then commit in one immediate transaction.  A crash in between
-        leaves the job leased (its lease expires and it is handed out
-        again) and an object :meth:`ResultStore.reconcile`
-        re-registers.
-        """
-        spec_key = unit_key(spec)
-        require(spec_key == key, f"completion key mismatch: job {key[:12]} "
-                f"vs spec {spec_key[:12]}")
-        require(ttl > 0, "lease ttl must be > 0")
-        with obs.span("store.put", key=key[:12], label=label):
-            row = self.store._publish(key, spec, result, label=label,
-                                      elapsed=elapsed, resources=resources)
-            now = self.queue.clock()
-            with self.queue.backend.transaction(immediate=True) as db:
-                _register(db, row)
-                completed = _mark_done(db, campaign_id, key, worker, now)
-                claimed = None if not lease_next else _claim(
-                    db, worker, now, ttl, campaign_id=scope, codecs=codecs)
-                drained = claimed is None and _drained(db, scope)
-        obs.counter("campaign.cache.miss")
-        obs.event("campaign.unit", status="checkpointed", label=label,
-                  key=key)
-        if elapsed is not None:
-            obs.histogram("campaign.unit_elapsed_s", elapsed, label=label)
-        _log.debug("checkpointed %s (%s) in %.3fs", label, key[:12],
-                   elapsed if elapsed is not None else float("nan"))
-        job = None if claimed is None \
-            else _handed_out(claimed, worker, now, ttl)
-        return Completion(completed, job, drained)
-
-    def fail(self, campaign_id: str, key: str, worker: str,
-             error: str) -> bool:
-        return self.queue.fail(campaign_id, key, worker, error)
-
-    def drained(self, campaign_id: str | None = None) -> bool:
-        return self.queue.drained(campaign_id)

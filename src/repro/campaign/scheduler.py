@@ -47,14 +47,13 @@ from repro import obs
 from repro.obs import resources
 from repro.analysis.records import _jsonable_row
 from repro.analysis.sweep import SweepPoint
-from repro.campaign.jobs import (DEFAULT_LEASE_TTL, JobQueue,
-                                 LocalQueueClient)
+from repro.campaign.jobs import DEFAULT_LEASE_TTL, JobQueue
 from repro.campaign.plan import CampaignPlan, WorkUnit
 from repro.campaign.schema import MANIFEST_SCHEMA, MANIFEST_SCHEMA_VERSION
 from repro.campaign.store import ResultStore
 from repro.engine.executor import default_jobs
 from repro.experiments.common import ExperimentConfig
-from repro.experiments.registry import load_experiment
+from repro.experiments.runner import run_one
 from repro.util.logging import get_logger
 from repro.util.validation import require
 
@@ -145,9 +144,11 @@ def execute_unit(payload: dict[str, Any]) -> dict[str, Any]:
         obs.event("campaign.unit", status="running", label=label,
                   key=ident.get("key"))
         if kind == "experiment":
+            # The payload config carries no output_dir: run_one saves
+            # nothing, the store is the unit's persistence.
             config = ExperimentConfig(**payload["config"])
-            module = load_experiment(payload["experiment"])
-            section = _decoded(module.run(config).to_dict())
+            section = _decoded(run_one(payload["experiment"], config)
+                               .to_dict())
         elif kind == "sweep-point":
             point = SweepPoint(params=dict(payload["params"]),
                                seed=payload["seed"], index=payload["index"])
@@ -225,8 +226,7 @@ def _pull_worker_main(root: str, campaign_id: str, lease_ttl: float) -> None:
     """
     from repro.service.worker import run_worker
 
-    store = ResultStore(root)
-    run_worker(LocalQueueClient(store), campaign_id=campaign_id,
+    run_worker(JobQueue(ResultStore(root)), campaign_id=campaign_id,
                lease_ttl=lease_ttl)
 
 
@@ -252,8 +252,8 @@ def _run_queued(plan: CampaignPlan, store: ResultStore,
     from repro.service.worker import run_worker
 
     store.reconcile()
-    queue = JobQueue(store.backend)
-    receipt = queue.submit(plan, store, source="scheduler", force=force)
+    queue = JobQueue(store)
+    receipt = queue.submit(plan, source="scheduler", force=force)
     report.campaign_id = receipt.campaign_id
     # The submission is the one diff against the store: a job it marked
     # cached is served from the store, every other unit is pulled.
@@ -303,8 +303,7 @@ def _run_queued(plan: CampaignPlan, store: ResultStore,
         with obs.span("campaign.dispatch", campaign=receipt.campaign_id,
                       pending=len(by_key), workers=workers):
             if workers == 1:
-                run_worker(LocalQueueClient(store, queue),
-                           campaign_id=receipt.campaign_id,
+                run_worker(queue, campaign_id=receipt.campaign_id,
                            lease_ttl=lease_ttl,
                            on_unit=lambda job, ok: ok and collect(job.key))
             else:

@@ -10,11 +10,12 @@ Usage::
     python -m repro.experiments all --results-dir results/ --force
     python -m repro.experiments --list
 
-With ``--results-dir`` the runner routes through the campaign layer
-(:mod:`repro.campaign`): completed experiments are checkpointed into a
-content-addressed store and later invocations fetch them instead of
-recomputing (``--force`` overrides); a killed ``all`` run resumes from
-whatever it already stored.  ``--jobs`` additionally fans independent
+Every run routes through the campaign scheduler
+(:mod:`repro.campaign`).  With ``--results-dir`` completed experiments
+are checkpointed into a content-addressed store and later invocations
+fetch them instead of recomputing (``--force`` overrides); a killed
+``all`` run resumes from whatever it already stored.  Without it the
+same path runs against a throwaway store.  ``--jobs`` fans independent
 experiment ids out over worker processes.
 """
 
@@ -32,7 +33,6 @@ from repro.experiments.common import (
     positive_int,
 )
 from repro.experiments.registry import EXPERIMENTS, all_ids, load_experiment
-from repro.util.timing import Timer, format_seconds
 
 __all__ = ["main", "run_one", "run_many"]
 
@@ -53,9 +53,19 @@ def run_one(experiment_id: str, config: ExperimentConfig):
     return result
 
 
-def _run_many_campaign(ids: list[str], config: ExperimentConfig, *, stream,
-                       results_dir: Path | None, force: bool) -> int:
-    """Dispatch *ids* through the campaign scheduler (and its store)."""
+def run_many(ids: list[str], config: ExperimentConfig, *, stream=None,
+             results_dir: Path | None = None, force: bool = False) -> int:
+    """Run several experiments through the campaign scheduler, printing
+    each table; returns the number of experiments whose verdict is
+    ``inconsistent``.
+
+    With *results_dir* stored results are fetched instead of
+    recomputed and fresh ones are checkpointed as they land; without
+    it the scheduler runs against a throwaway store.  ``config.jobs``
+    pull workers drain the queue (one by default), except under
+    ``--backend parallel``, where the parallelism lives *inside* each
+    experiment and one worker avoids nested pools.
+    """
     from repro.campaign.plan import plan_experiments
     from repro.campaign.query import print_experiment_report
     from repro.campaign.scheduler import run_campaign
@@ -64,47 +74,13 @@ def _run_many_campaign(ids: list[str], config: ExperimentConfig, *, stream,
 
     store = None if results_dir is None else ResultStore(results_dir)
     plan = plan_experiments(ids, config)
-    # Fan out only when --jobs asks for it (--results-dir alone stays
-    # in-process), and never when the parallelism already lives *inside*
-    # each experiment (--backend parallel) — nested pools otherwise.
     jobs = 1 if config.backend == "parallel" else (config.jobs or 1)
     report = run_campaign(plan, store, jobs=jobs, force=force)
-    # Print per *requested* id: the plan collapses duplicates, the
-    # serial loop doesn't, and the two paths must agree on output.
+    # Print per *requested* id: the plan collapses duplicates.
     unit_for = {unit.spec["experiment"]: unit for unit in plan}
     ordered = [unit_for[normalize_id(experiment_id)] for experiment_id in ids]
     return print_experiment_report(report, ordered, stream=stream,
                                    output_dir=config.output_dir)
-
-
-def run_many(ids: list[str], config: ExperimentConfig, *, stream=None,
-             results_dir: Path | None = None, force: bool = False) -> int:
-    """Run several experiments, printing each table; returns the number of
-    experiments whose verdict is ``inconsistent``.
-
-    With *results_dir* (or with ``config.jobs`` > 1 on a non-parallel
-    backend) the ids dispatch through the campaign scheduler: stored
-    results are fetched instead of recomputed, fresh ones are
-    checkpointed as they land, and independent ids run across worker
-    processes.  Otherwise this is the plain serial loop.
-    """
-    if stream is None:
-        stream = sys.stdout  # resolved at call time (test harnesses swap stdout)
-    jobs_fan_out = (config.jobs is not None and config.jobs > 1
-                    and config.backend != "parallel" and len(ids) > 1)
-    if results_dir is not None or jobs_fan_out:
-        return _run_many_campaign(ids, config, stream=stream,
-                                  results_dir=results_dir, force=force)
-    inconsistent = 0
-    for experiment_id in ids:
-        with Timer() as timer:
-            result = run_one(experiment_id, config)
-        print(result.to_text(), file=stream)
-        print(f"  [{format_seconds(timer.elapsed)}]", file=stream)
-        print(file=stream)
-        if result.verdict == "inconsistent":
-            inconsistent += 1
-    return inconsistent
 
 
 def build_parser() -> argparse.ArgumentParser:

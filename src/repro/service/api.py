@@ -38,7 +38,7 @@ Three deliberate protocol choices:
   confused worker cannot be handed arbitrary code, and sweep closures
   stay local by construction.
 * **Completion goes through the store on the server side**
-  (:class:`~repro.campaign.jobs.LocalQueueClient`), so the
+  (:meth:`~repro.campaign.jobs.JobQueue.complete`), so the
   content-address check, the obs events, and the atomic object publish
   are identical whether a unit was computed in-process, in a forked
   worker, or on another machine.
@@ -67,7 +67,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Mapping
 
 from repro.campaign.jobs import (DEFAULT_LEASE_TTL, Job, JobQueue,
-                                 LocalQueueClient)
+                                 KeyMismatch)
 from repro.campaign.migrations import SCHEMA_VERSION, chain_fingerprint
 from repro.campaign.plan import WorkUnit
 from repro.campaign.schema import SERVICE_SCHEMA, SERVICE_SCHEMA_VERSION
@@ -133,8 +133,7 @@ class CampaignService:
     def __init__(self, store: ResultStore, *,
                  default_lease_ttl: float = DEFAULT_LEASE_TTL) -> None:
         self.store = store
-        self.queue = JobQueue(store.backend)
-        self.local = LocalQueueClient(store, self.queue)
+        self.queue = JobQueue(store)
         self.default_lease_ttl = default_lease_ttl
 
     # -- verbs --------------------------------------------------------------
@@ -170,9 +169,9 @@ class CampaignService:
                 continue  # same spec twice is the same work
             seen.add(key)
             units.append(WorkUnit(spec=spec, payload=raw.get("payload"),
-                                  label=str(raw.get("label", ""))))
+                                  label=str(raw.get("label", "")), key=key))
         receipt = self.queue.submit(
-            units, self.store, name=str(body.get("name", "")),
+            units, name=str(body.get("name", "")),
             source=str(body.get("source", "http")),
             force=bool(body.get("force", False)))
         return _envelope({"campaign_id": receipt.campaign_id,
@@ -227,9 +226,6 @@ class CampaignService:
         if not isinstance(spec, dict) or not isinstance(result, dict):
             raise _ApiError(400, "completion needs 'spec' and 'result' "
                             "objects")
-        if unit_key(spec) != key:
-            raise _ApiError(409, f"completion key mismatch: spec hashes to "
-                            f"{unit_key(spec)[:12]}, not {key[:12]}")
         scope = body.get("scope")
         if scope is not None and not isinstance(scope, str):
             raise _ApiError(400, "completion 'scope' must be a campaign id "
@@ -238,12 +234,17 @@ class CampaignService:
             raise _ApiError(400, "lease ttl must be > 0")
         resources = body.get("resources")
         # JSON only, like the lease verb: a pickle never crosses the wire.
-        done = self.local.complete(
-            campaign_id, key, worker, spec=spec, result=result,
-            label=str(body.get("label", "")), elapsed=body.get("elapsed"),
-            resources=resources if isinstance(resources, dict) else None,
-            lease_next=bool(body.get("lease_next")), scope=scope, ttl=ttl,
-            codecs=("json",))
+        # The queue hashes the spec once and refuses a mismatched key.
+        try:
+            done = self.queue.complete(
+                campaign_id, key, worker, spec=spec, result=result,
+                label=str(body.get("label", "")),
+                elapsed=body.get("elapsed"),
+                resources=resources if isinstance(resources, dict) else None,
+                lease_next=bool(body.get("lease_next")), scope=scope,
+                ttl=ttl, codecs=("json",))
+        except KeyMismatch as exc:
+            raise _ApiError(409, str(exc)) from exc
         return _envelope({
             "ok": done.ok, "drained": done.drained,
             "job": None if done.job is None else job_to_wire(done.job)})

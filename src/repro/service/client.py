@@ -8,7 +8,7 @@
   and collect results, and
 * the **worker verbs** — ``lease`` / ``heartbeat`` / ``complete`` /
   ``fail`` / ``drained`` — the same :class:`~repro.service.worker.QueueAPI`
-  surface as :class:`~repro.campaign.jobs.LocalQueueClient`, so
+  surface as :class:`~repro.campaign.jobs.JobQueue`, so
   :func:`repro.service.worker.run_worker` drives an HTTP queue and a
   local SQLite queue through identical code.
 
@@ -239,21 +239,21 @@ class ServiceClient:
              poll: float = 0.2) -> dict[str, Any]:
         """Block until the campaign has nothing pending or leased.
 
-        Returns the final status payload; raises ``TimeoutError`` if
-        the campaign is still moving when *timeout* elapses.
+        Polls the cheap ``drained`` verb every *poll* seconds and
+        fetches the full status once, at the end.  Returns that final
+        status payload; raises ``TimeoutError`` if the campaign is
+        still moving when *timeout* elapses.
         """
         deadline = time.monotonic() + timeout
-        while True:
-            status = self.status(campaign_id)
-            counts = status["counts"]
-            if counts["pending"] == 0 and counts["leased"] == 0:
-                return status
+        while not self.drained(campaign_id):
             if time.monotonic() >= deadline:
+                counts = self.status(campaign_id)["counts"]
                 raise TimeoutError(
                     f"campaign {campaign_id} still has "
                     f"{counts['pending']} pending / {counts['leased']} "
                     f"leased unit(s) after {timeout:.0f}s")
             time.sleep(poll)
+        return self.status(campaign_id)
 
     # -- worker verbs (the QueueAPI surface) --------------------------------
 

@@ -3,8 +3,8 @@
 One loop serves every deployment shape.  The *queue API* argument is
 anything exposing the worker verbs —
 
-* :class:`repro.campaign.jobs.LocalQueueClient` for in-process /
-  forked workers sharing the store's SQLite file, or
+* :class:`repro.campaign.jobs.JobQueue` for in-process / forked
+  workers sharing the store's SQLite file, or
 * :class:`repro.service.client.ServiceClient` for workers pulling from
   a campaign service over HTTP on another machine —
 
@@ -231,7 +231,8 @@ def run_worker(api: QueueAPI, *, worker: str | None = None,
     Parameters
     ----------
     api:
-        A :class:`QueueAPI` — local queue client or HTTP service client.
+        A :class:`QueueAPI` — a local ``JobQueue`` or an HTTP
+        service client.
     worker:
         Lease attribution id (default: ``hostname-pid``).
     campaign_id:

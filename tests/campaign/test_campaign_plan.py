@@ -109,11 +109,11 @@ class TestSweepPlans:
         """Submission is the diff: a job is cached iff the store serves
         it, and *force* makes every unit pending again."""
         store = ResultStore(tmp_path / "s")
-        queue = JobQueue(store.backend)
+        queue = JobQueue(store)
         plan = plan_sweep(_double, parameter_grid(n=[4, 8]), seed=1)
 
         def pending(**kwargs):
-            cid = queue.submit(plan, store, **kwargs).campaign_id
+            cid = queue.submit(plan, **kwargs).campaign_id
             return {job.key for job in queue.jobs(cid) if not job.cached}
 
         assert pending() == set(plan.keys())

@@ -53,10 +53,10 @@ def test_manifest_emits_declared_fields(tmp_path):
 
 def test_job_status_row_matches_declared_fields(tmp_path):
     store = ResultStore(tmp_path)
-    queue = JobQueue(store.backend)
+    queue = JobQueue(store)
     unit = WorkUnit(spec={"kind": "test", "i": 0}, payload={"x": 0},
                     label="unit-0")
-    cid = queue.submit([unit], store).campaign_id
+    cid = queue.submit([unit]).campaign_id
     (job,) = queue.jobs(cid)
     assert tuple(job.status_row()) == schema.JOB_ROW_FIELDS
 
@@ -66,7 +66,7 @@ def test_completion_reply_emits_declared_fields(tmp_path):
     service = CampaignService(store)
     unit = WorkUnit(spec={"kind": "test", "i": 0}, payload={"x": 0},
                     label="unit-0")
-    cid = service.queue.submit([unit], store).campaign_id
+    cid = service.queue.submit([unit]).campaign_id
     job = service.queue.lease("w1", campaign_id=cid)
     reply = service.complete(cid, {"worker": "w1", "key": job.key,
                                    "spec": dict(job.spec),

@@ -172,6 +172,23 @@ class TestRunnerCampaignFlags:
 
         assert tables(serial_stream.getvalue()) == tables(fan_stream.getvalue())
 
+    def test_store_less_run_prints_the_stored_tables(self, tmp_path):
+        """One scheduler path: without a results dir run_many prints
+        what a store-backed run prints (E7's rows hold numpy booleans,
+        which render differently before the JSON codec)."""
+        import io
+        config = ExperimentConfig(scale="quick")
+        bare, stored = io.StringIO(), io.StringIO()
+        run_many(["E7"], config, stream=bare)
+        run_many(["E7"], config, stream=stored, results_dir=tmp_path / "r")
+
+        def tables(text: str) -> list[str]:
+            return [line for line in text.splitlines()
+                    if not line.strip().startswith("[")]
+
+        assert tables(bare.getvalue()) == tables(stored.getvalue())
+        assert "within_shape" in bare.getvalue()
+
     def test_duplicate_ids_print_like_the_serial_loop(self, tmp_path):
         """The plan dedups work, but output stays per requested id."""
         import io

@@ -24,16 +24,15 @@ def _writer_main(root: str, writer: int, count: int) -> None:
 
 
 def _queue_worker_main(root: str, campaign_id: str, out_path: str) -> None:
-    store = ResultStore(root)
-    queue = JobQueue(store.backend)
+    queue = JobQueue(ResultStore(root))
     executed = []
     while True:
         job = queue.lease(f"proc-{out_path[-5:]}", campaign_id=campaign_id,
                           ttl=60.0)
         if job is None:
             break
-        store.put(job.spec, {"value": job.payload["x"]}, label=job.label)
-        queue.complete(job.campaign_id, job.key, job.worker)
+        queue.complete(job.campaign_id, job.key, job.worker, spec=job.spec,
+                       result={"value": job.payload["x"]}, label=job.label)
         executed.append(job.key)
     with open(out_path, "w") as handle:
         json.dump(executed, handle)
@@ -69,7 +68,7 @@ class TestConcurrentWriters:
         store = ResultStore(root)
         units = [WorkUnit(spec={"kind": "test", "i": i}, payload={"x": i},
                           label=f"u{i}") for i in range(20)]
-        cid = JobQueue(store.backend).submit(units, store).campaign_id
+        cid = JobQueue(store).submit(units).campaign_id
         outs = [tmp_path / f"exec-{w}.json" for w in (1, 2)]
         procs = [mp.Process(target=_queue_worker_main,
                             args=(str(root), cid, str(out)))
@@ -82,7 +81,7 @@ class TestConcurrentWriters:
         executed = [set(json.loads(out.read_text())) for out in outs]
         assert executed[0] | executed[1] == {u.key for u in units}
         assert executed[0] & executed[1] == set()  # no double execution
-        assert JobQueue(store.backend).drained(cid)
+        assert JobQueue(store).drained(cid)
 
 
 class TestParallelBitIdentity:

@@ -96,9 +96,9 @@ class TestCampaignCaching:
         [unit] = plan
         real_submit = JobQueue.submit
 
-        def submit_after_loss(self, units, submit_store, **kwargs):
-            submit_store.object_path(unit.key).unlink()
-            return real_submit(self, units, submit_store, **kwargs)
+        def submit_after_loss(self, units, **kwargs):
+            self.store.object_path(unit.key).unlink()
+            return real_submit(self, units, **kwargs)
 
         monkeypatch.setattr(JobQueue, "submit", submit_after_loss)
         report = run_campaign(plan, store)
@@ -208,7 +208,7 @@ class TestStoreHotPath:
         # job's done flip, so the job is still leased.
         assert unit.key in store
         assert [row["key"] for row in store.rows()] == []
-        queue = JobQueue(store.backend,
+        queue = JobQueue(store,
                          clock=lambda: time.time() + 2 * DEFAULT_LEASE_TTL)
         [job] = queue.jobs()
         assert job.state == "leased"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.records import ExperimentResult
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.registry import all_ids
 from repro.experiments.runner import run_one
@@ -30,6 +31,9 @@ def test_experiment_runs_and_reports(experiment_id):
     assert result.verdict in ("consistent", "inconsistent", "informational")
     if experiment_id in MUST_BE_CONSISTENT:
         assert result.verdict == "consistent", result.to_text()
+    # A stored result prints exactly what the fresh one does.
+    assert ExperimentResult.from_json(result.to_json()).to_text() \
+        == result.to_text()
 
 
 def test_text_rendering_of_all_experiments():

@@ -88,7 +88,7 @@ class TestProtocol:
         hands out JSON-codec jobs."""
         unit = WorkUnit(spec={"kind": "test", "i": 0},
                         payload={"x": 0, "fn": len}, label="closure")
-        cid = JobQueue(store.backend).submit([unit], store).campaign_id
+        cid = JobQueue(store).submit([unit]).campaign_id
         assert client.lease("w1", campaign_id=cid) is None
         # The job is still there — pending, not failed.
         assert client.status(cid)["counts"]["pending"] == 1
@@ -149,7 +149,7 @@ class TestProtocol:
                           label="json"),
                  WorkUnit(spec={"kind": "test", "i": 1},
                           payload={"x": 1, "fn": len}, label="pickle")]
-        cid = JobQueue(store.backend).submit(units, store).campaign_id
+        cid = JobQueue(store).submit(units).campaign_id
         job = client.lease("w1", campaign_id=cid)
         assert job.label == "json"
         done = client.complete(cid, job.key, "w1", spec=job.spec,
@@ -178,6 +178,67 @@ class TestProtocol:
         monkeypatch.setattr(backend, "transaction", counted)
         assert client.drained(cid) is False
         assert calls == [{}]
+
+
+class TestServerHashing:
+    def test_each_spec_is_hashed_once_per_submit_and_completion(
+            self, client, monkeypatch):
+        """The server hashes a unit's spec once when it is submitted and
+        once when it is completed, however many layers it crosses."""
+        from repro.campaign import jobs, plan, store as store_module
+        from repro.service import api
+
+        units = [WorkUnit(spec={"kind": "test", "i": i}, payload={"x": i},
+                          label=f"u{i}") for i in range(3)]
+        specs = [store_module.canonical_json(unit.spec) for unit in units]
+        hashed = Counter()
+
+        def counting(spec):
+            hashed[store_module.canonical_json(spec)] += 1
+            return store_module.unit_key(spec)
+
+        for module in (api, jobs, plan):
+            monkeypatch.setattr(module, "unit_key", counting)
+        cid = client.submit_plan(units)["campaign_id"]
+        assert [hashed[spec] for spec in specs] == [1, 1, 1]
+        job = client.lease("w1", campaign_id=cid)
+        while job is not None:
+            job = client.complete(cid, job.key, "w1", spec=job.spec,
+                                  result={"x": job.spec["i"]},
+                                  lease_next=True, scope=cid).job
+        assert [hashed[spec] for spec in specs] == [2, 2, 2]
+
+
+class TestWait:
+    def test_wait_polls_drained_and_fetches_status_once(
+            self, client, server, monkeypatch):
+        unit = WorkUnit(spec={"kind": "test", "i": 0}, payload={"x": 0},
+                        label="u0")
+        cid = client.submit_plan([unit])["campaign_id"]
+        job = client.lease("w1", campaign_id=cid)
+        requests = Counter()
+        real = ServiceClient._request
+
+        def counting(self, method, path, body=None):
+            verb = path.rstrip("/").rsplit("/", 1)[-1]
+            requests[verb] += 1
+            if verb == "drained" and requests[verb] == 3:
+                # The campaign drains between the second and third poll.
+                server.service.queue.complete(
+                    cid, job.key, "w1", spec=job.spec, result={"x": 0})
+            return real(self, method, path, body)
+
+        monkeypatch.setattr(ServiceClient, "_request", counting)
+        final = client.wait(cid, timeout=30.0, poll=0.01)
+        assert final["counts"]["done"] == 1
+        assert requests == {"drained": 3, cid: 1}
+
+    def test_timeout_reports_the_counts(self, client):
+        unit = WorkUnit(spec={"kind": "test", "i": 0}, payload={"x": 0},
+                        label="u0")
+        cid = client.submit_plan([unit])["campaign_id"]
+        with pytest.raises(TimeoutError, match="1 pending / 0 leased"):
+            client.wait(cid, timeout=0.0)
 
 
 class TestHttpCampaign:

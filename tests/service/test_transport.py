@@ -308,7 +308,7 @@ class TestShutdown:
             client.submit_plan([unit])
         with pytest.raises((OSError, http.client.HTTPException)):
             client.health()
-        assert JobQueue(store.backend).campaigns() == []
+        assert JobQueue(store).campaigns() == []
         assert len(store) == 0
 
     def test_never_started_server_stops(self, store):

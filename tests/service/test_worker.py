@@ -18,7 +18,7 @@ import pytest
 
 from repro import obs
 from repro.campaign import scheduler
-from repro.campaign.jobs import JobQueue, LocalQueueClient
+from repro.campaign.jobs import JobQueue
 from repro.campaign.plan import CampaignPlan, WorkUnit, plan_experiments
 from repro.campaign.scheduler import execute_unit, run_campaign
 from repro.campaign.store import ResultStore, canonical_json
@@ -31,8 +31,8 @@ QUICK = ExperimentConfig(scale="quick")
 TTL = 1.5
 
 
-class RecordingClient(LocalQueueClient):
-    """A local queue client that logs the worker verbs it serves; the
+class RecordingClient(JobQueue):
+    """A local queue that logs the worker verbs it serves; the
     first *failing_beats* renewals raise, like a network blip."""
 
     def __init__(self, store: ResultStore, *, failing_beats: int = 0):
@@ -68,7 +68,7 @@ def _submit(store: ResultStore, count: int) -> str:
     units = [WorkUnit(spec={"kind": "test", "i": i}, payload={"x": i},
                       label=f"u{i}")
              for i in range(count)]
-    return JobQueue(store.backend).submit(units, store).campaign_id
+    return JobQueue(store).submit(units).campaign_id
 
 
 class TestLeaseRenewal:
@@ -122,7 +122,7 @@ class TestLeaseRenewal:
 
         def long_unit(payload):
             time.sleep(1.7 * ttl)
-            stolen.append(JobQueue(store.backend).lease(
+            stolen.append(JobQueue(store).lease(
                 "thief", campaign_id=cid, ttl=ttl))
             time.sleep(0.8 * ttl)
             return {"result": {"x": payload["x"]}, "elapsed": 2.5 * ttl}
@@ -134,7 +134,7 @@ class TestLeaseRenewal:
         assert stolen == [None]
         assert client.renewed.count(True) >= 2
         [key] = stats.keys
-        job = JobQueue(store.backend).job(cid, key)
+        job = JobQueue(store).job(cid, key)
         assert job.state == "done" and job.worker == "owner"
         assert job.attempts == 1
 
@@ -148,10 +148,10 @@ class TestMaxUnits:
             "result": {"x": payload["x"]}, "elapsed": 0.0})
         store = ResultStore(tmp_path / "store")
         cid = _submit(store, 4)
-        stats = run_worker(LocalQueueClient(store), campaign_id=cid,
+        stats = run_worker(JobQueue(store), campaign_id=cid,
                            max_units=2, worker="w")
         assert (stats.leased, stats.completed) == (2, 2)
-        queue = JobQueue(store.backend)
+        queue = JobQueue(store)
         assert queue.jobs(cid, state="leased") == []
         assert len(queue.jobs(cid, state="pending")) == 2
 
@@ -191,8 +191,7 @@ class TestHeartbeat:
         units = [unit for seed in (0, 1) for unit in plan_experiments(
             ["E1", "E15"], ExperimentConfig(scale="quick", seed=seed))]
         store = ResultStore(tmp_path / "store")
-        cid = JobQueue(store.backend).submit(CampaignPlan(tuple(units)),
-                                             store).campaign_id
+        cid = JobQueue(store).submit(CampaignPlan(tuple(units))).campaign_id
         started: list[threading.Thread] = []
         real_start = threading.Thread.start
 
@@ -202,7 +201,7 @@ class TestHeartbeat:
 
         sink = traced()
         monkeypatch.setattr(threading.Thread, "start", counting_start)
-        stats = run_worker(LocalQueueClient(store), campaign_id=cid,
+        stats = run_worker(JobQueue(store), campaign_id=cid,
                            worker="w")
         monkeypatch.undo()
 
@@ -222,7 +221,7 @@ class TestHeartbeat:
             return {"result": {"x": payload["x"]}, "elapsed": 0.0}
 
         monkeypatch.setattr(scheduler, "execute_unit", unit)
-        stats = run_worker(LocalQueueClient(store), campaign_id=cid,
+        stats = run_worker(JobQueue(store), campaign_id=cid,
                            lease_ttl=TTL, worker="w")
         # ttl/3 is far longer than these units: the synchronous beat is
         # the only one, and it was already there when the body began.
@@ -298,7 +297,7 @@ def test_result_section_is_the_decoded_to_json(experiment):
 def _lease_and_hang(root: str, campaign_id: str, marker: str) -> None:
     """Claim one job, report it, then hang (a worker about to die)."""
     store = ResultStore(root)
-    job = JobQueue(store.backend).lease("doomed", campaign_id=campaign_id,
+    job = JobQueue(store).lease("doomed", campaign_id=campaign_id,
                                         ttl=TTL)
     with open(marker, "w") as handle:
         handle.write(job.key if job is not None else "")
@@ -317,7 +316,7 @@ class TestSigkillRecovery:
         # holding the lease, and a survivor waits the TTL out.
         root = tmp_path / "victim"
         store = ResultStore(root)
-        cid = JobQueue(store.backend).submit(plan, store).campaign_id
+        cid = JobQueue(store).submit(plan).campaign_id
         marker = tmp_path / "leased.marker"
         ctx = multiprocessing.get_context("fork")
         doomed = ctx.Process(target=_lease_and_hang,
@@ -333,12 +332,12 @@ class TestSigkillRecovery:
         os.kill(doomed.pid, signal.SIGKILL)  # no heartbeat ever again
         doomed.join(timeout=10)
 
-        queue = JobQueue(store.backend)
+        queue = JobQueue(store)
         held = queue.job(cid, leased_key)
         assert held.state == "leased" and held.worker == "doomed"
 
         # The survivor polls, waits out the dead lease, reclaims, runs.
-        stats = run_worker(LocalQueueClient(store), campaign_id=cid,
+        stats = run_worker(JobQueue(store), campaign_id=cid,
                            lease_ttl=TTL, worker="survivor")
         assert stats.completed == len(plan)
         done = queue.job(cid, leased_key)
