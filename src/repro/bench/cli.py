@@ -40,6 +40,7 @@ from repro.bench.report import render_report
 from repro.bench.results import load_result, result_filename
 from repro.bench.runner import floor_failures, run_suite
 from repro.bench.timer import MeasureConfig
+from repro.util.exitcodes import CONFIG
 from repro.util.timing import format_seconds
 
 __all__ = ["main", "build_parser", "DEFAULT_BASELINE_DIR",
@@ -187,6 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    out = args.out or Path(result_filename(args.suite))
+    if out.is_dir():  # refuse before measuring, not after
+        print(f"--out {out} is a directory; give the artifact's file path",
+              file=sys.stderr)
+        return CONFIG
     config = MeasureConfig(target_seconds=args.target_seconds,
                            min_rounds=args.min_rounds,
                            max_rounds=args.max_rounds)
@@ -199,7 +205,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     result = run_suite(args.suite, config=config, pattern=args.case,
                        progress=progress, trace_dir=args.trace)
-    out = args.out or Path(result_filename(args.suite))
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(result.to_json())
 

@@ -7,9 +7,12 @@ structure with a k-d tree over the *member* points and a nearest-member
 query from every non-member — ``O(n log |I|)`` per step, and the tree
 is built over the (usually small early / irrelevant late) informed set.
 
-``scipy.spatial.cKDTree`` is the engine; this module wraps the exact
-query patterns the library needs so the snapshot code stays free of
-scipy details and the patterns are unit-testable against brute force.
+The tree is ``scipy.spatial.cKDTree``, imported by the first k-d-tree
+query rather than with this module, so ``import repro`` and the native
+kernels (which never build a tree) do not load scipy.  This module
+wraps the exact query patterns the library needs so the snapshot code
+stays free of scipy details and the patterns are unit-testable against
+brute force.
 
 The batched kernels answer ``B`` trials at once: the mobility models
 (arbitrary float positions) through the shared cell grid of
@@ -29,7 +32,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.geometric.lattice import CellLayout
 from repro.util import bits
@@ -96,6 +98,8 @@ def within_radius_of_members(
     other_idx = np.flatnonzero(~members)
     if member_idx.size == 0 or other_idx.size == 0:
         return out
+    from scipy.spatial import cKDTree
+
     positions = _prepare(positions, boxsize)
     tree = cKDTree(positions[member_idx], boxsize=boxsize)
     # Nearest member distance for each outside point; eps=0 exact.
@@ -511,6 +515,8 @@ def radius_edges(positions: np.ndarray, radius: float, *,
     """
     positions = _prepare(np.asarray(positions, dtype=float), boxsize)
     radius = require_positive(radius, "radius")
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(positions, boxsize=boxsize)
     pairs = tree.query_pairs(radius * (1 + 1e-12), output_type="ndarray")
     if pairs.size == 0:
@@ -523,6 +529,8 @@ def radius_degrees(positions: np.ndarray, radius: float, *,
     """Degree of every point in the radius graph (co-located points connect)."""
     positions = _prepare(np.asarray(positions, dtype=float), boxsize)
     radius = require_positive(radius, "radius")
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(positions, boxsize=boxsize)
     counts = tree.query_ball_point(positions, radius * (1 + 1e-12), return_length=True)
     return np.asarray(counts, dtype=np.int64) - 1  # exclude self

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.dynamics.base import EvolvingGraph, GraphSnapshot
 from repro.util.rng import SeedLike, as_generator
@@ -98,6 +97,8 @@ class SphereSnapshot(GraphSnapshot):
         other_idx = np.flatnonzero(~members)
         if member_idx.size == 0 or other_idx.size == 0:
             return out
+        from scipy.spatial import cKDTree
+
         coords = self.positions
         tree = cKDTree(coords[member_idx])
         dist, _ = tree.query(coords[other_idx], k=1,
@@ -106,6 +107,8 @@ class SphereSnapshot(GraphSnapshot):
         return out
 
     def degrees(self) -> np.ndarray:
+        from scipy.spatial import cKDTree
+
         coords = self.positions
         tree = cKDTree(coords)
         counts = tree.query_ball_point(coords, self._radius * (1 + 1e-12),
@@ -113,6 +116,8 @@ class SphereSnapshot(GraphSnapshot):
         return np.asarray(counts, dtype=np.int64) - 1
 
     def edge_count(self) -> int:
+        from scipy.spatial import cKDTree
+
         coords = self.positions
         return len(cKDTree(coords).query_pairs(self._radius * (1 + 1e-12)))
 

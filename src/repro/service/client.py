@@ -74,6 +74,32 @@ _DROPPED = (http.client.RemoteDisconnected, ConnectionResetError,
 _HEADERS = {"Content-Type": "application/json"}
 
 
+class _OneWrite:
+    """Send a request's header block and its bytes body in one write.
+
+    ``http.client`` sends them in two, which costs the server an extra
+    ``recv`` and puts a second segment on the wire for every POST.
+    """
+
+    def _send_output(self, message_body=None, encode_chunked=False):
+        if not isinstance(message_body, bytes):
+            return super()._send_output(message_body, encode_chunked)
+        # ``_buffer`` holds the request and header lines; an empty line
+        # and the body complete the bytes the stdlib sends in two writes.
+        self._buffer.extend((b"", message_body))
+        data = b"\r\n".join(self._buffer)
+        del self._buffer[:]
+        self.send(data)
+
+
+class _HTTPConnection(_OneWrite, http.client.HTTPConnection):
+    pass
+
+
+class _HTTPSConnection(_OneWrite, http.client.HTTPSConnection):
+    pass
+
+
 class ServiceError(RuntimeError):
     """A non-2xx service response (carries status + server message)."""
 
@@ -108,9 +134,9 @@ class ServiceClient:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         parts = urlsplit(self.base_url)
-        self._connection_class = (http.client.HTTPSConnection
+        self._connection_class = (_HTTPSConnection
                                   if parts.scheme == "https"
-                                  else http.client.HTTPConnection)
+                                  else _HTTPConnection)
         self._netloc = parts.netloc
         self._prefix = parts.path
         self._local = threading.local()

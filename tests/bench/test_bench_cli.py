@@ -173,6 +173,28 @@ def test_run_unknown_suite_fails(demo_suite):
         cli.main(["run", "--suite", "nope"])
 
 
+def test_run_out_directory_is_config_before_any_case(tmp_path, capsys):
+    ran = []
+
+    def setup():
+        ran.append(1)
+        return lambda: None
+
+    register(BenchCase(name="demod/case", suite="demod", scale="tiny",
+                       setup=setup, rounds=1))
+    try:
+        assert cli.main(["run", "--suite", "demod", "--out",
+                         str(tmp_path)]) == 2
+    finally:
+        _CASES.pop("demod/case", None)
+    captured = capsys.readouterr()
+    assert ran == []
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "is a directory" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_run_fails_on_floor_violation(tmp_path):
     # An impossible floor: the pair is same-cost, so ~1x measured.
     def setup():

@@ -161,6 +161,23 @@ class TestKeepAlive:
             assert client.health()["status"] == "ok"
             assert len(accepted) == 1
 
+    def test_each_post_is_one_client_write(self, server, monkeypatch):
+        """Header block and body leave in one ``sendall``, not two."""
+        caller = threading.get_ident()
+        writes = []
+        sendall = socket.socket.sendall
+
+        def counting(sock, data, *args):
+            if threading.get_ident() == caller:  # not the server's
+                writes.append(len(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counting)
+        with ServiceClient(server.url) as client:
+            for _ in range(5):
+                assert client.lease("w") is None
+        assert len(writes) == 5, writes
+
     @pytest.mark.parametrize("length, status", [
         ("nope", 400), (str(64 * 1024 * 1024), 413)])
     def test_unskippable_body_closes_the_connection(self, server, length,
